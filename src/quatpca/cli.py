@@ -262,7 +262,7 @@ def cmd_fit(args, out):
         f"tol={_fmt(params.tol)} max_iter={params.max_iter}",
     ]
     for trace in basis.report.all_traces():
-        flag = "yes" if trace.converged else "NO (iteration cap)"
+        flag = "yes" if trace.converged else f"NO ({trace.stop_reason})"
         lines.append(
             f"{trace.side}[{trace.index}]: objective={trace.final_objective:.10g} "
             f"iterations={trace.iterations} converged={flag}")

@@ -40,6 +40,8 @@ __all__ = [
     "from_real_vec",
     "real_repr",
     "hamilton_planes",
+    "plane_matmul",
+    "plane_conj_transpose",
 ]
 
 
@@ -61,10 +63,20 @@ def hamilton_planes(a, b, mul):
     )
 
 
-def _frozen(arr):
-    arr = np.array(arr, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
+def plane_matmul(A, B):
+    """Quaternion matrix product of plane arrays, broadcast like np.matmul.
+
+    ``A`` has shape (..., 4, m, n) and ``B`` shape (..., 4, n, k); the
+    leading axes broadcast against each other.  Returns (..., 4, m, k).
+    """
+    a = tuple(A[..., c, :, :] for c in range(4))
+    b = tuple(B[..., c, :, :] for c in range(4))
+    return np.stack(hamilton_planes(a, b, np.matmul), axis=-3)
+
+
+def plane_conj_transpose(A):
+    """Conjugate transpose of every matrix in a (..., 4, m, n) plane array."""
+    return np.swapaxes(A, -1, -2) * np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -396,10 +408,6 @@ class QMatrix:
     def n(self):
         return self._data.shape[2]
 
-    @property
-    def planes(self):
-        return tuple(self._data[c] for c in range(4))
-
     def plane(self, c):
         return self._data[c]
 
@@ -443,8 +451,7 @@ class QMatrix:
         return QMatrix(self._data / float(scalar))
 
     def conj_transpose(self):
-        q0, q1, q2, q3 = self.planes
-        return QMatrix(np.stack([q0.T, -q1.T, -q2.T, -q3.T]))
+        return QMatrix(plane_conj_transpose(self._data))
 
     @property
     def H(self):
@@ -455,16 +462,14 @@ class QMatrix:
             raise TypeError(f"expected QVector, got {type(w).__name__}")
         if w.n != self.n:
             raise ShapeError(f"matvec shapes do not match: {self.m}x{self.n} times length {w.n}")
-        planes = hamilton_planes(self.planes, w.planes, lambda A, x: A @ x)
-        return QVector(np.stack(planes))
+        return QVector(plane_matmul(self._data, w.data[:, :, None])[:, :, 0])
 
     def matmul(self, other):
         if not isinstance(other, QMatrix):
             raise TypeError(f"expected QMatrix, got {type(other).__name__}")
         if other.m != self.n:
             raise ShapeError(f"matmul shapes do not match: {self.m}x{self.n} times {other.m}x{other.n}")
-        planes = hamilton_planes(self.planes, other.planes, np.matmul)
-        return QMatrix(np.stack(planes))
+        return QMatrix(plane_matmul(self._data, other._data))
 
     def __matmul__(self, other):
         if isinstance(other, QVector):
@@ -484,7 +489,7 @@ class QMatrix:
 
     def real_repr(self):
         """The 4m x 4n real structure-preserving representation."""
-        q0, q1, q2, q3 = self.planes
+        q0, q1, q2, q3 = self._data
         return np.block([
             [q0, -q1, -q2, -q3],
             [q1, q0, -q3, q2],

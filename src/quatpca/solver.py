@@ -9,6 +9,16 @@ that later directions explore the remaining subspace only.  Left
 directions solve the mirrored problem max sum_i ||u^* F_i||_s^s, which is
 the same computation on conjugate-transposed samples.
 
+The samples of one side form one tall matrix T = [F_1; ...; F_l], so
+f(w) = ||T w||_s^s.  s = 2 fits run on the Gram matrix G = T^* T alone
+(n x n on the right, sum_i F_i F_i^* on the left): y = G w gives both the
+objective <w, y> and the next ascent vector, so the per-iteration cost
+no longer grows with the sample count, and deflation is
+G <- (I - WW^*) G (I - WW^*).  Other s compute P = T w once per iterate
+and take both the objective and the ascent vector T^* (|P|^(s-2) (.) P)
+from it.  A step that lowers the objective (possible for 0 < p < 1) is
+rejected and ends the direction on the previous iterate.
+
 The s = p = 2 case reduces to eigendecomposition of the sample
 covariance; :func:`covariance_baseline` computes that directly and serves
 as a reference implementation.
@@ -21,14 +31,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirection,
-    InvalidDataset,
-    InvalidParameter,
-    ShapeError,
-)
+from .errors import DegenerateDirection, InvalidDataset, InvalidParameter, ShapeError
 from .qlinalg import hermitian_topk_eig, mgs_orthonormalize
-from .quaternion import QMatrix, QVector, hamilton_planes, lp_norm, real_scale
+from .quaternion import QMatrix, QVector, lp_norm, plane_conj_transpose, plane_matmul, real_scale
 
 __all__ = [
     "FitParams",
@@ -61,9 +66,8 @@ class FitParams:
     exponent (p > 0 or math.inf); ``k1``/``k2`` the number of left/right
     directions.  ``init`` selects the starting iterate: "ones" is the
     deterministic all-ones pure-real vector, "random" draws from a
-    PRNG seeded with ``seed``.  ``lowp_factor`` picks the reweighting
-    vector of the 0 < p < 1 regime: "init" uses the moduli of the
-    starting iterate, "iterate" uses the current one.
+    PRNG seeded with ``seed``.  The 0 < p < 1 regime reweights by the
+    moduli of the starting iterate.
     """
 
     s: float
@@ -74,7 +78,6 @@ class FitParams:
     max_iter: int = DEFAULT_MAX_ITER
     init: str = "ones"
     seed: int = 0
-    lowp_factor: str = "init"
 
     def violations(self, m=None, n=None):
         """Collect conflicts with the legal ranges; empty when valid."""
@@ -97,8 +100,6 @@ class FitParams:
             problems.append(f"max_iter must be a positive integer, got {self.max_iter}")
         if self.init not in ("ones", "random"):
             problems.append(f"init must be 'ones' or 'random', got {self.init!r}")
-        if self.lowp_factor not in ("init", "iterate"):
-            problems.append(f"lowp_factor must be 'init' or 'iterate', got {self.lowp_factor!r}")
         return problems
 
     def validate(self, m=None, n=None):
@@ -109,7 +110,14 @@ class FitParams:
 
 @dataclass
 class DirectionTrace:
-    """Per-direction diagnostics of the ascent iteration."""
+    """Per-direction diagnostics of the ascent iteration.
+
+    ``iterations`` counts the MM steps taken; the histories hold the
+    accepted iterates only, so a final step that lowered the objective
+    is counted but not recorded.  ``stop_reason`` names the rule that
+    ended the ascent, "tolerance", "iteration cap" or "rejected step";
+    ``converged`` means the tolerance rule did.
+    """
 
     side: str
     index: int
@@ -118,6 +126,7 @@ class DirectionTrace:
     iterations: int
     converged: bool
     final_objective: float
+    stop_reason: str
 
 
 @dataclass
@@ -193,93 +202,84 @@ class BasisPair:
 # -- stacked-plane helpers --------------------------------------------
 
 
-def _as_matrices(samples):
-    """Accept a SampleSet-like object or any iterable of QMatrix."""
-    if hasattr(samples, "images"):
-        mats = list(samples.images())
-    else:
-        mats = list(samples)
+def _sample_stack(samples):
+    """Samples as one (l, 4, m, n) array; accepts a SampleSet or QMatrix list.
+
+    Raises InvalidDataset, naming the first offending sample, when any
+    entry is NaN or infinite.
+    """
+    items = getattr(samples, "samples", None)
+    mats = list(samples) if items is None else [s.image for s in items]
+    if not mats:
+        raise InvalidDataset("need at least one sample")
     for f in mats:
         if not isinstance(f, QMatrix):
             raise TypeError(f"expected QMatrix samples, got {type(f).__name__}")
-    if not mats:
-        raise InvalidDataset("need at least one sample")
-    shape = mats[0].shape
-    for f in mats:
-        if f.shape != shape:
-            raise ShapeError(f"samples have mixed shapes: {shape} vs {f.shape}")
-    return mats
+        if f.shape != mats[0].shape:
+            raise ShapeError(f"samples have mixed shapes: {mats[0].shape} vs {f.shape}")
+    S = np.stack([f.data for f in mats])
+    bad = np.flatnonzero(~np.isfinite(S).reshape(len(S), -1).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        name = f" ({items[i].source or f'label {items[i].label!r}'})" if items else ""
+        raise InvalidDataset(f"sample {i}{name} holds a non-finite value (NaN or inf)")
+    return S
 
 
-def _stack(mats):
-    """Samples as one (l, 4, m, n) array."""
-    return np.stack([f.data for f in mats])
+def _tall(S, side="right"):
+    """Tall (4, l*m, n) matrix [F_1; ...; F_l], or [F_1^*; ...] for the left side."""
+    if side == "left":
+        S = plane_conj_transpose(S)
+    return S.transpose(1, 0, 2, 3).reshape(4, -1, S.shape[-1])
 
 
-def _conj_transpose_stack(S):
-    q = S.transpose(0, 1, 3, 2)
-    return np.stack([q[:, 0], -q[:, 1], -q[:, 2], -q[:, 3]], axis=1)
+def _gram(T):
+    """Quaternion Gram matrix T^* T as a (4, n, n) plane array."""
+    return plane_matmul(plane_conj_transpose(T), T)
 
 
-def _batch_matvec(S, w):
-    """F_i w for every sample; returns (l, 4, m)."""
-    a = (S[:, 0], S[:, 1], S[:, 2], S[:, 3])
-    b = tuple(w[c] for c in range(4))
-    planes = hamilton_planes(a, b, lambda A, x: A @ x)
-    return np.stack(planes, axis=1)
+def _projector(W):
+    """Planes of I - W W^* for a QMatrix W with orthonormal columns."""
+    P = -plane_matmul(W.data, plane_conj_transpose(W.data))
+    P[0] += np.eye(W.m)
+    return P
 
 
-def _batch_conj_matvec_sum(S, g):
-    """sum_i F_i^* g_i; returns (4, n)."""
-    a = (S[:, 0], -S[:, 1], -S[:, 2], -S[:, 3])
-    b = (g[:, 0], g[:, 1], g[:, 2], g[:, 3])
+class _GramObjective:
+    """s = 2: f(w) = <w, G w>, ascent vector G w; evaluate(w) returns both."""
 
-    def mul(A, y):
-        return np.einsum("lmn,lm->n", A, y)
+    def __init__(self, T):
+        self.G = _gram(T)
 
-    return np.stack(hamilton_planes(a, b, mul))
+    def evaluate(self, w):
+        y = plane_matmul(self.G, w[:, :, None])[:, :, 0]
+        return float(np.sum(w * y)), y
 
-
-def _batch_matmul(S, W):
-    """F_i W for every sample; returns (l, 4, m, k)."""
-    a = (S[:, 0], S[:, 1], S[:, 2], S[:, 3])
-    planes = hamilton_planes(a, W.planes, np.matmul)
-    return np.stack(planes, axis=1)
+    def deflate(self, P):
+        self.G = plane_matmul(plane_matmul(P, self.G), P)
 
 
-def _batch_matmul_conj(H, W):
-    """H_i W^* for every sample; H is (l, 4, m, k), returns (l, 4, m, n)."""
-    a = (H[:, 0], H[:, 1], H[:, 2], H[:, 3])
-    w0, w1, w2, w3 = W.planes
-    b = (w0.T, -w1.T, -w2.T, -w3.T)
-    planes = hamilton_planes(a, b, np.matmul)
-    return np.stack(planes, axis=1)
+class _StackObjective:
+    """General s: f(w) = ||T w||_s^s, ascent vector T^* (|P|^(s-2) (.) P)."""
+
+    def __init__(self, T, s):
+        self.T, self.TH, self.s = T, plane_conj_transpose(T), s
+
+    def evaluate(self, w):
+        P = plane_matmul(self.T, w[:, :, None])
+        A = np.sqrt(np.sum(P * P, axis=0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fac = np.where(A > 0.0, A ** (self.s - 2.0), 0.0)
+        y = plane_matmul(self.TH, P * fac)[:, :, 0]
+        return float(np.sum(A ** self.s)), y
+
+    def deflate(self, P):
+        self.T = plane_matmul(self.T, P)
+        self.TH = plane_conj_transpose(self.T)
 
 
-def _deflate(S, W):
-    """Right-deflation F_i <- F_i (I - W W^*) for the whole stack."""
-    H = _batch_matmul(S, W)
-    return S - _batch_matmul_conj(H, W)
-
-
-def _moduli(X):
-    """Entrywise quaternion moduli of a (..., 4, m) plane stack."""
-    return np.sqrt(np.sum(X * X, axis=-2))
-
-
-def _stack_objective(S, w, s):
-    A = _moduli(_batch_matvec(S, w))
-    return float(np.sum(A ** s))
-
-
-def _ascent_direction(S, w, s):
-    """y = sum_i F_i^* (|F_i w|^(s-1) (.) sign(F_i w)) as a (4, n) array."""
-    P = _batch_matvec(S, w)
-    A = _moduli(P)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fac = np.where(A > 0.0, A ** (s - 2.0), 0.0)
-    g = P * fac[:, None, :]
-    return _batch_conj_matvec_sum(S, g)
+def _objective_for(T, s):
+    return _GramObjective(T) if s == 2 else _StackObjective(T, s)
 
 
 # -- public operations ------------------------------------------------
@@ -289,14 +289,17 @@ def objective(samples, w, side="right", s=2.0):
     """f(w) = sum_i ||F_i w||_s^s (right) or sum_i ||w^* F_i||_s^s (left)."""
     if side not in ("right", "left"):
         raise InvalidParameter(f"side must be 'right' or 'left', got {side!r}")
+    return _ascent_terms(samples, w, s, side)[0]
+
+
+def _ascent_terms(samples, w, s, side="right"):
+    """(f(w), ascent vector) on the samples as given, for any s."""
     if not (s >= 1 and math.isfinite(s)):
         raise InvalidParameter(f"s must satisfy 1 <= s < inf, got {s}")
-    S = _stack(_as_matrices(samples))
-    if side == "left":
-        S = _conj_transpose_stack(S)
-    if w.n != S.shape[3]:
-        raise ShapeError(f"vector length {w.n} does not match sample width {S.shape[3]}")
-    return _stack_objective(S, w.data, s)
+    T = _tall(_sample_stack(samples), side)
+    if w.n != T.shape[2]:
+        raise ShapeError(f"vector length {w.n} does not match sample width {T.shape[2]}")
+    return _StackObjective(T, s).evaluate(w.data)
 
 
 def lp_update(y, p, current=None, initial=None):
@@ -349,60 +352,57 @@ def lp_update(y, p, current=None, initial=None):
 
 def mm_update(w, samples, s, p, w0=None):
     """One ascent step from iterate w; ``w0`` is the starting iterate."""
-    if not (s >= 1 and math.isfinite(s)):
-        raise InvalidParameter(f"s must satisfy 1 <= s < inf, got {s}")
-    S = _stack(_as_matrices(samples))
-    if w.n != S.shape[3]:
-        raise ShapeError(f"vector length {w.n} does not match sample width {S.shape[3]}")
-    y = QVector(_ascent_direction(S, w.data, s))
+    y = QVector(_ascent_terms(samples, w, s)[1])
     return lp_update(y, p, current=w, initial=w0 if w0 is not None else w)
 
 
 def _initial_iterate(n, params, rng):
-    if params.init == "ones":
-        data = np.zeros((4, n))
-        data[0] = 1.0
-    elif params.init == "random":
+    if params.init == "random":
         data = rng.standard_normal((4, n))
     else:
-        raise InvalidParameter(f"init must be 'ones' or 'random', got {params.init!r}")
+        data = np.zeros((4, n))
+        data[0] = 1.0
     w = QVector(data)
     return w / lp_norm(w, params.p)
 
 
-def _solve_stack(S, params, orthogonal_to, side, index, rng):
-    """Run the ascent loop on a prepared stack; returns (v, f, trace)."""
-    n = S.shape[3]
+def _ascend(obj, n, params, orthogonal_to, side, index, rng):
+    """Run the ascent loop on one side's objective; returns (v, f, trace)."""
     w = _initial_iterate(n, params, rng)
     w0 = w
-    f = _stack_objective(S, w.data, params.s)
+    f, y = obj.evaluate(w.data)
     f_hist = [f]
     pnorm_hist = [lp_norm(w, params.p)]
-    converged = False
-    iterations = 0
-    for _ in range(params.max_iter):
-        y = QVector(_ascent_direction(S, w.data, params.s))
-        ref = w0 if params.lowp_factor == "init" else w
-        w = lp_update(y, params.p, current=w, initial=ref)
-        f_new = _stack_objective(S, w.data, params.s)
+    reason = "iteration cap"
+    for iterations in range(1, params.max_iter + 1):
+        w_new = lp_update(QVector(y), params.p, current=w, initial=w0)
+        f_new, y_new = obj.evaluate(w_new.data)
         delta = abs(f_new - f) / (abs(f) + _F_GUARD)
-        f = f_new
-        f_hist.append(f)
-        pnorm_hist.append(lp_norm(w, params.p))
-        iterations += 1
+        # A step that lowers the objective is never taken: the direction
+        # ends on the previous iterate, by the tolerance rule when the
+        # drop lies within it.
+        lowered = f_new < f
+        if not lowered:
+            w, f, y = w_new, f_new, y_new
+            f_hist.append(f)
+            pnorm_hist.append(lp_norm(w, params.p))
         if delta <= params.tol:
-            converged = True
+            reason = "tolerance"
+            break
+        if lowered:
+            reason = "rejected step"
             break
     v = mgs_orthonormalize(w, orthogonal_to)
-    f_dir = _stack_objective(S, v.data, params.s)
+    f_dir = obj.evaluate(v.data)[0]
     trace = DirectionTrace(
         side=side,
         index=index,
         objective_history=f_hist,
         pnorm_history=pnorm_hist,
         iterations=iterations,
-        converged=converged,
+        converged=reason == "tolerance",
         final_objective=f_dir,
+        stop_reason=reason,
     )
     return v, f_dir, trace
 
@@ -416,28 +416,27 @@ def solve_direction(samples, params, orthogonal_to=()):
     transforming the samples.
     """
     params.validate()
-    S = _stack(_as_matrices(samples))
+    T = _tall(_sample_stack(samples))
     rng = np.random.default_rng(params.seed)
-    v, f, _ = _solve_stack(S, params, tuple(orthogonal_to), "right", 0, rng)
+    v, f, _ = _ascend(_objective_for(T, params.s), T.shape[2], params,
+                      tuple(orthogonal_to), "right", 0, rng)
     return v, f
 
 
-def _fit_side(S, count, params, side, rng):
-    vectors = []
-    values = []
-    traces = []
-    current = S.copy()
+def _fit_side(T, count, params, side, rng):
+    obj = _objective_for(T, params.s)
+    vectors, values, traces = [], [], []
     for t in range(count):
         try:
-            v, f, trace = _solve_stack(current, params, vectors, side, t, rng)
+            v, f, trace = _ascend(obj, T.shape[2], params, vectors, side, t, rng)
         except DegenerateDirection as exc:
             raise DegenerateDirection(
                 f"{side} direction {t}: {exc}", index=t) from exc
-        trace.index = t
         vectors.append(v)
         values.append(f)
         traces.append(trace)
-        current = _deflate(current, QMatrix.from_columns(vectors))
+        if t + 1 < count:
+            obj.deflate(_projector(QMatrix.from_columns(vectors)))
     return QMatrix.from_columns(vectors), np.array(values), traces
 
 
@@ -447,19 +446,18 @@ def fit(samples, params):
     Right directions come first, then left directions on the
     conjugate-transposed samples; the two passes are independent.
     Returns a :class:`BasisPair` carrying the training mean and a
-    per-direction :class:`FitReport`.
+    per-direction :class:`FitReport`.  Raises InvalidDataset when a
+    sample holds a NaN or infinite entry.
     """
     if not getattr(samples, "centered", False):
         raise InvalidDataset("fit requires a centered sample set; call center() first")
-    mats = _as_matrices(samples)
-    m, n = mats[0].shape
+    S = _sample_stack(samples)
+    m, n = S.shape[2:]
     params.validate(m, n)
-    S = _stack(mats)
     rng = np.random.default_rng(params.seed)
 
-    V, d_right, right_traces = _fit_side(S, params.k2, params, "right", rng)
-    U, d_left, left_traces = _fit_side(
-        _conj_transpose_stack(S), params.k1, params, "left", rng)
+    V, d_right, right_traces = _fit_side(_tall(S), params.k2, params, "right", rng)
+    U, d_left, left_traces = _fit_side(_tall(S, "left"), params.k1, params, "left", rng)
 
     mean = getattr(samples, "mean", None)
     if mean is None:
@@ -477,30 +475,17 @@ def covariance_baseline(samples, k):
     of orthonormal eigenvectors.  At s = p = 2 the ascent fit converges
     to the same subspaces, which makes this a direct cross-check.
     """
-    mats = _as_matrices(samples)
-    n = mats[0].n
+    S = _sample_stack(samples)
+    n = S.shape[3]
     if not 1 <= k <= n:
         raise InvalidParameter(f"k must satisfy 1 <= k <= {n}, got {k}")
-    S = _stack(mats)
-    a = (S[:, 0], -S[:, 1], -S[:, 2], -S[:, 3])
-    b = (S[:, 0], S[:, 1], S[:, 2], S[:, 3])
-
-    def mul(A, B):
-        return np.einsum("lmn,lmo->no", A, B)
-
-    G = QMatrix(np.stack(hamilton_planes(a, b, mul))) / len(mats)
+    G = QMatrix(_gram(_tall(S))) / len(S)
     pairs = hermitian_topk_eig(G, k)
-    evals = np.array([lam for lam, _ in pairs])
-    W = QMatrix.from_columns([v for _, v in pairs])
-    return evals, W
+    return np.array([lam for lam, _ in pairs]), QMatrix.from_columns([v for _, v in pairs])
 
 
 def deflated_residuals(samples, basis):
     """Left- and right-deflated samples (I - UU^*) F_i and F_i (I - VV^*)."""
-    mats = _as_matrices(samples)
-    lefts = []
-    rights = []
-    for F in mats:
-        lefts.append(F - basis.U @ (basis.U.H @ F))
-        rights.append(F - (F @ basis.V) @ basis.V.H)
-    return lefts, rights
+    S = _sample_stack(samples)
+    return ([QMatrix(L) for L in plane_matmul(_projector(basis.U), S)],
+            [QMatrix(R) for R in plane_matmul(S, _projector(basis.V))])

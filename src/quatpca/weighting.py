@@ -120,6 +120,8 @@ def project(F, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
     if F.shape != (basis.m, basis.n):
         raise ShapeError(
             f"image shape {F.shape} does not match basis {basis.m}x{basis.n}")
+    if not np.isfinite(F.data).all():
+        raise InvalidDataset("probe image holds a non-finite value (NaN or inf)")
     A, B = _factors(basis, scheme)
     return A.H @ (F @ B)
 

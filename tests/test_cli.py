@@ -139,6 +139,15 @@ def test_fit_writes_basis_and_reports(workspace, capsys):
     assert (basis.m, basis.n, basis.k1, basis.k2) == (8, 6, 2, 2)
 
 
+def test_fit_reports_iteration_cap(workspace, capsys):
+    cfg = workspace["tmp"] / "capped.cfg"
+    cfg.write_text(workspace["cfg"].read_text() + "model.tol = 1e-12\nmodel.max_iter = 1\n")
+    rc, out, _ = run(capsys, ["fit", "--config", str(cfg),
+                              "--basis", str(workspace["basis"])])
+    assert rc == 0
+    assert "iterations=1 converged=NO (iteration cap)" in out
+
+
 def test_fit_missing_required_keys(workspace, capsys):
     cfg = workspace["tmp"] / "minimal.cfg"
     cfg.write_text(f"dataset.root = {workspace['root']}\n")

@@ -22,6 +22,7 @@ from quatpca import (
     vabs,
     vsign,
 )
+from quatpca.quaternion import plane_conj_transpose, plane_matmul
 from conftest import random_qmatrix, random_qvector
 
 components = st.floats(min_value=-10.0, max_value=10.0,
@@ -309,6 +310,39 @@ def test_real_repr_matvec_agreement(rng):
     A = random_qmatrix(rng, 5, 3)
     v = random_qvector(rng, 3)
     assert np.allclose((A @ v).to_real(), real_repr(A) @ v.to_real(), atol=1e-12)
+
+
+def test_plane_matmul_matches_real_repr_batched(rng):
+    A = rng.standard_normal((3, 4, 5, 2))
+    B = rng.standard_normal((3, 4, 2, 4))
+    C = plane_matmul(A, B)
+    assert C.shape == (3, 4, 5, 4)
+    for a, b, c in zip(A, B, C):
+        lhs = real_repr(QMatrix(c))
+        rhs = real_repr(QMatrix(a)) @ real_repr(QMatrix(b))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+def test_plane_matmul_matches_real_repr_broadcast(rng):
+    stack = rng.standard_normal((2, 3, 4, 5, 3))
+    single = rng.standard_normal((4, 3, 6))
+    left = rng.standard_normal((4, 2, 5))
+    right = plane_matmul(stack, single)
+    front = plane_matmul(left, stack)
+    assert right.shape == (2, 3, 4, 5, 6)
+    assert front.shape == (2, 3, 4, 2, 3)
+    R_single = real_repr(QMatrix(single))
+    R_left = real_repr(QMatrix(left))
+    for idx in np.ndindex(2, 3):
+        R = real_repr(QMatrix(stack[idx]))
+        assert np.max(np.abs(real_repr(QMatrix(right[idx])) - R @ R_single)) <= 1e-12
+        assert np.max(np.abs(real_repr(QMatrix(front[idx])) - R_left @ R)) <= 1e-12
+
+
+def test_plane_conj_transpose_matches_real_repr_transpose(rng):
+    stack = rng.standard_normal((3, 4, 2, 5))
+    for a, h in zip(stack, plane_conj_transpose(stack)):
+        assert np.array_equal(real_repr(QMatrix(h)), real_repr(QMatrix(a)).T)
 
 
 def test_real_repr_rejects_other_types():

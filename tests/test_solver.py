@@ -1,6 +1,9 @@
 """Ascent solver: frozen hand values, MM monotonicity, deflation, baseline."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,8 +24,10 @@ from quatpca import (
     fit,
     lp_norm,
     lp_update,
+    mgs_orthonormalize,
     mm_update,
     objective,
+    project,
     solve_direction,
 )
 from conftest import (
@@ -354,3 +359,146 @@ def test_deflation_leaves_orthogonal_complement(rng):
     v1 = basis.V.col(0)
     for R in rights:
         assert (R @ v1).norm() < 1e-8 * max(1.0, R.fro_norm())
+
+
+# -- monotone ascent and stopping rules --------------------------------
+
+
+def _random_centered(seed, count, m, n):
+    rng = np.random.default_rng(seed)
+    mats = [random_qmatrix(rng, m, n) for _ in range(count)]
+    return center(SampleSet.build([(str(t), F) for t, F in enumerate(mats)]))
+
+
+@pytest.mark.parametrize("seed, s", [(23, 1.0), (56, 2.0)])
+def test_low_p_ascent_never_lowers_objective(seed, s):
+    # Without the rejection rule the reweighted p = 0.5 step lowers the
+    # objective on these sets: by 0.43 % at seed 23, and by 5.5e-6
+    # (within the tolerance) at seed 56.
+    ss = _random_centered(seed, count=10, m=8, n=6)
+    basis = fit(ss, FitParams(s=s, p=0.5, k1=3, k2=3))
+    traces = basis.report.all_traces()
+    for trace in traces:
+        hist = trace.objective_history
+        assert all(b >= a for a, b in zip(hist, hist[1:]))
+    for trace in traces:
+        hist = trace.objective_history
+        assert len(hist) - 1 <= trace.iterations <= len(hist)
+        assert trace.converged == (trace.stop_reason == "tolerance")
+    rejected = [t for t in traces if t.stop_reason == "rejected step"]
+    assert bool(rejected) == (seed == 23)
+
+
+def test_stop_reason_iteration_cap(diag_samples):
+    basis = fit(diag_samples, FitParams(s=2.0, p=2.0, k1=1, k2=1, tol=1e-12, max_iter=1))
+    trace = basis.report.right[0]
+    assert trace.stop_reason == "iteration cap"
+    assert not trace.converged and trace.iterations == 1
+
+
+# -- non-finite input ----------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_rejects_non_finite_sample(rng, bad):
+    mats = [random_qmatrix(rng, 4, 3) for _ in range(4)]
+    ss = center(SampleSet.build([(f"c{t}", F) for t, F in enumerate(mats)]))
+    images = [F.data.copy() for F in ss.images()]
+    images[2][1, 3, 0] = bad
+    images[3][0, 0, 0] = bad
+    poisoned = SampleSet.build([(f"c{t}", QMatrix(d)) for t, d in enumerate(images)],
+                               centered=True)
+    with pytest.raises(InvalidDataset, match=r"sample 2 \(label 'c2'\)"):
+        fit(poisoned, TIGHT)
+
+
+def test_project_rejects_non_finite_probe(diag_samples):
+    basis = fit(diag_samples, TIGHT)
+    data = np.zeros((4, 3, 2))
+    data[2, 1, 0] = math.nan
+    with pytest.raises(InvalidDataset, match="non-finite"):
+        project(QMatrix(data), basis)
+
+
+# -- Gram path against the stack path ------------------------------------
+
+
+def _stack_oracle_side(mats, count, params):
+    """Reference ascent on the sample stack with the public one-step API."""
+    vectors, values, iterations = [], [], []
+    current = list(mats)
+    n = current[0].n
+    for _ in range(count):
+        w = QVector.from_entries([1.0] * n)
+        w = w0 = w / lp_norm(w, params.p)
+        f = objective(current, w, s=params.s)
+        for steps in range(1, params.max_iter + 1):
+            w_new = mm_update(w, current, s=params.s, p=params.p, w0=w0)
+            f_new = objective(current, w_new, s=params.s)
+            delta = abs(f_new - f) / abs(f)
+            lowered = f_new < f
+            if not lowered:
+                w, f = w_new, f_new
+            if delta <= params.tol or lowered:
+                break
+        v = mgs_orthonormalize(w, vectors)
+        values.append(objective(current, v, s=params.s))
+        vectors.append(v)
+        iterations.append(steps)
+        W = QMatrix.from_columns(vectors)
+        current = [F - (F @ W) @ W.H for F in current]
+    return QMatrix.from_columns(vectors), np.array(values), iterations
+
+
+def _gap_sets():
+    rng = np.random.default_rng(4242)
+    wide, _ = planted_samples(rng, 7, 6, values=(3.0, 2.0, 1.5, 1.0, 0.5), pairs=3)
+    # Gram eigenvalues 2 % apart: a slow power iteration
+    close, _ = planted_samples(rng, 7, 6, values=0.99 ** np.arange(5), pairs=3)
+    return {"planted": wide, "small-gap": close}
+
+
+@pytest.mark.parametrize("data", ["planted", "small-gap"])
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, math.inf])
+def test_gram_fit_matches_stack_oracle(data, p):
+    ss = _gap_sets()[data]
+    params = FitParams(s=2.0, p=p, k1=3, k2=3)
+    basis = fit(ss, params)
+    mats = list(ss.images())
+    V, d_right, right_iters = _stack_oracle_side(mats, 3, params)
+    U, d_left, left_iters = _stack_oracle_side([F.H for F in mats], 3, params)
+    assert [t.iterations for t in basis.report.right] == right_iters
+    assert [t.iterations for t in basis.report.left] == left_iters
+    assert basis.V.allclose(V, tol=1e-8)
+    assert basis.U.allclose(U, tol=1e-8)
+    assert basis.d_right == pytest.approx(d_right, rel=1e-8, abs=1e-8)
+    assert basis.d_left == pytest.approx(d_left, rel=1e-8, abs=1e-8)
+
+
+# -- determinism across BLAS thread counts -------------------------------
+
+_DIGEST_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from quatpca import FitParams, QMatrix, SampleSet, center, fit
+rng = np.random.default_rng(77)
+mats = [QMatrix(rng.standard_normal((4, 24, 20))) for _ in range(60)]
+ss = center(SampleSet.build([(str(t % 6), F) for t, F in enumerate(mats)]))
+for s in (2.0, 1.0):
+    b = fit(ss, FitParams(s=s, p=float(sys.argv[1]), k1=3, k2=3))
+    h = hashlib.sha256()
+    for arr in (b.U.data, b.V.data, b.d_left, b.d_right):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    print(h.hexdigest())
+"""
+
+
+def test_fit_bytes_independent_of_blas_threads():
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, "1.5"], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
