@@ -55,10 +55,11 @@ from .weighting import (
     build_weights,
     joint_weight,
     project,
+    project_stack,
     score_weightings,
     select_weighting,
 )
-from .recognition import Gallery, build_gallery, classify, evaluate
+from .recognition import Gallery, build_gallery, classify, evaluate, predict
 from .reconstruction import reconstruct, reconstruct_samples, reconstruction_ratio
 from .dataset import (
     Sample,
@@ -84,9 +85,10 @@ __all__ = [
     "objective", "lp_update", "mm_update", "solve_direction", "fit",
     "covariance_baseline", "deflated_residuals",
     "MANNER_PRECEDENCE", "Manner", "Transform", "WeightingScheme", "WeightMatrices",
-    "SelectionConfig", "build_weights", "project", "joint_weight",
+    "SelectionConfig", "build_weights", "project", "project_stack",
+    "joint_weight",
     "score_weightings", "best_manner", "select_weighting",
-    "Gallery", "build_gallery", "classify", "evaluate",
+    "Gallery", "build_gallery", "classify", "predict", "evaluate",
     "reconstruct", "reconstruct_samples", "reconstruction_ratio",
     "Sample", "SampleSet", "load_dataset", "center", "split",
     "save_basis", "load_basis", "export_image",

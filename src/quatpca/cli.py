@@ -27,12 +27,13 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from .dataset import center, load_basis, load_dataset, save_basis, split
 from .errors import ConfigError, InvalidDataset, InvalidWeight, QuatPcaError, ShapeError
-from .recognition import build_gallery, classify, evaluate
+from .recognition import build_gallery, evaluate, predict
 from .reconstruction import reconstruct_samples, reconstruction_ratio
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, FitParams, fit
 from .weighting import (
@@ -226,17 +227,29 @@ def _check_basis_dims(basis, dataset):
             f"but the basis was fitted on {basis.m}x{basis.n}")
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+def _emit_csv(path, what, header, rows, out):
+    """Write the rows to ``path`` (and say so), or print them when no path is given."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        print(f"{what}: written to {path}", file=out)
+    else:
+        writer = csv.writer(out)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _print_csv(header, rows, out):
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
+def _sweep(args, basis, header, row, out):
+    """One row per k1 = k2 = 1..--sweep from ``row(k, truncated basis)``."""
+    top = min(basis.k1, basis.k2)
+    if not 1 <= args.sweep <= top:
+        raise ConfigError(
+            [f"--sweep: must satisfy 1 <= sweep <= min(k1, k2) = {top}, got {args.sweep}"])
+    rows = [row(k, basis.truncated(k, k)) for k in range(1, args.sweep + 1)]
+    _emit_csv(args.csv, "sweep", header, rows, out)
+    return 0
 
 
 def _fmt(x):
@@ -314,43 +327,22 @@ def cmd_recognize(args, out):
     scheme = WeightingScheme(cfg.manner, cfg.transform)
 
     if args.sweep is not None:
-        top = min(basis.k1, basis.k2)
-        if not 1 <= args.sweep <= top:
-            raise ConfigError(
-                [f"--sweep: must satisfy 1 <= sweep <= min(k1, k2) = {top}, got {args.sweep}"])
-        rows = []
-        for k in range(1, args.sweep + 1):
-            b = basis.truncated(k, k)
-            gallery = build_gallery(train, b, scheme)
-            rows.append((k, f"{evaluate(test, gallery, b, scheme):.6f}"))
-        if args.csv:
-            _write_csv(args.csv, ["k", "accuracy"], rows)
-            print(f"sweep: written to {args.csv}", file=out)
-        else:
-            _print_csv(["k", "accuracy"], rows, out)
-        return 0
+        def row(k, b):
+            return k, f"{evaluate(test, build_gallery(train, b, scheme), b, scheme):.6f}"
 
-    gallery = build_gallery(train, basis, scheme)
-    confusion: dict[tuple[str, str], int] = {}
-    hits = 0
+        return _sweep(args, basis, ["k", "accuracy"], row, out)
+
     if len(test) == 0:
         raise InvalidDataset("the test split is empty")
-    for sample in test.samples:
-        probe = sample.image - basis.mean
-        predicted, _ = classify(probe, gallery, basis, scheme)
-        confusion[(sample.label, predicted)] = confusion.get((sample.label, predicted), 0) + 1
-        if predicted == sample.label:
-            hits += 1
+    gallery = build_gallery(train, basis, scheme)
+    confusion = Counter(zip(test.labels(), predict(test, gallery, basis, scheme)))
+    hits = sum(count for (true, predicted), count in confusion.items() if true == predicted)
     accuracy = hits / len(test)
     print(f"recognize: manner={scheme.manner.value} transform={scheme.transform.value} "
           f"k1={basis.k1} k2={basis.k2}", file=out)
     print(f"accuracy: {accuracy:.6f} ({hits}/{len(test)})", file=out)
     rows = [(t, p, c) for (t, p), c in sorted(confusion.items())]
-    if args.csv:
-        _write_csv(args.csv, ["true_label", "predicted_label", "count"], rows)
-        print(f"confusion: written to {args.csv}", file=out)
-    else:
-        _print_csv(["true_label", "predicted_label", "count"], rows, out)
+    _emit_csv(args.csv, "confusion", ["true_label", "predicted_label", "count"], rows, out)
     return 0
 
 
@@ -365,21 +357,10 @@ def cmd_reconstruct(args, out):
     scheme = WeightingScheme(cfg.manner, cfg.transform)
 
     if args.sweep is not None:
-        top = min(basis.k1, basis.k2)
-        if not 1 <= args.sweep <= top:
-            raise ConfigError(
-                [f"--sweep: must satisfy 1 <= sweep <= min(k1, k2) = {top}, got {args.sweep}"])
-        rows = []
-        for k in range(1, args.sweep + 1):
-            b = basis.truncated(k, k)
-            recs = reconstruct_samples(train, b, scheme)
-            rows.append((k, k, f"{reconstruction_ratio(train, recs):.6f}"))
-        if args.csv:
-            _write_csv(args.csv, ["k1", "k2", "ratio"], rows)
-            print(f"sweep: written to {args.csv}", file=out)
-        else:
-            _print_csv(["k1", "k2", "ratio"], rows, out)
-        return 0
+        def row(k, b):
+            return k, k, f"{reconstruction_ratio(train, reconstruct_samples(train, b, scheme)):.6f}"
+
+        return _sweep(args, basis, ["k1", "k2", "ratio"], row, out)
 
     recs = reconstruct_samples(train, basis, scheme)
     ratio = reconstruction_ratio(train, recs)

@@ -20,6 +20,7 @@ Quaternion products agree with real products of these representations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,8 +129,11 @@ class Quaternion:
         return _as_quaternion(other) * self
 
     def __abs__(self):
-        return math.sqrt(self.w0 * self.w0 + self.w1 * self.w1
-                         + self.w2 * self.w2 + self.w3 * self.w3)
+        sq = self.w0 * self.w0 + self.w1 * self.w1 + self.w2 * self.w2 + self.w3 * self.w3
+        if sys.float_info.min <= sq < math.inf:
+            return math.sqrt(sq)
+        # The squares under- or overflowed; hypot scales them away.
+        return math.hypot(self.w0, self.w1, self.w2, self.w3)
 
     def sign(self):
         """a / |a|, or zero when a is zero."""

@@ -14,16 +14,33 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidDataset, InvalidWeight, ShapeError
-from .weighting import WeightingScheme, Manner, _transform_values, project
+from .quaternion import QMatrix, plane_conj_transpose, plane_matmul
+from .weighting import (
+    Manner,
+    WeightingScheme,
+    _scaled_bases,
+    _side_weights,
+    centered_stack,
+    project_stack,
+)
 
 __all__ = ["reconstruct", "reconstruct_samples", "reconstruction_ratio"]
 
 
-def _inverse_weights(d, transform):
-    w = _transform_values(d, transform)
+def _inverse(w):
+    if w is None:
+        return None
     if np.any(w == 0.0):
         raise InvalidWeight("zero weight cannot be inverted for reconstruction")
     return 1.0 / w
+
+
+def _rebuild(P, basis, scheme):
+    """Images A P_i B^* + mean of a (N, 4, k1, k2) feature stack, as (N, 4, m, n)."""
+    A, B = _scaled_bases(basis, *(_inverse(w) for w in _side_weights(basis, scheme)))
+    R = plane_matmul(plane_matmul(A, P), plane_conj_transpose(B))
+    R += basis.mean.data
+    return R
 
 
 def reconstruct(P, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
@@ -31,22 +48,15 @@ def reconstruct(P, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
     if P.shape != (basis.k1, basis.k2):
         raise ShapeError(
             f"feature shape {P.shape} does not match basis sizes ({basis.k1}, {basis.k2})")
-    A = basis.U
-    B = basis.V
-    if scheme.weights_left:
-        A = A.scale_columns(_inverse_weights(basis.d_left, scheme.transform))
-    if scheme.weights_right:
-        B = B.scale_columns(_inverse_weights(basis.d_right, scheme.transform))
-    return A @ P @ B.H + basis.mean
+    return QMatrix(_rebuild(P.data[None], basis, scheme)[0])
 
 
 def reconstruct_samples(samples, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
     """Project and rebuild every sample of a raw (uncentered) set."""
-    recs = []
-    for sample in samples.samples:
-        F = sample.image if samples.centered else sample.image - basis.mean
-        recs.append(reconstruct(project(F, basis, scheme), basis, scheme))
-    return recs
+    if len(samples) == 0:
+        return []
+    P = project_stack(centered_stack(samples, basis), basis, scheme, samples.samples)
+    return [QMatrix(R) for R in _rebuild(P, basis, scheme)]
 
 
 def reconstruction_ratio(originals, reconstructions):

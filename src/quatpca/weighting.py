@@ -10,6 +10,13 @@ informative directions.
 :func:`select_weighting` picks a manner empirically: repeated stratified
 splits of the training data, one fit per split, and the manner with the
 best average validation accuracy under nearest-neighbor classification.
+Each repeat projects the inner-training and validation sets once,
+unweighted, and rescales those features for every manner: the weights
+are real diagonal matrices, so (U D)^* F (V E) = D (U^* F V) E.
+
+:func:`project_stack` projects a whole (N, 4, m, n) stack of centered
+images with two broadcasting quaternion products; :func:`project` is its
+one-image case.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidDataset, InvalidParameter, InvalidWeight, ShapeError
+from .quaternion import QMatrix, plane_conj_transpose, plane_matmul
 
 __all__ = [
     "Manner",
@@ -28,6 +36,8 @@ __all__ = [
     "WeightMatrices",
     "SelectionConfig",
     "build_weights",
+    "centered_stack",
+    "project_stack",
     "project",
     "joint_weight",
     "score_weightings",
@@ -100,30 +110,55 @@ def build_weights(basis, transform=Transform.IDENTITY):
     )
 
 
-def _factors(basis, scheme):
-    """Effective projection factors (A, B) with weights folded in.
+def _side_weights(basis, scheme):
+    """Transformed (left, right) weights, None for a side the manner leaves alone.
 
     Weights are built only for the sides the manner actually uses, so an
     unweighted projection never trips transform validity checks.
     """
-    A = basis.U
-    B = basis.V
-    if scheme.weights_left:
-        A = A.scale_columns(_transform_values(basis.d_left, scheme.transform))
-    if scheme.weights_right:
-        B = B.scale_columns(_transform_values(basis.d_right, scheme.transform))
+    left = _transform_values(basis.d_left, scheme.transform) if scheme.weights_left else None
+    right = _transform_values(basis.d_right, scheme.transform) if scheme.weights_right else None
+    return left, right
+
+
+def _scaled_bases(basis, left, right):
+    """Planes of U and V with real column weights folded in; None leaves a side as is."""
+    A = basis.U.data if left is None else basis.U.data * left
+    B = basis.V.data if right is None else basis.V.data * right
     return A, B
+
+
+def centered_stack(samples, basis):
+    """Images of a sample set as one (N, 4, m, n) array, centered by the fit's mean."""
+    X = np.stack([s.image.data for s in samples.samples])
+    if not samples.centered:
+        X -= basis.mean.data
+    return X
+
+
+def project_stack(X, basis, scheme=WeightingScheme(Manner.UNWEIGHTED), samples=None):
+    """Features A^* X_i B of a (N, 4, m, n) stack of centered images, as (N, 4, k1, k2).
+
+    A and B are the bases with the scheme's weights folded into their
+    columns.  ``samples`` (the stack's Sample records, optional) lets a
+    non-finite image be reported by its source or label.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 4 or X.shape[1] != 4 or X.shape[2:] != (basis.m, basis.n):
+        raise ShapeError(
+            f"image shape {X.shape[2:]} does not match basis {basis.m}x{basis.n}")
+    bad = np.flatnonzero(~np.isfinite(X).reshape(len(X), -1).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        name = f" ({samples[i].source or f'label {samples[i].label!r}'})" if samples else ""
+        raise InvalidDataset(f"sample {i}{name} holds a non-finite value (NaN or inf)")
+    A, B = _scaled_bases(basis, *_side_weights(basis, scheme))
+    return plane_matmul(plane_conj_transpose(A), plane_matmul(X, B))
 
 
 def project(F, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
     """Feature matrix P = A^* F B of a centered image F."""
-    if F.shape != (basis.m, basis.n):
-        raise ShapeError(
-            f"image shape {F.shape} does not match basis {basis.m}x{basis.n}")
-    if not np.isfinite(F.data).all():
-        raise InvalidDataset("probe image holds a non-finite value (NaN or inf)")
-    A, B = _factors(basis, scheme)
-    return A.H @ (F @ B)
+    return QMatrix(project_stack(F.data[None], basis, scheme)[0])
 
 
 def joint_weight(basis, i, j):
@@ -157,10 +192,15 @@ class SelectionConfig:
 
 
 def score_weightings(train, params, protocol=SelectionConfig()):
-    """Average validation accuracy of every manner over the repeats."""
+    """Average validation accuracy of every manner over the repeats.
+
+    Each repeat projects its inner-training and validation parts once,
+    unweighted; a manner scales both by its side weights, D (U^* F V) E,
+    before the nearest-neighbor search.
+    """
     # Imported here because dataset and recognition sit above this module.
     from .dataset import center, split
-    from .recognition import build_gallery, evaluate
+    from .recognition import _nearest
     from .solver import fit
 
     protocol.validate()
@@ -175,10 +215,19 @@ def score_weightings(train, params, protocol=SelectionConfig()):
         inner, val, _ = split(train, fractions, seed=protocol.seed + r)
         inner_c = center(inner)
         basis = fit(inner_c, params)
+        plain = [project_stack(centered_stack(part, basis), basis, samples=part.samples)
+                 for part in (inner_c, val)]
+        inner_labels = inner_c.labels()
         for manner in MANNER_PRECEDENCE:
-            scheme = WeightingScheme(manner, protocol.transform)
-            gallery = build_gallery(inner_c, basis, scheme)
-            sums[manner] += evaluate(val, gallery, basis, scheme)
+            left, right = _side_weights(basis, WeightingScheme(manner, protocol.transform))
+            gallery, probes = plain
+            if left is not None:
+                gallery, probes = gallery * left[:, None], probes * left[:, None]
+            if right is not None:
+                gallery, probes = gallery * right, probes * right
+            nearest, _ = _nearest(probes, gallery)
+            hits = sum(inner_labels[i] == s.label for i, s in zip(nearest, val.samples))
+            sums[manner] += hits / len(val)
     return {manner: sums[manner] / protocol.repeats for manner in MANNER_PRECEDENCE}
 
 

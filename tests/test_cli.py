@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quatpca
 from quatpca import ConfigError, Manner, Transform, load_basis, load_dataset
 from quatpca.cli import main, parse_config
 from conftest import random_rgb, write_image_tree
@@ -340,3 +345,44 @@ def _as_tree(outdir):
     for f in outdir.iterdir():
         (cls / f.name).write_bytes(f.read_bytes())
     return tree
+
+
+# -- determinism across BLAS thread counts -------------------------------
+
+_PIPELINE_SCRIPT = """
+import sys
+from quatpca.cli import main
+cfg, work = sys.argv[1], sys.argv[2]
+basis = work + "/fitted.bqp"
+for argv in (["fit", "--config", cfg, "--basis", basis],
+             ["recognize", "--config", cfg, "--basis", basis, "--csv", work + "/confusion.csv"],
+             ["select-weighting", "--config", cfg, "--manifest", work + "/manifest.json"]):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_recognize_and_selection_bytes_independent_of_blas_threads(tmp_path, rng):
+    root = tmp_path / "data"
+    write_image_tree(root, {f"c{c}": [random_rgb(rng, 12, 10) for _ in range(8)]
+                            for c in range(5)})
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"""dataset.root = {root}
+dataset.split = [0.5, 0, 0.5]
+model.s = 2
+model.p = 1.5
+model.k1 = 4
+model.k2 = 3
+weighting.manner = weighted-both
+selection.repeats = 2
+""")
+    src = str(Path(quatpca.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _PIPELINE_SCRIPT, str(cfg), str(tmp_path)],
+                             env=env, capture_output=True, text=True, check=True)
+        runs.append((out.stdout, (tmp_path / "confusion.csv").read_bytes(),
+                     (tmp_path / "manifest.json").read_bytes()))
+    assert "accuracy:" in runs[0][0] and "<- chosen" in runs[0][0]
+    assert runs[0] == runs[1]

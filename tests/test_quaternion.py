@@ -348,3 +348,10 @@ def test_plane_conj_transpose_matches_real_repr_transpose(rng):
 def test_real_repr_rejects_other_types():
     with pytest.raises(TypeError):
         real_repr(np.zeros((4, 2, 2)))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e200])
+def test_modulus_survives_squares_out_of_range(scale):
+    a = Quaternion(0.0, 0.0, 3.0 * scale, 4.0 * scale)
+    assert qabs(a) == pytest.approx(5.0 * scale, rel=1e-15)
+    assert qabs(a.sign()) == pytest.approx(1.0, rel=1e-15)

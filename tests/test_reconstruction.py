@@ -106,3 +106,15 @@ def test_ratio_validation(raw_set, full_basis):
     zero = [QMatrix.zeros(4, 3)]
     with pytest.raises(InvalidDataset):
         reconstruction_ratio(zero, [QMatrix.zeros(4, 3)])
+
+
+@pytest.mark.parametrize("manner", list(MANNER_PRECEDENCE))
+def test_reconstruct_samples_matches_per_sample_oracle(raw_set, full_basis, manner):
+    scheme = WeightingScheme(manner)
+    for basis in (full_basis, full_basis.truncated(2, 2)):
+        recs = reconstruct_samples(raw_set, basis, scheme)
+        assert len(recs) == len(raw_set)
+        for sample, rec in zip(raw_set.samples, recs):
+            P = project(sample.image - basis.mean, basis, scheme)
+            oracle = reconstruct(P, basis, scheme)
+            assert np.abs(rec.data - oracle.data).max() <= 1e-12

@@ -173,3 +173,60 @@ def test_select_weighting_on_separable_data(rng):
     # every manner separates these classes, so the tie rule picks first
     if len(set(scores.values())) == 1:
         assert scheme.manner == Manner.UNWEIGHTED
+
+
+# -- selection on one projection against four galleries ------------------
+
+
+def _four_gallery_scores(train, params, protocol):
+    """Selection written with one gallery per manner and a per-probe search."""
+    from quatpca import build_gallery, center, split
+
+    sums = {manner: 0.0 for manner in MANNER_PRECEDENCE}
+    fractions = (protocol.train_fraction, 1.0 - protocol.train_fraction, 0.0)
+    for r in range(protocol.repeats):
+        inner, val, _ = split(train, fractions, seed=protocol.seed + r)
+        inner_c = center(inner)
+        basis = fit(inner_c, params)
+        for manner in MANNER_PRECEDENCE:
+            scheme = WeightingScheme(manner, protocol.transform)
+            gallery = build_gallery(inner_c, basis, scheme)
+            hits = 0
+            for sample in val.samples:
+                P = project(sample.image - basis.mean, basis, scheme)
+                dists = [(g - P).fro_norm() for g in gallery.features]
+                best = 0
+                for idx in range(1, len(dists)):
+                    if dists[idx] < dists[best]:
+                        best = idx
+                hits += gallery.labels[best] == sample.label
+            sums[manner] += hits / len(val)
+    return {manner: sums[manner] / protocol.repeats for manner in MANNER_PRECEDENCE}
+
+
+@pytest.mark.parametrize("data", ["separable", "noisy"])
+@pytest.mark.parametrize("transform", list(Transform))
+def test_score_weightings_matches_four_gallery_oracle(rng, data, transform):
+    from quatpca import SampleSet
+
+    if data == "separable":
+        train = separable_classes(rng, 8, 6, per_class=9)
+    else:
+        # six overlapping classes: the manners score differently
+        means = [random_qmatrix(rng, 7, 5, pure=True) for _ in range(6)]
+        train = SampleSet.build([(f"c{t % 6}", means[t % 6] + random_qmatrix(rng, 7, 5, pure=True) * 1.5)
+                                 for t in range(54)])
+    params = FitParams(s=2.0, p=2.0, k1=3, k2=2)
+    protocol = SelectionConfig(repeats=3, train_fraction=0.6, seed=2, transform=transform)
+    scores = score_weightings(train, params, protocol)
+    assert scores == _four_gallery_scores(train, params, protocol)
+    if data == "noisy":
+        assert len(set(scores.values())) > 1
+
+
+def test_score_weightings_inverse_log_needs_objectives_above_one(rng):
+    train = separable_classes(rng, 8, 6, per_class=6, spread=0.05)
+    small = type(train).build([(s.label, s.image * 0.01) for s in train.samples])
+    protocol = SelectionConfig(repeats=2, seed=1, transform=Transform.INVERSE_LOG)
+    with pytest.raises(InvalidWeight, match="inverse-log"):
+        score_weightings(small, FitParams(s=2.0, p=2.0, k1=2, k2=2), protocol)
