@@ -325,12 +325,16 @@ def lp_norm(w, p):
     Requires p > 0.  For p >= 1 this is a norm; for 0 < p < 1 it is the
     same expression without the triangle inequality.
     """
-    mods = w.abs()
+    return _moduli_lp_norm(w.abs(), p)
+
+
+def _moduli_lp_norm(mods, p):
+    """lp_norm of a vector given its entrywise moduli."""
     if p == math.inf:
-        return float(np.max(mods, initial=0.0))
+        return float(mods.max(initial=0.0))
     if not p > 0:
         raise InvalidParameter(f"lp_norm requires p > 0 or p = +inf, got {p}")
-    return float(np.sum(mods ** p) ** (1.0 / p))
+    return float((mods ** p).sum() ** (1.0 / p))
 
 
 def real_scale(weights, v):

@@ -74,10 +74,11 @@ def reconstruction_ratio(originals, reconstructions):
     if len(mats) != len(reconstructions):
         raise InvalidDataset(
             f"sample counts differ: {len(mats)} originals, {len(reconstructions)} reconstructions")
-    total = 0.0
-    for F, R in zip(mats, reconstructions):
-        nf = F.fro_norm()
-        if nf == 0.0:
-            raise InvalidDataset("zero-norm original has no relative error")
-        total += 1.0 - (F - R).fro_norm() / nf
-    return total / len(mats)
+    shapes = {F.shape for F in mats} | {R.shape for R in reconstructions}
+    if len(shapes) != 1:
+        raise ShapeError(f"originals and reconstructions have mixed shapes: {sorted(shapes)}")
+    nf = np.array([np.linalg.norm(F.data) for F in mats])
+    if np.any(nf == 0.0):
+        raise InvalidDataset("zero-norm original has no relative error")
+    err = np.array([np.linalg.norm(F.data - R.data) for F, R in zip(mats, reconstructions)])
+    return float(np.mean(1.0 - err / nf))

@@ -10,14 +10,19 @@ directions solve the mirrored problem max sum_i ||u^* F_i||_s^s, which is
 the same computation on conjugate-transposed samples.
 
 The samples of one side form one tall matrix T = [F_1; ...; F_l], so
-f(w) = ||T w||_s^s.  s = 2 fits run on the Gram matrix G = T^* T alone
-(n x n on the right, sum_i F_i F_i^* on the left): y = G w gives both the
-objective <w, y> and the next ascent vector, so the per-iteration cost
-no longer grows with the sample count, and deflation is
-G <- (I - WW^*) G (I - WW^*).  Other s compute P = T w once per iterate
-and take both the objective and the ascent vector T^* (|P|^(s-2) (.) P)
-from it.  A step that lowers the objective (possible for 0 < p < 1) is
-rejected and ends the direction on the previous iterate.
+f(w) = ||T w||_s^s.  Only its conjugate transpose H = T^* is ever built.
+s = 2 fits run on the Gram matrix G = T^* T alone (n x n on the right,
+sum_i F_i F_i^* on the left), kept with its 4n x 4n real representation:
+y = G w is one real matrix-vector product and gives both the objective
+<w, y> and the next ascent vector, so the per-iteration cost no longer
+grows with the sample count, and deflation is G <- (I - WW^*) G (I - WW^*).
+Other s keep H alone and compute P = T w once per iterate, then take the
+objective and the ascent vector T^* (|P|^(s-2) (.) P) from it.  Each of
+the two products reads H once in one batched GEMM over its four planes,
+and the Hamilton table of ``hamilton_planes`` combines the 16 real
+products; deflation is H <- (I - WW^*) H, one GEMM on the real
+representation.  A step that lowers the objective (possible for
+0 < p < 1) is rejected and ends the direction on the previous iterate.
 
 The s = p = 2 case reduces to eigendecomposition of the sample
 covariance; :func:`covariance_baseline` computes that directly and serves
@@ -33,7 +38,8 @@ import numpy as np
 
 from .errors import DegenerateDirection, InvalidDataset, InvalidParameter, ShapeError
 from .qlinalg import hermitian_topk_eig, mgs_orthonormalize
-from .quaternion import QMatrix, QVector, lp_norm, plane_conj_transpose, plane_matmul, real_scale
+from .quaternion import (QMatrix, Quaternion, QVector, _moduli_lp_norm, hamilton_planes,
+                         lp_norm, plane_conj_transpose, plane_matmul)
 
 __all__ = [
     "FitParams",
@@ -226,16 +232,21 @@ def _sample_stack(samples):
     return S
 
 
-def _tall(S, side="right"):
-    """Tall (4, l*m, n) matrix [F_1; ...; F_l], or [F_1^*; ...] for the left side."""
-    if side == "left":
+def _wide(S, side="right"):
+    """H = T^* as one C-contiguous (4, n, L) array.
+
+    T is the tall matrix [F_1; ...; F_l] of the right side, or
+    [F_1^*; ...; F_l^*] of the left side, so H is [F_1^*, ..., F_l^*] or
+    [F_1, ..., F_l].
+    """
+    if side == "right":
         S = plane_conj_transpose(S)
-    return S.transpose(1, 0, 2, 3).reshape(4, -1, S.shape[-1])
+    return np.ascontiguousarray(S.transpose(1, 2, 0, 3).reshape(4, S.shape[2], -1))
 
 
-def _gram(T):
-    """Quaternion Gram matrix T^* T as a (4, n, n) plane array."""
-    return plane_matmul(plane_conj_transpose(T), T)
+def _gram(H):
+    """Quaternion Gram matrix T^* T = H H^* as a (4, n, n) plane array."""
+    return plane_matmul(H, plane_conj_transpose(H))
 
 
 def _projector(W):
@@ -245,41 +256,70 @@ def _projector(W):
     return P
 
 
-class _GramObjective:
-    """s = 2: f(w) = <w, G w>, ascent vector G w; evaluate(w) returns both."""
+# The Hamilton table as (4, 16) real coefficients, read off hamilton_planes
+# with one-hot operands: plane o of a b is sum_{c,d} _HAMILTON[o, 4c + d] a_c b_d,
+# and plane o of a^* b is the same sum over _HAMILTON_CONJ_A.
+_ONE_HOT = np.eye(16).reshape(4, 4, 16)
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_HAMILTON = np.stack(hamilton_planes(range(4), range(4), lambda c, d: _ONE_HOT[c, d]))
+_HAMILTON_CONJ_A = np.stack(hamilton_planes(range(4), range(4),
+                                            lambda c, d: _CONJ[c] * _ONE_HOT[c, d]))
 
-    def __init__(self, T):
-        self.G = _gram(T)
+
+class _GramObjective:
+    """s = 2: f(w) = <w, G w>, ascent vector G w; evaluate(w) returns both.
+
+    G is kept with its 4n x 4n real representation R, so one step is the
+    single real matrix-vector product R [w0; w1; w2; w3].
+    """
+
+    def __init__(self, H):
+        self._set(_gram(H))
+
+    def _set(self, G):
+        self.G, self.R = G, QMatrix(G).real_repr()
 
     def evaluate(self, w):
-        y = plane_matmul(self.G, w[:, :, None])[:, :, 0]
-        return float(np.sum(w * y)), y
+        wr = w.reshape(-1)
+        y = self.R @ wr
+        return float(wr @ y), y.reshape(w.shape)
 
     def deflate(self, P):
-        self.G = plane_matmul(plane_matmul(P, self.G), P)
+        self._set(plane_matmul(plane_matmul(P, self.G), P))
 
 
 class _StackObjective:
-    """General s: f(w) = ||T w||_s^s, ascent vector T^* (|P|^(s-2) (.) P)."""
+    """General s: f(w) = ||T w||_s^s, ascent vector T^* (|P|^(s-2) (.) P).
 
-    def __init__(self, T, s):
-        self.T, self.TH, self.s = T, plane_conj_transpose(T), s
+    Only H = T^* is stored, as one C-contiguous (4, n, L) array.  Each
+    product reads it once in one batched GEMM, and the Hamilton table
+    combines the 16 real products it returns: Z[c, d] = w_d^T H_c gives
+    P = H^* w through _HAMILTON_CONJ_A, and M[c, :, e] = H_c Q_e gives
+    T^* Q = H Q through _HAMILTON.
+    """
+
+    def __init__(self, H, s):
+        self.H, self.s = H, s
 
     def evaluate(self, w):
-        P = plane_matmul(self.T, w[:, :, None])
+        Z = w[None] @ self.H
+        P = _HAMILTON_CONJ_A @ Z.reshape(16, -1)
         A = np.sqrt(np.sum(P * P, axis=0))
         with np.errstate(divide="ignore", invalid="ignore"):
             fac = np.where(A > 0.0, A ** (self.s - 2.0), 0.0)
-        y = plane_matmul(self.TH, P * fac)[:, :, 0]
+        M = self.H @ (P * fac).T
+        y = _HAMILTON @ M.transpose(0, 2, 1).reshape(16, -1)
         return float(np.sum(A ** self.s)), y
 
     def deflate(self, P):
-        self.T = plane_matmul(self.T, P)
-        self.TH = plane_conj_transpose(self.T)
+        # T <- T P with P Hermitian, so T^* <- P T^*: one real GEMM of the
+        # real representation of P with the stacked planes [H0; H1; H2; H3].
+        n = self.H.shape[1]
+        self.H = (QMatrix(P).real_repr() @ self.H.reshape(4 * n, -1)).reshape(4, n, -1)
 
 
-def _objective_for(T, s):
-    return _GramObjective(T) if s == 2 else _StackObjective(T, s)
+def _objective_for(H, s):
+    return _GramObjective(H) if s == 2 else _StackObjective(H, s)
 
 
 # -- public operations ------------------------------------------------
@@ -296,10 +336,10 @@ def _ascent_terms(samples, w, s, side="right"):
     """(f(w), ascent vector) on the samples as given, for any s."""
     if not (s >= 1 and math.isfinite(s)):
         raise InvalidParameter(f"s must satisfy 1 <= s < inf, got {s}")
-    T = _tall(_sample_stack(samples), side)
-    if w.n != T.shape[2]:
-        raise ShapeError(f"vector length {w.n} does not match sample width {T.shape[2]}")
-    return _StackObjective(T, s).evaluate(w.data)
+    H = _wide(_sample_stack(samples), side)
+    if w.n != H.shape[1]:
+        raise ShapeError(f"vector length {w.n} does not match sample width {H.shape[1]}")
+    return _StackObjective(H, s).evaluate(w.data)
 
 
 def lp_update(y, p, current=None, initial=None):
@@ -317,37 +357,52 @@ def lp_update(y, p, current=None, initial=None):
 
     Raises DegenerateDirection when y (or the reweighted vector) is zero.
     """
-    mods = y.abs()
-    top = float(np.max(mods, initial=0.0))
+    mods = []
+    for v in (current, initial):
+        if v is not None and v.n != y.n:
+            raise ShapeError(f"iterate length {v.n} does not match ascent vector length {y.n}")
+        mods.append(None if v is None else v.abs())
+    return QVector(_sphere_step(y.data, p, *mods)[0])
+
+
+def _sphere_step(y, p, cur_mods, init_mods):
+    """:func:`lp_update` on (4, n) planes; returns (next iterate, its moduli).
+
+    ``cur_mods`` and ``init_mods`` are the moduli of the current and the
+    starting iterate; only 0 < p < 1 reads them.  Every modulus here is
+    derived from the one modulus array of y.
+    """
+    mods = np.sqrt((y * y).sum(axis=0))
+    top = float(mods.max(initial=0.0))
     if top <= 0.0:
         raise DegenerateDirection("ascent vector is zero")
     if p == math.inf:
-        return y.sign()
+        nonzero = mods > 0.0
+        return np.where(nonzero, y / np.where(nonzero, mods, 1.0), 0.0), nonzero.astype(float)
     if not p > 0:
         raise InvalidParameter(f"p must satisfy p > 0 or p = +inf, got {p}")
+    if p == 1:
+        j = int(np.argmax(mods))
+        w, w_mods = np.zeros_like(y), np.zeros_like(mods)
+        w[:, j] = Quaternion.from_components(y[:, j]).sign().components
+        w_mods[j] = 1.0
+        return w, w_mods
 
     # The final normalization cancels any positive rescaling of y, so
     # divide by the top modulus first to keep the power maps in range.
-    ys = y / top
     if p < 1:
-        if current is None or initial is None:
+        if cur_mods is None or init_mods is None:
             raise InvalidParameter("the 0 < p < 1 update needs current and initial iterates")
-        z = real_scale(initial.abs() * current.abs() ** (1.0 - p), ys)
-    elif p == 1:
-        j = int(np.argmax(mods))
-        out = np.zeros((4, y.n))
-        out[:, j] = y.entry(j).sign().components
-        return QVector(out)
+        scale = init_mods * cur_mods ** (1.0 - p) / top
     else:
         q = p / (p - 1.0)
-        az = ys.abs()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fac = np.where(az > 0.0, az ** (q - 2.0), 0.0)
-        z = QVector(ys.data * fac[None, :])
-    nz = lp_norm(z, p)
+        az = mods / top
+        scale = np.power(az, q - 2.0, out=np.zeros_like(az), where=az > 0.0) / top
+    z_mods = mods * scale
+    nz = _moduli_lp_norm(z_mods, p)
     if nz <= 0.0:
         raise DegenerateDirection("reweighted ascent vector is zero")
-    return z / nz
+    return y * (scale / nz), z_mods / nz
 
 
 def mm_update(w, samples, s, p, w0=None):
@@ -368,31 +423,33 @@ def _initial_iterate(n, params, rng):
 
 def _ascend(obj, n, params, orthogonal_to, side, index, rng):
     """Run the ascent loop on one side's objective; returns (v, f, trace)."""
-    w = _initial_iterate(n, params, rng)
-    w0 = w
-    f, y = obj.evaluate(w.data)
+    p = params.p
+    w0 = _initial_iterate(n, params, rng)
+    w, w_mods = w0.data, w0.abs()
+    w0_mods = w_mods
+    f, y = obj.evaluate(w)
     f_hist = [f]
-    pnorm_hist = [lp_norm(w, params.p)]
+    pnorm_hist = [_moduli_lp_norm(w_mods, p)]
     reason = "iteration cap"
     for iterations in range(1, params.max_iter + 1):
-        w_new = lp_update(QVector(y), params.p, current=w, initial=w0)
-        f_new, y_new = obj.evaluate(w_new.data)
+        w_new, mods_new = _sphere_step(y, p, w_mods, w0_mods)
+        f_new, y_new = obj.evaluate(w_new)
         delta = abs(f_new - f) / (abs(f) + _F_GUARD)
         # A step that lowers the objective is never taken: the direction
         # ends on the previous iterate, by the tolerance rule when the
         # drop lies within it.
         lowered = f_new < f
         if not lowered:
-            w, f, y = w_new, f_new, y_new
+            w, w_mods, f, y = w_new, mods_new, f_new, y_new
             f_hist.append(f)
-            pnorm_hist.append(lp_norm(w, params.p))
+            pnorm_hist.append(_moduli_lp_norm(w_mods, p))
         if delta <= params.tol:
             reason = "tolerance"
             break
         if lowered:
             reason = "rejected step"
             break
-    v = mgs_orthonormalize(w, orthogonal_to)
+    v = mgs_orthonormalize(QVector(w), orthogonal_to)
     f_dir = obj.evaluate(v.data)[0]
     trace = DirectionTrace(
         side=side,
@@ -416,19 +473,18 @@ def solve_direction(samples, params, orthogonal_to=()):
     transforming the samples.
     """
     params.validate()
-    T = _tall(_sample_stack(samples))
+    H = _wide(_sample_stack(samples))
     rng = np.random.default_rng(params.seed)
-    v, f, _ = _ascend(_objective_for(T, params.s), T.shape[2], params,
+    v, f, _ = _ascend(_objective_for(H, params.s), H.shape[1], params,
                       tuple(orthogonal_to), "right", 0, rng)
     return v, f
 
 
-def _fit_side(T, count, params, side, rng):
-    obj = _objective_for(T, params.s)
+def _fit_side(obj, n, count, params, side, rng):
     vectors, values, traces = [], [], []
     for t in range(count):
         try:
-            v, f, trace = _ascend(obj, T.shape[2], params, vectors, side, t, rng)
+            v, f, trace = _ascend(obj, n, params, vectors, side, t, rng)
         except DegenerateDirection as exc:
             raise DegenerateDirection(
                 f"{side} direction {t}: {exc}", index=t) from exc
@@ -456,8 +512,10 @@ def fit(samples, params):
     params.validate(m, n)
     rng = np.random.default_rng(params.seed)
 
-    V, d_right, right_traces = _fit_side(_tall(S), params.k2, params, "right", rng)
-    U, d_left, left_traces = _fit_side(_tall(S, "left"), params.k1, params, "left", rng)
+    V, d_right, right_traces = _fit_side(_objective_for(_wide(S), params.s), n,
+                                         params.k2, params, "right", rng)
+    U, d_left, left_traces = _fit_side(_objective_for(_wide(S, "left"), params.s), m,
+                                       params.k1, params, "left", rng)
 
     mean = getattr(samples, "mean", None)
     if mean is None:
@@ -479,7 +537,7 @@ def covariance_baseline(samples, k):
     n = S.shape[3]
     if not 1 <= k <= n:
         raise InvalidParameter(f"k must satisfy 1 <= k <= {n}, got {k}")
-    G = QMatrix(_gram(_tall(S))) / len(S)
+    G = QMatrix(_gram(_wide(S))) / len(S)
     pairs = hermitian_topk_eig(G, k)
     return np.array([lam for lam, _ in pairs]), QMatrix.from_columns([v for _, v in pairs])
 

@@ -118,3 +118,20 @@ def test_reconstruct_samples_matches_per_sample_oracle(raw_set, full_basis, mann
             P = project(sample.image - basis.mean, basis, scheme)
             oracle = reconstruct(P, basis, scheme)
             assert np.abs(rec.data - oracle.data).max() <= 1e-12
+
+
+def test_ratio_matches_per_sample_loop(raw_set, full_basis, rng):
+    recs = reconstruct_samples(raw_set, full_basis.truncated(2, 1))
+    # reconstructions of graded quality
+    recs = [R + random_qmatrix(rng, 4, 3) * (0.3 * t) for t, R in enumerate(recs)]
+    originals = raw_set.images()
+    loop = np.mean([1.0 - (F - R).fro_norm() / F.fro_norm() for F, R in zip(originals, recs)])
+    assert abs(reconstruction_ratio(raw_set, recs) - loop) <= 1e-12
+    assert abs(reconstruction_ratio(originals, recs) - loop) <= 1e-12
+
+
+def test_ratio_rejects_mixed_shapes(raw_set, full_basis):
+    recs = reconstruct_samples(raw_set, full_basis)
+    recs[2] = QMatrix.zeros(3, 4)
+    with pytest.raises(ShapeError):
+        reconstruction_ratio(raw_set, recs)

@@ -28,11 +28,14 @@ from quatpca import (
     mm_update,
     objective,
     project,
+    real_repr,
     solve_direction,
 )
+from quatpca.solver import _StackObjective, _wide
 from conftest import (
     max_principal_angle,
     planted_samples,
+    random_orthonormal_columns,
     random_qmatrix,
 )
 
@@ -420,6 +423,74 @@ def test_project_rejects_non_finite_probe(diag_samples):
         project(QMatrix(data), basis)
 
 
+# -- stack kernel against a per-sample real-representation oracle -------
+
+
+def _oracle_matrices(mats, side):
+    """Real representations of the F_i (right) or of the F_i^* (left)."""
+    return [real_repr(F) if side == "right" else real_repr(F).T for F in mats]
+
+
+def _oracle_terms(mats, w, s, side):
+    """f(w) and the ascent vector sum_i F_i^* (|P_i|^(s-2) (.) P_i), per sample."""
+    f, y = 0.0, np.zeros(4 * w.n)
+    for R in _oracle_matrices(mats, side):
+        P = R @ w.to_real()
+        A = np.sqrt(np.sum(P.reshape(4, -1) ** 2, axis=0))
+        fac = np.array([a ** (s - 2.0) if a > 0.0 else 0.0 for a in A])
+        f += float(np.sum(A ** s))
+        y += R.T @ (P * np.tile(fac, 4))
+    return f, y
+
+
+def _samples_with_zero_lines(seed):
+    rng = np.random.default_rng(seed)
+    mats = [random_qmatrix(rng, 5, 4) for _ in range(6)]
+    # a zero row gives F w = 0 there (right side); a zero column gives
+    # u^* F = 0 there (left side); both exercise the A = 0 guard
+    row = mats[1].data.copy()
+    row[:, 2, :] = 0.0
+    col = mats[4].data.copy()
+    col[:, :, 3] = 0.0
+    mats[1], mats[4] = QMatrix(row), QMatrix(col)
+    return mats
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
+def test_stack_kernel_matches_per_sample_oracle(side, s):
+    mats = _samples_with_zero_lines(31)
+    api_samples = mats if side == "right" else [F.H for F in mats]
+    n = mats[0].n if side == "right" else mats[0].m
+    rng = np.random.default_rng(32)
+    for w in (QVector(rng.standard_normal((4, n))), QVector.unit(n, 0)):
+        f_ref, y_ref = _oracle_terms(mats, w, s, side)
+        assert objective(mats, w, side=side, s=s) == pytest.approx(f_ref, rel=1e-12)
+        # at p = 2 the step is the ascent vector normalized to unit length
+        step = mm_update(w, api_samples, s=s, p=2.0)
+        assert np.max(np.abs(step.to_real() - y_ref / np.linalg.norm(y_ref))) <= 1e-12
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_stack_deflation_matches_per_sample_oracle(side):
+    mats = _samples_with_zero_lines(33)
+    width = mats[0].n if side == "right" else mats[0].m
+    W = random_orthonormal_columns(np.random.default_rng(34), width, 2)
+    RP = np.eye(4 * width) - real_repr(W) @ real_repr(W).T
+    P = RP[:, :width].reshape(4, width, width)
+    H = _wide(np.stack([F.data for F in mats]), side)
+    obj = _StackObjective(H, 1.0)
+    obj.deflate(P)
+    # T^* after deflation: [(F_i (I - WW^*))^*, ...] on the right,
+    # [(I - WW^*) F_i, ...] on the left; first block column of each
+    # real representation holds the planes
+    blocks = []
+    for R in _oracle_matrices(mats, side):
+        D = RP @ R.T
+        blocks.append(D[:, :D.shape[1] // 4].reshape(4, width, -1))
+    assert np.max(np.abs(obj.H - np.concatenate(blocks, axis=2))) <= 1e-12
+
+
 # -- Gram path against the stack path ------------------------------------
 
 
@@ -498,6 +569,19 @@ def test_fit_bytes_independent_of_blas_threads():
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, "1.5"], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
+
+
+def test_fit_bytes_independent_of_blas_threads_low_p():
+    # p = 0.5 at s = 2 and s = 1: the robust sparse fits, whose s = 1
+    # ascent products and deflations run as batched GEMMs.
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, "0.5"], env=env,
                              capture_output=True, text=True, check=True)
         digests.append(out.stdout.split())
     assert len(digests[0]) == 2
