@@ -20,11 +20,8 @@ from .quaternion import (
     QMatrix,
     Quaternion,
     QVector,
-    from_real_vec,
     lp_norm,
-    qabs,
     qmul,
-    qsign,
     real_repr,
     real_scale,
     vabs,
@@ -50,10 +47,7 @@ from .weighting import (
     SelectionConfig,
     Transform,
     WeightingScheme,
-    WeightMatrices,
     best_manner,
-    build_weights,
-    joint_weight,
     project,
     project_stack,
     score_weightings,
@@ -78,15 +72,13 @@ __all__ = [
     "QuatPcaError", "ShapeError", "InvalidParameter", "DegenerateDirection",
     "InvalidWeight", "InvalidDataset", "IoError", "FormatError", "ConfigError",
     "Quaternion", "QVector", "QMatrix",
-    "qmul", "qabs", "qsign", "vabs", "vsign", "lp_norm", "real_scale",
-    "from_real_vec", "real_repr",
+    "qmul", "vabs", "vsign", "lp_norm", "real_scale", "real_repr",
     "mgs_orthonormalize", "hermitian_topk_eig",
     "FitParams", "BasisPair", "FitReport", "DirectionTrace",
     "objective", "lp_update", "mm_update", "solve_direction", "fit",
     "covariance_baseline", "deflated_residuals",
-    "MANNER_PRECEDENCE", "Manner", "Transform", "WeightingScheme", "WeightMatrices",
-    "SelectionConfig", "build_weights", "project", "project_stack",
-    "joint_weight",
+    "MANNER_PRECEDENCE", "Manner", "Transform", "WeightingScheme",
+    "SelectionConfig", "project", "project_stack",
     "score_weightings", "best_manner", "select_weighting",
     "Gallery", "build_gallery", "classify", "predict", "evaluate",
     "reconstruct", "reconstruct_samples", "reconstruction_ratio",

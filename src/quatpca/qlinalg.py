@@ -1,10 +1,15 @@
 """Gram-Schmidt orthogonalization and Hermitian eigenextraction.
 
 Quaternion scalars multiply from the right in all projection updates so
-that right-linear combinations stay right-linear.  Eigenpairs of a
-Hermitian quaternion matrix are recovered from the symmetric
-eigendecomposition of its real structure-preserving representation,
-where every quaternion eigenvalue appears four times.
+that right-linear combinations stay right-linear.  With W the matrix of
+an orthonormal basis and Wr its real structure-preserving
+representation, real_repr(W^*) = Wr^T, so the projection W (W^* v) is
+the real product Wr (Wr^T v) on the stacked layout of v, and the columns
+of Wr span the right-unit images w, w i, w j, w k of every basis vector.
+Eigenpairs of a Hermitian quaternion matrix are recovered from the
+symmetric eigendecomposition of its real representation, where every
+quaternion eigenvalue appears four times; the same projection keeps one
+real eigenvector per group.
 """
 
 from __future__ import annotations
@@ -33,33 +38,27 @@ _DUPLICATE_TOL = 1e-5
 def mgs_orthonormalize(vnew, basis, degenerate_tol=DEGENERATE_TOL):
     """Orthonormalize ``vnew`` against an orthonormal ``basis``.
 
-    Modified Gram-Schmidt with right-scalar updates v <- v - u (u^* v),
-    run twice for numerical safety, then normalized to unit L2 norm.
+    Gram-Schmidt with the right-scalar update v <- v - W (W^* v), where
+    W holds the basis as columns, run on the real layout of v as
+    v <- v - Wr (Wr^T v) with Wr = real_repr(W).  The update is applied
+    twice for numerical safety, then v is normalized to unit L2 norm.
     Raises DegenerateDirection when the residual norm falls below
     ``degenerate_tol``.
     """
     basis = list(basis)
-    v = vnew
     for u in basis:
-        if u.n != v.n:
-            raise ShapeError(f"basis vector length {u.n} does not match {v.n}")
-    for _ in range(2 if basis else 1):
-        for u in basis:
-            v = v - u.rmul(u.inner(v))
-    r = v.norm()
+        if u.n != vnew.n:
+            raise ShapeError(f"basis vector length {u.n} does not match {vnew.n}")
+    v = vnew.to_real()
+    if basis:
+        Wr = QMatrix.from_columns(basis).real_repr()
+        for _ in range(2):
+            v = v - Wr @ (Wr.T @ v)
+    r = float(np.linalg.norm(v))
     if r < degenerate_tol:
         raise DegenerateDirection(
             f"residual norm {r:.3e} below {degenerate_tol:.1e}; direction already spanned")
-    return v / r
-
-
-def _right_unit_images(y):
-    """Real layouts of x*i, x*j, x*k for the vector with real layout y."""
-    x = y.reshape(4, -1)
-    xi = np.concatenate([-x[1], x[0], x[3], -x[2]])
-    xj = np.concatenate([-x[2], -x[3], x[0], x[1]])
-    xk = np.concatenate([-x[3], x[2], -x[1], x[0]])
-    return xi, xj, xk
+    return QVector.from_real(v / r)
 
 
 def _canonical_phase(v):
@@ -82,8 +81,9 @@ def hermitian_topk_eig(G, k, hermitian_rtol=HERMITIAN_RTOL):
     eigenvalue appears there with multiplicity four, and the four real
     eigenvectors of a group are the images of one quaternion eigenvector
     under right multiplication by 1, i, j, k.  Walking the real spectrum
-    downward, a candidate is kept only when it carries mass outside the
-    right-unit span of the vectors already accepted, which yields one
+    downward, each candidate goes through :func:`mgs_orthonormalize`
+    against the vectors already accepted and is kept only when it
+    carries mass outside their right-unit span, which yields one
     orthonormal quaternion eigenvector per group.  Phases follow the
     deterministic convention of :func:`_canonical_phase`.
 
@@ -102,21 +102,18 @@ def hermitian_topk_eig(G, k, hermitian_rtol=HERMITIAN_RTOL):
     R = (R + R.T) / 2.0
     evals, evecs = np.linalg.eigh(R)
 
-    pairs = []
-    span = np.zeros((4 * n, 0))
+    evals_kept, vectors = [], []
     for idx in range(4 * n - 1, -1, -1):
-        y = evecs[:, idx]
-        r = y - span @ (span.T @ y)
-        r = r - span @ (span.T @ r)
-        rn = np.linalg.norm(r)
-        if rn < _DUPLICATE_TOL:
+        try:
+            v = mgs_orthonormalize(QVector.from_real(evecs[:, idx]), vectors,
+                                   degenerate_tol=_DUPLICATE_TOL)
+        except DegenerateDirection:
             continue
-        r = r / rn
-        pairs.append((float(evals[idx]), QVector.from_real(r)))
-        span = np.column_stack([span, r, *_right_unit_images(r)])
-        if len(pairs) == k:
+        evals_kept.append(float(evals[idx]))
+        vectors.append(v)
+        if len(vectors) == k:
             break
-    if len(pairs) < k:
+    if len(vectors) < k:
         raise InvalidParameter(
-            f"could only extract {len(pairs)} of {k} eigenvectors")
-    return [(lam, _canonical_phase(v)) for lam, v in pairs]
+            f"could only extract {len(vectors)} of {k} eigenvectors")
+    return [(lam, _canonical_phase(v)) for lam, v in zip(evals_kept, vectors)]

@@ -32,13 +32,10 @@ __all__ = [
     "QVector",
     "QMatrix",
     "qmul",
-    "qabs",
-    "qsign",
     "vabs",
     "vsign",
     "lp_norm",
     "real_scale",
-    "from_real_vec",
     "real_repr",
     "hamilton_planes",
     "plane_matmul",
@@ -159,16 +156,6 @@ def qmul(a, b):
     return _as_quaternion(a) * _as_quaternion(b)
 
 
-def qabs(a):
-    """Modulus (a0^2 + a1^2 + a2^2 + a3^2)^(1/2)."""
-    return abs(_as_quaternion(a))
-
-
-def qsign(a):
-    """Unit quaternion a/|a|, or zero for a = 0."""
-    return _as_quaternion(a).sign()
-
-
 class QVector:
     """Quaternion column vector held as a read-only (4, n) plane array."""
 
@@ -195,10 +182,6 @@ class QVector:
         data = np.zeros((4, n))
         data[0, t] = 1.0
         return cls(data)
-
-    @classmethod
-    def from_planes(cls, w0, w1, w2, w3):
-        return cls(np.stack([np.asarray(p, dtype=np.float64) for p in (w0, w1, w2, w3)]))
 
     @classmethod
     def from_entries(cls, entries):
@@ -229,9 +212,6 @@ class QVector:
     @property
     def planes(self):
         return tuple(self._data[c] for c in range(4))
-
-    def plane(self, c):
-        return self._data[c]
 
     def entry(self, t):
         return Quaternion.from_components(self._data[:, t])
@@ -279,8 +259,16 @@ class QVector:
         return Quaternion(*(float(p) for p in planes))
 
     def abs(self):
-        """Entrywise moduli as a real (n,) array."""
-        return np.sqrt(np.sum(self._data * self._data, axis=0))
+        """Entrywise moduli as a real (n,) array, with the rule of ``abs(Quaternion)``."""
+        with np.errstate(over="ignore"):
+            sq = np.sum(self._data * self._data, axis=0)
+        mods = np.sqrt(sq)
+        # Where the squares under- or overflowed, hypot scales them away.
+        out = ~((sys.float_info.min <= sq) & (sq < math.inf))
+        if out.any():
+            a0, a1, a2, a3 = self._data[:, out]
+            mods[out] = np.hypot(np.hypot(a0, a1), np.hypot(a2, a3))
+        return mods
 
     def sign(self):
         """Entrywise unit quaternions; zero entries stay zero."""
@@ -348,11 +336,6 @@ def real_scale(weights, v):
     return QVector(v.data * weights[None, :])
 
 
-def from_real_vec(y):
-    """Inverse of QVector.to_real."""
-    return QVector.from_real(y)
-
-
 class QMatrix:
     """Quaternion matrix held as a read-only (4, m, n) plane array."""
 
@@ -376,16 +359,6 @@ class QMatrix:
         data = np.zeros((4, n, n))
         data[0] = np.eye(n)
         return cls(data)
-
-    @classmethod
-    def from_planes(cls, q0, q1, q2, q3):
-        return cls(np.stack([np.asarray(p, dtype=np.float64) for p in (q0, q1, q2, q3)]))
-
-    @classmethod
-    def from_real_planes(cls, q0):
-        """Real matrix embedded with zero imaginary planes."""
-        q0 = np.asarray(q0, dtype=np.float64)
-        return cls(np.stack([q0, np.zeros_like(q0), np.zeros_like(q0), np.zeros_like(q0)]))
 
     @classmethod
     def from_columns(cls, cols):
@@ -415,13 +388,6 @@ class QMatrix:
     @property
     def n(self):
         return self._data.shape[2]
-
-    def plane(self, c):
-        return self._data[c]
-
-    @property
-    def is_pure(self):
-        return not np.any(self._data[0])
 
     def entry(self, i, j):
         return Quaternion.from_components(self._data[:, i, j])

@@ -12,17 +12,19 @@ the same computation on conjugate-transposed samples.
 The samples of one side form one tall matrix T = [F_1; ...; F_l], so
 f(w) = ||T w||_s^s.  Only its conjugate transpose H = T^* is ever built.
 s = 2 fits run on the Gram matrix G = T^* T alone (n x n on the right,
-sum_i F_i F_i^* on the left), kept with its 4n x 4n real representation:
-y = G w is one real matrix-vector product and gives both the objective
-<w, y> and the next ascent vector, so the per-iteration cost no longer
-grows with the sample count, and deflation is G <- (I - WW^*) G (I - WW^*).
-Other s keep H alone and compute P = T w once per iterate, then take the
-objective and the ascent vector T^* (|P|^(s-2) (.) P) from it.  Each of
-the two products reads H once in one batched GEMM over its four planes,
-and the Hamilton table of ``hamilton_planes`` combines the 16 real
-products; deflation is H <- (I - WW^*) H, one GEMM on the real
-representation.  A step that lowers the objective (possible for
-0 < p < 1) is rejected and ends the direction on the previous iterate.
+sum_i F_i F_i^* on the left), kept only as its 4n x 4n real
+representation R: y = G w is one real matrix-vector product and gives
+both the objective <w, y> and the next ascent vector, so the
+per-iteration cost no longer grows with the sample count.  Other s keep
+H alone and compute P = T w once per iterate, then take the objective
+and the ascent vector T^* (|P|^(s-2) (.) P) from it.  Each of the two
+products reads H once in one batched GEMM over its four planes, and the
+Hamilton table of ``hamilton_planes`` combines the 16 real products.
+Both paths deflate through the real representation Rp of I - WW^*:
+G <- (I - WW^*) G (I - WW^*) is R <- Rp R Rp, and H <- (I - WW^*) H is
+the one GEMM Rp [H0; H1; H2; H3].  A step that lowers the objective
+(possible for 0 < p < 1) is rejected and ends the direction on the
+previous iterate.
 
 The s = p = 2 case reduces to eigendecomposition of the sample
 covariance; :func:`covariance_baseline` computes that directly and serves
@@ -208,6 +210,19 @@ class BasisPair:
 # -- stacked-plane helpers --------------------------------------------
 
 
+def _require_finite(S, samples=None):
+    """Raise InvalidDataset when an image of the (l, 4, m, n) stack S holds NaN or inf.
+
+    The error names the first offending sample, by its source or label
+    when ``samples`` (the stack's Sample records) is given.
+    """
+    bad = np.flatnonzero(~np.isfinite(S).reshape(len(S), -1).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        name = f" ({samples[i].source or f'label {samples[i].label!r}'})" if samples else ""
+        raise InvalidDataset(f"sample {i}{name} holds a non-finite value (NaN or inf)")
+
+
 def _sample_stack(samples):
     """Samples as one (l, 4, m, n) array; accepts a SampleSet or QMatrix list.
 
@@ -224,11 +239,7 @@ def _sample_stack(samples):
         if f.shape != mats[0].shape:
             raise ShapeError(f"samples have mixed shapes: {mats[0].shape} vs {f.shape}")
     S = np.stack([f.data for f in mats])
-    bad = np.flatnonzero(~np.isfinite(S).reshape(len(S), -1).all(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        name = f" ({items[i].source or f'label {items[i].label!r}'})" if items else ""
-        raise InvalidDataset(f"sample {i}{name} holds a non-finite value (NaN or inf)")
+    _require_finite(S, items)
     return S
 
 
@@ -269,15 +280,12 @@ _HAMILTON_CONJ_A = np.stack(hamilton_planes(range(4), range(4),
 class _GramObjective:
     """s = 2: f(w) = <w, G w>, ascent vector G w; evaluate(w) returns both.
 
-    G is kept with its 4n x 4n real representation R, so one step is the
-    single real matrix-vector product R [w0; w1; w2; w3].
+    Only the 4n x 4n real representation R of G is kept, so one step is
+    the single real matrix-vector product R [w0; w1; w2; w3].
     """
 
     def __init__(self, H):
-        self._set(_gram(H))
-
-    def _set(self, G):
-        self.G, self.R = G, QMatrix(G).real_repr()
+        self.R = QMatrix(_gram(H)).real_repr()
 
     def evaluate(self, w):
         wr = w.reshape(-1)
@@ -285,7 +293,9 @@ class _GramObjective:
         return float(wr @ y), y.reshape(w.shape)
 
     def deflate(self, P):
-        self._set(plane_matmul(plane_matmul(P, self.G), P))
+        # G <- P G P, as real GEMMs with the real representation of P.
+        Rp = QMatrix(P).real_repr()
+        self.R = Rp @ self.R @ Rp
 
 
 class _StackObjective:

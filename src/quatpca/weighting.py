@@ -28,18 +28,16 @@ import numpy as np
 
 from .errors import InvalidDataset, InvalidParameter, InvalidWeight, ShapeError
 from .quaternion import QMatrix, plane_conj_transpose, plane_matmul
+from .solver import _require_finite, fit
 
 __all__ = [
     "Manner",
     "Transform",
     "WeightingScheme",
-    "WeightMatrices",
     "SelectionConfig",
-    "build_weights",
     "centered_stack",
     "project_stack",
     "project",
-    "joint_weight",
     "score_weightings",
     "best_manner",
     "select_weighting",
@@ -81,14 +79,6 @@ class WeightingScheme:
         return self.manner in (Manner.WEIGHTED_RIGHT, Manner.WEIGHTED_BOTH)
 
 
-@dataclass(frozen=True)
-class WeightMatrices:
-    """Diagonal weighting entries for both sides."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-
 def _transform_values(d, transform):
     d = np.asarray(d, dtype=np.float64)
     if transform == Transform.IDENTITY:
@@ -100,14 +90,6 @@ def _transform_values(d, transform):
                 f"inverse-log weighting needs every objective value above 1, got {bad}")
         return 1.0 / np.log(d)
     raise InvalidParameter(f"unknown transform {transform!r}")
-
-
-def build_weights(basis, transform=Transform.IDENTITY):
-    """Transformed diagonal weights for both sides of a fitted basis."""
-    return WeightMatrices(
-        left=_transform_values(basis.d_left, transform),
-        right=_transform_values(basis.d_right, transform),
-    )
 
 
 def _side_weights(basis, scheme):
@@ -147,11 +129,7 @@ def project_stack(X, basis, scheme=WeightingScheme(Manner.UNWEIGHTED), samples=N
     if X.ndim != 4 or X.shape[1] != 4 or X.shape[2:] != (basis.m, basis.n):
         raise ShapeError(
             f"image shape {X.shape[2:]} does not match basis {basis.m}x{basis.n}")
-    bad = np.flatnonzero(~np.isfinite(X).reshape(len(X), -1).all(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        name = f" ({samples[i].source or f'label {samples[i].label!r}'})" if samples else ""
-        raise InvalidDataset(f"sample {i}{name} holds a non-finite value (NaN or inf)")
+    _require_finite(X, samples)
     A, B = _scaled_bases(basis, *_side_weights(basis, scheme))
     return plane_matmul(plane_conj_transpose(A), plane_matmul(X, B))
 
@@ -159,14 +137,6 @@ def project_stack(X, basis, scheme=WeightingScheme(Manner.UNWEIGHTED), samples=N
 def project(F, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
     """Feature matrix P = A^* F B of a centered image F."""
     return QMatrix(project_stack(F.data[None], basis, scheme)[0])
-
-
-def joint_weight(basis, i, j):
-    """Diagnostic combined contribution of direction pair (i, j)."""
-    if not (0 <= i < basis.k1 and 0 <= j < basis.k2):
-        raise InvalidParameter(
-            f"direction pair ({i}, {j}) out of range for ({basis.k1}, {basis.k2})")
-    return float(basis.d_left[i] + basis.d_right[j])
 
 
 @dataclass(frozen=True)
@@ -201,7 +171,6 @@ def score_weightings(train, params, protocol=SelectionConfig()):
     # Imported here because dataset and recognition sit above this module.
     from .dataset import center, split
     from .recognition import _nearest
-    from .solver import fit
 
     protocol.validate()
     for label, idxs in train.by_class().items():

@@ -47,7 +47,7 @@ def test_load_dataset_pixels_and_labels(tree):
     assert ss.classes() == ["alice", "bob"]
     assert ss.labels() == ["alice"] * 4 + ["bob"] * 6
     first = ss.samples[0]
-    assert first.image.is_pure
+    assert not np.any(first.image.data[0])
     expected = arrays["alice"][0].astype(np.float64).transpose(2, 0, 1) / 255.0
     assert np.allclose(first.image.data[1:], expected)
     assert first.source.endswith("img00.ppm")
@@ -175,7 +175,7 @@ def test_png_reader_filters_and_colour_types(tmp_path, rng, colour_type, filters
     rgb = pixels[..., [0, 0, 0]] if channels < 3 else pixels[..., :3]
     expected = rgb.astype(np.float64).transpose(2, 0, 1) / 255.0
     image = load_dataset(tmp_path).samples[0].image
-    assert image.is_pure
+    assert not np.any(image.data[0])
     assert np.array_equal(image.data[1:], expected)
 
 

@@ -16,6 +16,7 @@ from quatpca import (
     mgs_orthonormalize,
     real_repr,
 )
+from quatpca.qlinalg import DEGENERATE_TOL
 from conftest import (
     max_principal_angle,
     random_orthonormal_columns,
@@ -60,6 +61,46 @@ def test_mgs_rejects_zero_vector():
         mgs_orthonormalize(QVector.zeros(4), [])
 
 
+def _mgs_oracle(v, basis, degenerate_tol=DEGENERATE_TOL):
+    """Per-vector Gram-Schmidt v <- v - u (u^* v), twice, then normalized."""
+    for _ in range(2 if basis else 1):
+        for u in basis:
+            v = v - u.rmul(u.inner(v))
+    r = v.norm()
+    if r < degenerate_tol:
+        raise DegenerateDirection(f"residual norm {r:.3e}")
+    return v / r
+
+
+def test_mgs_matches_per_vector_oracle(rng):
+    n = 6
+    W = random_orthonormal_columns(rng, n, n).columns()
+    for size in range(n):
+        v = random_qvector(rng, n)
+        got = mgs_orthonormalize(v, W[:size])
+        assert np.max(np.abs(got.data - _mgs_oracle(v, W[:size]).data)) <= 1e-12
+    # nearly dependent: a residual of 1e-3 under an O(1) spanned part
+    v = W[0].rmul(Quaternion(0.3, -1.0, 0.2, 0.5)) + W[2] * 0.7 + W[4] * 1e-3
+    got = mgs_orthonormalize(v, W[:3])
+    assert np.max(np.abs(got.data - _mgs_oracle(v, W[:3]).data)) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [DEGENERATE_TOL, 1e-5])
+def test_mgs_degenerate_threshold_matches_oracle(rng, tol):
+    W = random_orthonormal_columns(rng, 6, 6).columns()
+    spanned = W[0].rmul(Quaternion(0.3, -1.0, 0.2, 0.5)) + W[1] * 0.7
+    for factor in (2.0, 0.5):
+        v = spanned + W[3].rmul(Quaternion(0.0, 1.0, 0.0, 0.0)) * (factor * tol)
+        raised = []
+        for orthonormalize in (mgs_orthonormalize, _mgs_oracle):
+            try:
+                orthonormalize(v, W[:3], degenerate_tol=tol)
+                raised.append(False)
+            except DegenerateDirection:
+                raised.append(True)
+        assert raised == [factor < 1.0] * 2
+
+
 def test_mgs_shape_mismatch(rng):
     with pytest.raises(ShapeError):
         mgs_orthonormalize(random_qvector(rng, 4), [random_qvector(rng, 5)])
@@ -69,7 +110,7 @@ def test_mgs_shape_mismatch(rng):
 
 
 def test_eig_real_diagonal():
-    G = QMatrix.from_real_planes(np.diag([5.0, 3.0, 1.0]))
+    G = QMatrix.eye(3).scale_columns([5.0, 3.0, 1.0])
     pairs = hermitian_topk_eig(G, 3)
     assert [lam for lam, _ in pairs] == pytest.approx([5.0, 3.0, 1.0])
     for t, (_, v) in enumerate(pairs):
@@ -103,7 +144,7 @@ def test_eig_two_by_two_quaternion_offdiagonal():
 
 
 def test_eig_degenerate_eigenvalue_spans_plane():
-    G = QMatrix.from_real_planes(np.diag([5.0, 5.0, 1.0]))
+    G = QMatrix.eye(3).scale_columns([5.0, 5.0, 1.0])
     pairs = hermitian_topk_eig(G, 3)
     assert [lam for lam, _ in pairs] == pytest.approx([5.0, 5.0, 1.0])
     W = QMatrix.from_columns([v for _, v in pairs[:2]])
@@ -111,6 +152,23 @@ def test_eig_degenerate_eigenvalue_spans_plane():
     assert max_principal_angle(W, plane) < 1e-8
     gram = quaternion_gram(W)
     assert gram.allclose(QMatrix.eye(2), tol=1e-10)
+
+
+def test_eig_repeated_eigenvalue_with_quaternion_eigenvectors(rng):
+    """5 fills two real 4-groups; the walk takes one vector from each group."""
+    vals = np.array([5.0, 5.0, 2.0, 1.0])
+    W = random_orthonormal_columns(rng, 4, 4)
+    G = W.scale_columns(vals) @ W.H
+    pairs = hermitian_topk_eig(G, 4)
+    assert [lam for lam, _ in pairs] == pytest.approx(vals, rel=1e-10)
+    V = QMatrix.from_columns([v for _, v in pairs])
+    # The sine of the largest principal angle, as the projector distance:
+    # arccos of a cosine one ulp below 1 already reads 2.1e-8.
+    A, B = real_repr(V.take_cols(2)), real_repr(W.take_cols(2))
+    assert np.linalg.norm(A @ A.T - B @ B.T, 2) < 1e-8
+    assert quaternion_gram(V).allclose(QMatrix.eye(4), tol=1e-10)
+    for lam, v in pairs:
+        assert ((G @ v) - v * lam).norm() <= 1e-10 * G.fro_norm()
 
 
 # -- Hermitian eigenextraction: random oracles --------------------------

@@ -31,7 +31,8 @@ from quatpca import (
     real_repr,
     solve_direction,
 )
-from quatpca.solver import _StackObjective, _wide
+from quatpca.quaternion import plane_matmul
+from quatpca.solver import _GramObjective, _StackObjective, _gram, _wide
 from conftest import (
     max_principal_angle,
     planted_samples,
@@ -489,6 +490,20 @@ def test_stack_deflation_matches_per_sample_oracle(side):
         D = RP @ R.T
         blocks.append(D[:, :D.shape[1] // 4].reshape(4, width, -1))
     assert np.max(np.abs(obj.H - np.concatenate(blocks, axis=2))) <= 1e-12
+
+
+def test_gram_deflation_matches_oracle():
+    mats = _samples_with_zero_lines(35)
+    width = mats[0].n
+    W = random_orthonormal_columns(np.random.default_rng(36), width, 2)
+    RP = np.eye(4 * width) - real_repr(W) @ real_repr(W).T
+    P = RP[:, :width].reshape(4, width, width)
+    H = _wide(np.stack([F.data for F in mats]))
+    obj = _GramObjective(H)
+    obj.deflate(P)
+    G = _gram(H)
+    oracle = real_repr(QMatrix(plane_matmul(plane_matmul(P, G), P)))
+    assert np.max(np.abs(obj.R - oracle)) <= 1e-12 * max(1.0, np.abs(oracle).max())
 
 
 # -- Gram path against the stack path ------------------------------------

@@ -17,9 +17,7 @@ from quatpca import (
     Transform,
     WeightingScheme,
     best_manner,
-    build_weights,
     fit,
-    joint_weight,
     project,
     score_weightings,
     select_weighting,
@@ -65,22 +63,30 @@ def test_precedence_order():
                                  Manner.WEIGHTED_LEFT, Manner.WEIGHTED_BOTH)
 
 
-def test_identity_weights_are_objectives(diag_basis):
-    wm = build_weights(diag_basis, Transform.IDENTITY)
-    assert wm.left == pytest.approx([18.0, 2.0], rel=1e-8)
-    assert wm.right == pytest.approx([18.0, 2.0], rel=1e-8)
+def test_identity_weights_are_objectives(diag_basis, diag_samples):
+    F = diag_samples.images()[0]
+    base = project(F, diag_basis).data
+    d = np.array([18.0, 2.0])
+    left = project(F, diag_basis, WeightingScheme(Manner.WEIGHTED_LEFT, Transform.IDENTITY))
+    right = project(F, diag_basis, WeightingScheme(Manner.WEIGHTED_RIGHT, Transform.IDENTITY))
+    assert np.allclose(left.data, base * d[:, None], rtol=1e-8, atol=1e-10)
+    assert np.allclose(right.data, base * d, rtol=1e-8, atol=1e-10)
 
 
-def test_inverse_log_weights(diag_basis):
-    wm = build_weights(diag_basis, Transform.INVERSE_LOG)
-    assert wm.left == pytest.approx([1.0 / math.log(18.0), 1.0 / math.log(2.0)],
-                                    rel=1e-8)
+def test_inverse_log_weights(diag_basis, diag_samples):
+    F = diag_samples.images()[0]
+    base = project(F, diag_basis).data
+    w = np.array([1.0 / math.log(18.0), 1.0 / math.log(2.0)])
+    left = project(F, diag_basis, WeightingScheme(Manner.WEIGHTED_LEFT, Transform.INVERSE_LOG))
+    assert np.allclose(left.data, base * w[:, None], rtol=1e-8, atol=1e-10)
 
 
-def test_inverse_log_rejects_small_objectives(low_energy_basis):
+def test_inverse_log_rejects_small_objectives(low_energy_basis, diag_samples):
     assert float(low_energy_basis.d_right[0]) < 1.0
+    F = diag_samples.images()[0] / 6.0
     with pytest.raises(InvalidWeight):
-        build_weights(low_energy_basis, Transform.INVERSE_LOG)
+        project(F, low_energy_basis,
+                WeightingScheme(Manner.WEIGHTED_RIGHT, Transform.INVERSE_LOG))
 
 
 def test_unweighted_never_validates_transform(low_energy_basis, diag_samples):
@@ -93,10 +99,10 @@ def test_unweighted_never_validates_transform(low_energy_basis, diag_samples):
 def test_weighted_projection_scales_unweighted_one(diag_basis, diag_samples):
     F = diag_samples.images()[0]
     base = project(F, diag_basis)
-    wr = build_weights(diag_basis).right
+    wr = diag_basis.d_right
     right = project(F, diag_basis, WeightingScheme(Manner.WEIGHTED_RIGHT))
     assert right.allclose(base.scale_columns(wr), tol=1e-10)
-    wl = build_weights(diag_basis).left
+    wl = diag_basis.d_left
     left = project(F, diag_basis, WeightingScheme(Manner.WEIGHTED_LEFT))
     assert np.allclose(left.data, base.data * wl[None, :, None], atol=1e-10)
     both = project(F, diag_basis, WeightingScheme(Manner.WEIGHTED_BOTH))
@@ -108,12 +114,6 @@ def test_weighted_projection_scales_unweighted_one(diag_basis, diag_samples):
 def test_project_shape_check(diag_basis, rng):
     with pytest.raises(ShapeError):
         project(random_qmatrix(rng, 2, 2), diag_basis)
-
-
-def test_joint_weight(diag_basis):
-    assert joint_weight(diag_basis, 0, 1) == pytest.approx(20.0, rel=1e-8)
-    with pytest.raises(InvalidParameter):
-        joint_weight(diag_basis, 2, 0)
 
 
 # -- manner selection ---------------------------------------------------
