@@ -53,8 +53,8 @@ from .weighting import (
     score_weightings,
     select_weighting,
 )
-from .recognition import Gallery, build_gallery, classify, evaluate, predict
-from .reconstruction import reconstruct, reconstruct_samples, reconstruction_ratio
+from .recognition import Gallery, build_gallery, classify, evaluate, predict, sweep_accuracies
+from .reconstruction import reconstruct, reconstruct_samples, reconstruction_ratio, sweep_ratios
 from .dataset import (
     Sample,
     SampleSet,
@@ -80,8 +80,8 @@ __all__ = [
     "MANNER_PRECEDENCE", "Manner", "Transform", "WeightingScheme",
     "SelectionConfig", "project", "project_stack",
     "score_weightings", "best_manner", "select_weighting",
-    "Gallery", "build_gallery", "classify", "predict", "evaluate",
-    "reconstruct", "reconstruct_samples", "reconstruction_ratio",
+    "Gallery", "build_gallery", "classify", "predict", "evaluate", "sweep_accuracies",
+    "reconstruct", "reconstruct_samples", "reconstruction_ratio", "sweep_ratios",
     "Sample", "SampleSet", "load_dataset", "center", "split",
     "save_basis", "load_basis", "export_image",
     "__version__",

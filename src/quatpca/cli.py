@@ -33,8 +33,8 @@ from pathlib import Path
 
 from .dataset import center, load_basis, load_dataset, save_basis, split
 from .errors import ConfigError, InvalidDataset, InvalidWeight, QuatPcaError, ShapeError
-from .recognition import build_gallery, evaluate, predict
-from .reconstruction import reconstruct_samples, reconstruction_ratio
+from .recognition import build_gallery, predict, sweep_accuracies
+from .reconstruction import reconstruct_samples, reconstruction_ratio, sweep_ratios
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, FitParams, fit
 from .weighting import (
     Manner,
@@ -241,15 +241,13 @@ def _emit_csv(path, what, header, rows, out):
         writer.writerows(rows)
 
 
-def _sweep(args, basis, header, row, out):
-    """One row per k1 = k2 = 1..--sweep from ``row(k, truncated basis)``."""
+def _sweep_size(args, basis):
+    """The --sweep K, checked against the fitted sizes before any work."""
     top = min(basis.k1, basis.k2)
     if not 1 <= args.sweep <= top:
         raise ConfigError(
             [f"--sweep: must satisfy 1 <= sweep <= min(k1, k2) = {top}, got {args.sweep}"])
-    rows = [row(k, basis.truncated(k, k)) for k in range(1, args.sweep + 1)]
-    _emit_csv(args.csv, "sweep", header, rows, out)
-    return 0
+    return args.sweep
 
 
 def _fmt(x):
@@ -327,10 +325,10 @@ def cmd_recognize(args, out):
     scheme = WeightingScheme(cfg.manner, cfg.transform)
 
     if args.sweep is not None:
-        def row(k, b):
-            return k, f"{evaluate(test, build_gallery(train, b, scheme), b, scheme):.6f}"
-
-        return _sweep(args, basis, ["k", "accuracy"], row, out)
+        accuracies = sweep_accuracies(train, test, basis, scheme, _sweep_size(args, basis))
+        rows = [(k, f"{a:.6f}") for k, a in enumerate(accuracies, start=1)]
+        _emit_csv(args.csv, "sweep", ["k", "accuracy"], rows, out)
+        return 0
 
     if len(test) == 0:
         raise InvalidDataset("the test split is empty")
@@ -357,10 +355,10 @@ def cmd_reconstruct(args, out):
     scheme = WeightingScheme(cfg.manner, cfg.transform)
 
     if args.sweep is not None:
-        def row(k, b):
-            return k, k, f"{reconstruction_ratio(train, reconstruct_samples(train, b, scheme)):.6f}"
-
-        return _sweep(args, basis, ["k1", "k2", "ratio"], row, out)
+        ratios = sweep_ratios(train, basis, scheme, _sweep_size(args, basis))
+        rows = [(k, k, f"{r:.6f}") for k, r in enumerate(ratios, start=1)]
+        _emit_csv(args.csv, "sweep", ["k1", "k2", "ratio"], rows, out)
+        return 0
 
     recs = reconstruct_samples(train, basis, scheme)
     ratio = reconstruction_ratio(train, recs)

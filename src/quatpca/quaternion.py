@@ -278,7 +278,16 @@ class QVector:
 
     def norm(self):
         """Euclidean (L2) norm."""
-        return float(np.linalg.norm(self._data))
+        x = self._data.ravel()
+        with np.errstate(over="ignore"):
+            total = x.dot(x)
+        if not sys.float_info.min <= total < math.inf:
+            # The squares under- or overflowed; scale by the largest modulus.
+            big = self.abs().max(initial=0.0)
+            if 0.0 < big < math.inf:
+                y = x / big
+                return float(big * np.sqrt(y.dot(y)))
+        return float(np.sqrt(total))
 
     def lp_norm(self, p):
         return lp_norm(self, p)
@@ -322,7 +331,16 @@ def _moduli_lp_norm(mods, p):
         return float(mods.max(initial=0.0))
     if not p > 0:
         raise InvalidParameter(f"lp_norm requires p > 0 or p = +inf, got {p}")
-    return float((mods ** p).sum() ** (1.0 / p))
+    # No errstate: the ascent calls this twice per step on unit-norm
+    # iterates, which cannot overflow.  Moduli beyond about 1e308^(1/p)
+    # still raise numpy's overflow warning, then take the rescaled value.
+    total = (mods ** p).sum()
+    if not sys.float_info.min <= total < math.inf:
+        # The powers under- or overflowed; scale by the largest modulus.
+        big = mods.max(initial=0.0)
+        if 0.0 < big < math.inf:
+            return float(big * ((mods / big) ** p).sum() ** (1.0 / p))
+    return float(total ** (1.0 / p))
 
 
 def real_scale(weights, v):

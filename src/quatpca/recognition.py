@@ -9,6 +9,12 @@ The search runs on stacked planes: the quaternion Frobenius distance is
 the Euclidean distance of the flattened (4, k1, k2) planes, computed as
 sqrt(sum((g - p)^2)) on exact differences for a few probes at a time.
 Distance ties resolve to the smallest gallery index (``np.argmin``).
+
+Deflated directions nest and the weights are per direction, so the
+features at k1 = k2 = k are the leading k x k block of the features at
+K, up to the summation order of the BLAS products (the last bits at
+some k): :func:`sweep_accuracies` projects each set once at K and
+searches the slices for every k.
 """
 
 from __future__ import annotations
@@ -20,9 +26,19 @@ import numpy as np
 from .errors import InvalidDataset
 from .quaternion import QMatrix
 from .solver import BasisPair
-from .weighting import WeightingScheme, centered_stack, project, project_stack
+from .weighting import (
+    WeightingScheme,
+    _checked_stack,
+    _project,
+    _scaled_bases,
+    _side_weights,
+    _truncations,
+    centered_stack,
+    project,
+    project_stack,
+)
 
-__all__ = ["Gallery", "build_gallery", "classify", "predict", "evaluate"]
+__all__ = ["Gallery", "build_gallery", "classify", "predict", "evaluate", "sweep_accuracies"]
 
 # Largest difference array one search step builds, in float64 entries (512 KiB,
 # so it stays in cache; larger chunks measured slower).
@@ -111,3 +127,34 @@ def evaluate(test, gallery, basis=None, scheme=None):
     predicted = predict(test, gallery, basis, scheme)
     hits = sum(p == s.label for p, s in zip(predicted, test.samples))
     return hits / len(test)
+
+
+def sweep_accuracies(train, test, basis, scheme, K):
+    """Accuracy at k1 = k2 = 1..K, one projection of each set at K.
+
+    Each entry is ``evaluate(test, build_gallery(train, b, scheme))`` with
+    ``b = basis.truncated(k, k)``, computed on features that agree with
+    that path up to the BLAS summation order.  The errors are the ones
+    those calls would raise for k = 1, 2, ... in turn: an inverse-log
+    weight that first fails at k names the smallest objective of the
+    leading k.
+    """
+    prefixes = _truncations(basis, K)
+    # Checks run in the per-k order: all of k = 1's, then each larger k's weights.
+    if len(train) == 0:
+        raise InvalidDataset("cannot build a gallery from an empty sample set")
+    X = _checked_stack(centered_stack(train, basis), basis, train.samples)
+    weights = [_side_weights(prefixes[0], scheme)]
+    if len(test) == 0:
+        raise InvalidDataset("cannot evaluate on an empty sample set")
+    Y = _checked_stack(centered_stack(test, basis), basis, test.samples)
+    weights += [_side_weights(b, scheme) for b in prefixes[1:]]
+    A, B = _scaled_bases(prefixes[-1], *weights[-1])
+    G, Q = _project(X, A, B), _project(Y, A, B)
+    labels = train.labels()
+    accuracies = []
+    for k in range(1, K + 1):
+        index, _ = _nearest(Q[:, :, :k, :k], G[:, :, :k, :k])
+        hits = sum(labels[i] == s.label for i, s in zip(index, test.samples))
+        accuracies.append(hits / len(test))
+    return accuracies

@@ -18,13 +18,16 @@ from .quaternion import QMatrix, plane_conj_transpose, plane_matmul
 from .weighting import (
     Manner,
     WeightingScheme,
+    _checked_stack,
+    _project,
     _scaled_bases,
     _side_weights,
+    _truncations,
     centered_stack,
     project_stack,
 )
 
-__all__ = ["reconstruct", "reconstruct_samples", "reconstruction_ratio"]
+__all__ = ["reconstruct", "reconstruct_samples", "reconstruction_ratio", "sweep_ratios"]
 
 
 def _inverse(w):
@@ -35,12 +38,21 @@ def _inverse(w):
     return 1.0 / w
 
 
-def _rebuild(P, basis, scheme):
+def _rebuild_bases(basis, scheme):
+    """Planes of U and V with the inverse of the scheme's weights folded in."""
+    return _scaled_bases(basis, *(_inverse(w) for w in _side_weights(basis, scheme)))
+
+
+def _rebuild(P, A, B, mean):
     """Images A P_i B^* + mean of a (N, 4, k1, k2) feature stack, as (N, 4, m, n)."""
-    A, B = _scaled_bases(basis, *(_inverse(w) for w in _side_weights(basis, scheme)))
     R = plane_matmul(plane_matmul(A, P), plane_conj_transpose(B))
-    R += basis.mean.data
+    R += mean.data
     return R
+
+
+def _norms(X):
+    """Frobenius norm of every image of a (N, 4, m, n) stack."""
+    return np.array([np.linalg.norm(x) for x in X])
 
 
 def reconstruct(P, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
@@ -48,7 +60,7 @@ def reconstruct(P, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
     if P.shape != (basis.k1, basis.k2):
         raise ShapeError(
             f"feature shape {P.shape} does not match basis sizes ({basis.k1}, {basis.k2})")
-    return QMatrix(_rebuild(P.data[None], basis, scheme)[0])
+    return QMatrix(_rebuild(P.data[None], *_rebuild_bases(basis, scheme), basis.mean)[0])
 
 
 def reconstruct_samples(samples, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
@@ -56,7 +68,7 @@ def reconstruct_samples(samples, basis, scheme=WeightingScheme(Manner.UNWEIGHTED
     if len(samples) == 0:
         return []
     P = project_stack(centered_stack(samples, basis), basis, scheme, samples.samples)
-    return [QMatrix(R) for R in _rebuild(P, basis, scheme)]
+    return [QMatrix(R) for R in _rebuild(P, *_rebuild_bases(basis, scheme), basis.mean)]
 
 
 def reconstruction_ratio(originals, reconstructions):
@@ -82,3 +94,28 @@ def reconstruction_ratio(originals, reconstructions):
         raise InvalidDataset("zero-norm original has no relative error")
     err = np.array([np.linalg.norm(F.data - R.data) for F, R in zip(mats, reconstructions)])
     return float(np.mean(1.0 - err / nf))
+
+
+def sweep_ratios(samples, basis, scheme, K):
+    """Reconstruction ratio at k1 = k2 = 1..K, one projection of the set at K.
+
+    Each entry is ``reconstruction_ratio(samples, reconstruct_samples(
+    samples, b, scheme))`` with ``b = basis.truncated(k, k)``, up to the
+    BLAS summation order: the leading k x k block of the features at K
+    is rebuilt with the k-column bases.  The errors are the ones those
+    calls would raise for k = 1, 2, ... in turn.
+    """
+    prefixes = _truncations(basis, K)
+    if len(samples) == 0:
+        raise InvalidDataset("need at least one sample to compute a ratio")
+    # Checks run in the per-k order: all of k = 1's, then each larger k's weights.
+    X = _checked_stack(centered_stack(samples, basis), basis, samples.samples)
+    inverses = [_rebuild_bases(prefixes[0], scheme)]
+    F = np.stack([s.image.data for s in samples.samples])
+    nf = _norms(F)
+    if np.any(nf == 0.0):
+        raise InvalidDataset("zero-norm original has no relative error")
+    inverses += [_rebuild_bases(b, scheme) for b in prefixes[1:]]
+    P = _project(X, *_scaled_bases(prefixes[-1], *_side_weights(prefixes[-1], scheme)))
+    return [float(np.mean(1.0 - _norms(F - _rebuild(P[:, :, :k, :k], A, B, basis.mean)) / nf))
+            for k, (A, B) in enumerate(inverses, start=1)]

@@ -118,6 +118,29 @@ def centered_stack(samples, basis):
     return X
 
 
+def _truncations(basis, K):
+    """``basis.truncated(k, k)`` for k = 1..K: the nested prefixes a sweep reports."""
+    top = min(basis.k1, basis.k2)
+    if not 1 <= K <= top:
+        raise InvalidParameter(f"sweep size must satisfy 1 <= K <= min(k1, k2) = {top}, got {K}")
+    return [basis.truncated(k, k) for k in range(1, K + 1)]
+
+
+def _checked_stack(X, basis, samples=None):
+    """X as float64, after the shape and non-finite checks of :func:`project_stack`."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 4 or X.shape[1] != 4 or X.shape[2:] != (basis.m, basis.n):
+        raise ShapeError(
+            f"image shape {X.shape[2:]} does not match basis {basis.m}x{basis.n}")
+    _require_finite(X, samples)
+    return X
+
+
+def _project(X, A, B):
+    """Features A^* X_i B of a checked stack, given the (weighted) basis planes."""
+    return plane_matmul(plane_conj_transpose(A), plane_matmul(X, B))
+
+
 def project_stack(X, basis, scheme=WeightingScheme(Manner.UNWEIGHTED), samples=None):
     """Features A^* X_i B of a (N, 4, m, n) stack of centered images, as (N, 4, k1, k2).
 
@@ -125,13 +148,8 @@ def project_stack(X, basis, scheme=WeightingScheme(Manner.UNWEIGHTED), samples=N
     columns.  ``samples`` (the stack's Sample records, optional) lets a
     non-finite image be reported by its source or label.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 4 or X.shape[1] != 4 or X.shape[2:] != (basis.m, basis.n):
-        raise ShapeError(
-            f"image shape {X.shape[2:]} does not match basis {basis.m}x{basis.n}")
-    _require_finite(X, samples)
-    A, B = _scaled_bases(basis, *_side_weights(basis, scheme))
-    return plane_matmul(plane_conj_transpose(A), plane_matmul(X, B))
+    X = _checked_stack(X, basis, samples)
+    return _project(X, *_scaled_bases(basis, *_side_weights(basis, scheme)))
 
 
 def project(F, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):

@@ -1,17 +1,35 @@
 """Command-line pipeline: config handling, commands, exit codes, artifacts."""
 
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quatpca
-from quatpca import ConfigError, Manner, Transform, load_basis, load_dataset
+import quatpca.cli
+from quatpca import (
+    ConfigError,
+    Manner,
+    QMatrix,
+    Transform,
+    WeightingScheme,
+    build_gallery,
+    evaluate,
+    load_basis,
+    load_dataset,
+    reconstruct_samples,
+    reconstruction_ratio,
+    save_basis,
+    split,
+)
 from quatpca.cli import main, parse_config
 from conftest import random_rgb, write_image_tree
 
@@ -272,6 +290,99 @@ def test_reconstruct_sweep_csv(workspace, capsys):
     assert ratios[0] <= ratios[1] + 1e-9
 
 
+# -- sweeps: errors and output as the per-k path gave them ----------------
+
+_HINT = ("hint: switch weighting.transform to identity, or refit so every per-direction "
+         "objective exceeds 1 before using inverse-log\n")
+
+
+def sweep_config(ws, name, k=3, extra=""):
+    """The workspace config with k1 = k2 = k and extra lines appended."""
+    text = ws["cfg"].read_text().replace("model.k1 = 2", f"model.k1 = {k}")
+    cfg = ws["tmp"] / name
+    cfg.write_text(text.replace("model.k2 = 2", f"model.k2 = {k}") + extra)
+    return cfg
+
+
+def sweep_argv(command, cfg, ws, K):
+    return [command, "--config", str(cfg), "--basis", str(ws["basis"]), "--sweep", str(K)]
+
+
+@pytest.mark.parametrize("K", ["0", "3"])
+@pytest.mark.parametrize("command", ["recognize", "reconstruct"])
+def test_sweep_size_outside_the_basis(workspace, capsys, command, K):
+    fit_workspace(capsys, workspace)
+    assert run(capsys, sweep_argv(command, workspace["cfg"], workspace, K)) == (
+        2, "", f"error: --sweep: must satisfy 1 <= sweep <= min(k1, k2) = 2, got {K}\n")
+
+
+def test_recognize_sweep_on_empty_test_split(workspace, capsys):
+    cfg = workspace["tmp"] / "all-train.cfg"
+    cfg.write_text(workspace["cfg"].read_text().replace("[0.75, 0, 0.25]", "[1, 0, 0]"))
+    assert run(capsys, ["fit", "--config", str(cfg), "--basis", str(workspace["basis"])])[0] == 0
+    assert run(capsys, sweep_argv("recognize", cfg, workspace, 2)) == (
+        1, "", "error: cannot evaluate on an empty sample set\n")
+
+
+@pytest.mark.parametrize("command, part, index", [("recognize", 2, 1), ("reconstruct", 0, 2),
+                                                   ("recognize", 0, 3)])
+def test_sweep_names_non_finite_image(workspace, capsys, monkeypatch, command, part, index):
+    fit_workspace(capsys, workspace)
+    dataset = load_dataset(workspace["root"])
+    source = split(dataset, (0.75, 0, 0.25), 5)[part].samples[index].source
+
+    def poisoned(root):
+        data = np.full((4, 8, 6), np.nan)
+        return replace(dataset, samples=tuple(
+            replace(s, image=QMatrix(data)) if s.source == source else s for s in dataset.samples))
+
+    monkeypatch.setattr(quatpca.cli, "load_dataset", poisoned)
+    assert run(capsys, sweep_argv(command, workspace["cfg"], workspace, 2)) == (
+        1, "", f"error: sample {index} ({source}) holds a non-finite value (NaN or inf)\n")
+
+
+def test_inverse_log_sweep_names_the_first_failing_prefix(workspace, capsys):
+    cfg = sweep_config(workspace, "invlog.cfg", extra="weighting.manner = weighted-right\n"
+                                                     "weighting.transform = inverse-log\n")
+    assert run(capsys, ["fit", "--config", str(cfg), "--basis", str(workspace["basis"])])[0] == 0
+    basis = load_basis(workspace["basis"])
+    save_basis(replace(basis, d_right=np.array([5.0, 1.0, 0.5])), workspace["basis"])
+    message = "error: inverse-log weighting needs every objective value above 1, got {}\n"
+    for command in ("recognize", "reconstruct"):
+        # k = 2 fails first, so the error names min(d[:2]), not min(d) = 0.5
+        assert run(capsys, sweep_argv(command, cfg, workspace, 3)) == (
+            1, "", message.format("1.0") + _HINT)
+    assert run(capsys, ["recognize", "--config", str(cfg), "--basis", str(workspace["basis"])]) == (
+        1, "", message.format("0.5") + _HINT)
+
+
+def _csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def test_sweep_csvs_match_the_per_k_path(workspace, capsys):
+    cfg = sweep_config(workspace, "both.cfg", extra="weighting.manner = weighted-both\n")
+    assert run(capsys, ["fit", "--config", str(cfg), "--basis", str(workspace["basis"])])[0] == 0
+    paths = {command: workspace["tmp"] / f"{command}.csv" for command in ("recognize", "reconstruct")}
+    for command, path in paths.items():
+        assert run(capsys, sweep_argv(command, cfg, workspace, 3) + ["--csv", str(path)])[0] == 0
+
+    train, _, test = split(load_dataset(workspace["root"]), (0.75, 0, 0.25), 5)
+    basis = load_basis(workspace["basis"])
+    scheme = WeightingScheme(Manner.WEIGHTED_BOTH)
+    accuracy, ratio = [], []
+    for k in range(1, 4):
+        b = basis.truncated(k, k)
+        accuracy.append((k, f"{evaluate(test, build_gallery(train, b, scheme), b, scheme):.6f}"))
+        ratio.append((k, k, f"{reconstruction_ratio(train, reconstruct_samples(train, b, scheme)):.6f}"))
+    assert paths["recognize"].read_bytes() == _csv_text(["k", "accuracy"], accuracy).encode()
+    assert paths["reconstruct"].read_bytes() == _csv_text(["k1", "k2", "ratio"], ratio).encode()
+
+
 # -- select-weighting ---------------------------------------------------
 
 
@@ -385,4 +496,45 @@ selection.repeats = 2
         runs.append((out.stdout, (tmp_path / "confusion.csv").read_bytes(),
                      (tmp_path / "manifest.json").read_bytes()))
     assert "accuracy:" in runs[0][0] and "<- chosen" in runs[0][0]
+    assert runs[0] == runs[1]
+
+
+_SWEEP_SCRIPT = """
+import sys
+from quatpca.cli import main
+cfg, work = sys.argv[1], sys.argv[2]
+basis = work + "/fitted.bqp"
+for argv in (["fit", "--config", cfg, "--basis", basis],
+             ["recognize", "--config", cfg, "--basis", basis, "--sweep", "4",
+              "--csv", work + "/recognize.csv"],
+             ["reconstruct", "--config", cfg, "--basis", basis, "--sweep", "4",
+              "--csv", work + "/reconstruct.csv"]):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_sweep_csv_bytes_independent_of_blas_threads(tmp_path, rng):
+    root = tmp_path / "data"
+    write_image_tree(root, {f"c{c}": [random_rgb(rng, 12, 10) for _ in range(8)]
+                            for c in range(5)})
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"""dataset.root = {root}
+dataset.split = [0.5, 0, 0.5]
+model.s = 2
+model.p = 1.5
+model.k1 = 5
+model.k2 = 4
+weighting.manner = weighted-both
+weighting.transform = inverse-log
+""")
+    src = str(Path(quatpca.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", _SWEEP_SCRIPT, str(cfg), str(tmp_path)],
+                       env=env, capture_output=True, text=True, check=True)
+        runs.append(tuple((tmp_path / f"{name}.csv").read_bytes()
+                          for name in ("recognize", "reconstruct")))
+    assert len(runs[0][0].splitlines()) == len(runs[0][1].splitlines()) == 5
     assert runs[0] == runs[1]

@@ -1,6 +1,7 @@
 """Quaternion scalar/vector/matrix algebra and the real representation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,41 @@ def test_lp_norm_homogeneous(p, alpha):
     assert lp_norm(v * alpha, p) == pytest.approx(alpha * lp_norm(v, p), rel=1e-9)
 
 
+_EXTREME_SCALES = [1e-170, 1e-160, 1e160, 1e170]
+
+
+@pytest.mark.parametrize("scale", _EXTREME_SCALES)
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_lp_norm_survives_under_and_overflow(scale, p):
+    base = QVector(np.array([[0.0, 0.0, 0.5], [3.0, 0.0, 0.0], [4.0, 1.0, 0.0], [0.0, 2.0, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
+        got = lp_norm(base * scale, p)
+    # (sum x^p)^(1/p) itself loses about |ln x| ulps at p = 1.5
+    assert got == pytest.approx(scale * lp_norm(base, p), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", _EXTREME_SCALES)
+def test_norm_survives_under_and_overflow(scale):
+    single = QVector(np.array([[0.0], [3.0], [4.0], [0.0]]) * scale)
+    base = QVector(np.array([[0.0, 0.0, 0.5], [3.0, 0.0, 0.0], [4.0, 1.0, 0.0], [0.0, 2.0, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert single.norm() == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+        assert (base * scale).norm() == pytest.approx(scale * base.norm(), rel=1e-14, abs=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert lp_norm(single, 2) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
+
+def test_norms_in_normal_range_are_the_plain_formulas(rng):
+    v = random_qvector(rng, 7)
+    assert v.norm() == float(np.linalg.norm(v.data))
+    for p in (0.5, 1.0, 1.5, 2.0, 3.0):
+        assert lp_norm(v, p) == float((v.abs() ** p).sum() ** (1.0 / p))
+    assert QVector.zeros(3).norm() == lp_norm(QVector.zeros(3), 2) == 0.0
+
+
 def test_real_scale_shape_check(rng):
     v = random_qvector(rng, 4)
     with pytest.raises(ShapeError):
@@ -350,14 +386,14 @@ def test_vector_moduli_survive_squares_out_of_range(scale, rng):
     v = QVector.from_entries(entries)
     expected = [abs(q) for q in entries]
     assert vabs(v) == pytest.approx(expected, rel=1e-15, abs=0.0)
-    assert vabs(vsign(v)) == pytest.approx([1.0, 1.0, 0.0], rel=1e-15)
+    assert vabs(vsign(v)) == pytest.approx([1.0, 1.0, 0.0], rel=1e-15, abs=0.0)
     assert v.sign().entry(0).isclose(entries[0].sign(), tol=1e-15)
-    assert lp_norm(v, math.inf) == pytest.approx(max(expected), rel=1e-15)
-    assert lp_norm(v, 1) == pytest.approx(sum(expected), rel=1e-15)
+    assert lp_norm(v, math.inf) == pytest.approx(max(expected), rel=1e-15, abs=0.0)
+    assert lp_norm(v, 1) == pytest.approx(sum(expected), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e200])
 def test_modulus_survives_squares_out_of_range(scale):
     a = Quaternion(0.0, 0.0, 3.0 * scale, 4.0 * scale)
-    assert abs(a) == pytest.approx(5.0 * scale, rel=1e-15)
-    assert abs(a.sign()) == pytest.approx(1.0, rel=1e-15)
+    assert abs(a) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+    assert abs(a.sign()) == pytest.approx(1.0, rel=1e-15, abs=0.0)

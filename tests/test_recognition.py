@@ -1,5 +1,7 @@
 """Nearest-neighbor recognition over projected features."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,13 @@ from quatpca import (
     FitParams,
     Gallery,
     InvalidDataset,
+    InvalidParameter,
     MANNER_PRECEDENCE,
     Manner,
     QMatrix,
+    QuatPcaError,
     SampleSet,
+    Transform,
     WeightingScheme,
     build_gallery,
     center,
@@ -20,6 +25,7 @@ from quatpca import (
     predict,
     project,
     split,
+    sweep_accuracies,
 )
 from conftest import random_qmatrix, separable_classes
 
@@ -206,3 +212,77 @@ def test_evaluate_names_non_finite_sample(fitted_split):
     label = test.samples[2].label
     with pytest.raises(InvalidDataset, match=rf"sample 2 \(label '{label}'\).*non-finite"):
         evaluate(broken, gallery)
+
+
+# -- sweeps on one projection -------------------------------------------
+
+
+def _outcome(call):
+    """The call's result, or the type and text of the error it raised."""
+    try:
+        return call()
+    except QuatPcaError as exc:
+        return type(exc), str(exc)
+
+
+def _with_image(samples, index, data):
+    """A copy of the set with one image replaced."""
+    images = list(samples.samples)
+    images[index] = replace(images[index], image=QMatrix(data))
+    return replace(samples, samples=tuple(images))
+
+
+def _per_k_accuracies(train, test, basis, scheme, K):
+    """The sweep as it was: one gallery and one evaluation per truncated basis."""
+    truncated = [basis.truncated(k, k) for k in range(1, K + 1)]
+    return [evaluate(test, build_gallery(train, b, scheme), b, scheme) for b in truncated]
+
+
+@pytest.fixture
+def sweep_split(rng):
+    ss = separable_classes(rng, 8, 6, per_class=8, spread=0.6)
+    train, _, test = split(ss, (0.75, 0.0, 0.25), seed=4)
+    return train, test, fit(center(train), FitParams(s=2.0, p=2.0, k1=3, k2=4))
+
+
+@pytest.mark.parametrize("transform", list(Transform))
+@pytest.mark.parametrize("manner", MANNER_PRECEDENCE)
+def test_sweep_accuracies_match_per_k_evaluation(sweep_split, manner, transform):
+    train, test, basis = sweep_split
+    scheme = WeightingScheme(manner, transform)
+    assert (sweep_accuracies(train, test, basis, scheme, 3)
+            == _per_k_accuracies(train, test, basis, scheme, 3))
+
+
+# Objective values on which inverse-log weights fail from k = 1, from k = 2
+# (naming 1.0, the smallest of the leading two, not the overall 0.5), or never.
+_FAILING_FROM = {1: [0.9, 3.0, 2.0], 2: [5.0, 1.0, 0.5], None: [5.0, 3.0, 2.0]}
+
+
+@pytest.mark.parametrize("fails_from", list(_FAILING_FROM))
+@pytest.mark.parametrize("broken", [None, "empty test", "nan train", "nan test"])
+@pytest.mark.parametrize("manner", [Manner.WEIGHTED_LEFT, Manner.WEIGHTED_RIGHT])
+def test_sweep_accuracies_raise_what_the_per_k_loop_raises(sweep_split, fails_from, broken, manner):
+    train, test, basis = sweep_split
+    d = np.array(_FAILING_FROM[fails_from])
+    basis = replace(basis, d_left=d, d_right=np.append(d, 9.0))
+    if broken == "empty test":
+        test = test.subset([])
+    elif broken is not None:
+        part = train if broken == "nan train" else test
+        data = np.array(part.samples[1].image.data)
+        data[2, 0, 0] = np.nan
+        part = _with_image(part, 1, data)
+        train, test = (part, test) if broken == "nan train" else (train, part)
+    scheme = WeightingScheme(manner, Transform.INVERSE_LOG)
+    expected = _outcome(lambda: _per_k_accuracies(train, test, basis, scheme, 3))
+    assert _outcome(lambda: sweep_accuracies(train, test, basis, scheme, 3)) == expected
+    if fails_from == 2 and broken is None:
+        assert expected[1].endswith("got 1.0")
+
+
+@pytest.mark.parametrize("K", [0, 4])
+def test_sweep_accuracies_reject_sizes_outside_the_basis(sweep_split, K):
+    train, test, basis = sweep_split
+    with pytest.raises(InvalidParameter, match="min\\(k1, k2\\) = 3"):
+        sweep_accuracies(train, test, basis, WeightingScheme(Manner.UNWEIGHTED), K)

@@ -8,12 +8,15 @@ import pytest
 from quatpca import (
     FitParams,
     InvalidDataset,
+    InvalidParameter,
     InvalidWeight,
     MANNER_PRECEDENCE,
     Manner,
     QMatrix,
+    QuatPcaError,
     SampleSet,
     ShapeError,
+    Transform,
     WeightingScheme,
     center,
     fit,
@@ -21,6 +24,7 @@ from quatpca import (
     reconstruct,
     reconstruct_samples,
     reconstruction_ratio,
+    sweep_ratios,
 )
 from conftest import random_qmatrix
 
@@ -135,3 +139,60 @@ def test_ratio_rejects_mixed_shapes(raw_set, full_basis):
     recs[2] = QMatrix.zeros(3, 4)
     with pytest.raises(ShapeError):
         reconstruction_ratio(raw_set, recs)
+
+
+# -- sweeps on one projection -------------------------------------------
+
+
+def _per_k_ratios(samples, basis, scheme, K):
+    """The sweep as it was: one projection and rebuild per truncated basis."""
+    truncated = [basis.truncated(k, k) for k in range(1, K + 1)]
+    return [reconstruction_ratio(samples, reconstruct_samples(samples, b, scheme)) for b in truncated]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except QuatPcaError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("transform", list(Transform))
+@pytest.mark.parametrize("manner", MANNER_PRECEDENCE)
+def test_sweep_ratios_match_per_k_reconstruction(raw_set, full_basis, manner, transform):
+    scheme = WeightingScheme(manner, transform)
+    np.testing.assert_allclose(sweep_ratios(raw_set, full_basis, scheme, 3),
+                               _per_k_ratios(raw_set, full_basis, scheme, 3), rtol=1e-13)
+
+
+# Objective values on which the weights fail from k = 1, from k = 2, or
+# never: inverse-log needs values above 1, and identity cannot invert 0.
+_FAILING_FROM = {1: [0.9, 3.0, 2.0], 2: [5.0, 0.0, 0.5], None: [5.0, 3.0, 2.0]}
+
+
+@pytest.mark.parametrize("fails_from", list(_FAILING_FROM))
+@pytest.mark.parametrize("broken", [None, "zero-norm original", "nan image"])
+@pytest.mark.parametrize("transform", list(Transform))
+def test_sweep_ratios_raise_what_the_per_k_loop_raises(raw_set, full_basis, fails_from, broken,
+                                                        transform):
+    basis = replace(full_basis, d_right=np.array(_FAILING_FROM[fails_from]))
+    if broken is not None:
+        data = np.full((4, 4, 3), np.nan) if broken == "nan image" else np.zeros((4, 4, 3))
+        images = list(raw_set.samples)
+        images[2] = replace(images[2], image=QMatrix(data))
+        raw_set = replace(raw_set, samples=tuple(images))
+    scheme = WeightingScheme(Manner.WEIGHTED_RIGHT, transform)
+    expected = _outcome(lambda: _per_k_ratios(raw_set, basis, scheme, 3))
+    got = _outcome(lambda: sweep_ratios(raw_set, basis, scheme, 3))
+    if isinstance(expected, list):
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
+    else:
+        assert got == expected
+
+
+def test_sweep_ratios_reject_empty_sets_and_bad_sizes(raw_set, full_basis):
+    scheme = WeightingScheme(Manner.UNWEIGHTED)
+    with pytest.raises(InvalidDataset, match="at least one sample"):
+        sweep_ratios(raw_set.subset([]), full_basis, scheme, 2)
+    with pytest.raises(InvalidParameter):
+        sweep_ratios(raw_set, full_basis, scheme, 4)

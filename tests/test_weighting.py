@@ -19,10 +19,14 @@ from quatpca import (
     best_manner,
     fit,
     project,
+    project_stack,
+    reconstruct_samples,
     score_weightings,
     select_weighting,
 )
-from conftest import random_qmatrix, separable_classes
+from quatpca.reconstruction import _rebuild, _rebuild_bases
+from quatpca.weighting import centered_stack
+from conftest import planted_samples, random_qmatrix, separable_classes
 
 TIGHT = FitParams(s=2.0, p=2.0, k1=2, k2=2, tol=1e-12)
 
@@ -230,3 +234,31 @@ def test_score_weightings_inverse_log_needs_objectives_above_one(rng):
     protocol = SelectionConfig(repeats=2, seed=1, transform=Transform.INVERSE_LOG)
     with pytest.raises(InvalidWeight, match="inverse-log"):
         score_weightings(small, FitParams(s=2.0, p=2.0, k1=2, k2=2), protocol)
+
+
+# -- nested features: the slice at k is the truncated projection --------
+
+
+@pytest.mark.parametrize("transform", list(Transform))
+@pytest.mark.parametrize("manner", MANNER_PRECEDENCE)
+def test_sliced_features_equal_truncated_basis_features(rng, manner, transform):
+    """The leading k x k block of the features at K is the projection at k.
+
+    Equal up to the summation order of the BLAS products only: numpy
+    multiplies by a one-column basis with gemv and dot instead of gemm,
+    and OpenBLAS tiles gemm columns by their count, so some k differ from
+    the truncated projection in the last bits.
+    """
+    samples, _ = planted_samples(rng, 7, 6, values=(6.0, 4.0, 3.0, 2.0, 1.5), pairs=3)
+    basis = fit(samples, FitParams(s=2.0, p=2.0, k1=5, k2=5))
+    scheme = WeightingScheme(manner, transform)
+    X = centered_stack(samples, basis)
+    P = project_stack(X, basis, scheme)
+    for k in range(1, 6):
+        b = basis.truncated(k, k)
+        truncated = project_stack(X, b, scheme)
+        np.testing.assert_allclose(P[:, :, :k, :k], truncated,
+                                   rtol=0, atol=1e-13 * np.abs(truncated).max())
+        rebuilt = _rebuild(P[:, :, :k, :k], *_rebuild_bases(b, scheme), b.mean)
+        expected = np.stack([R.data for R in reconstruct_samples(samples, b, scheme)])
+        np.testing.assert_allclose(rebuilt, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
