@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDirection, InvalidParameter, ShapeError
-from .quaternion import QMatrix, QVector
+from .quaternion import _CONJ, QMatrix, QVector, hamilton_planes
 
 __all__ = [
     "mgs_orthonormalize",
@@ -33,6 +33,9 @@ HERMITIAN_RTOL = 1e-10
 # multiple of one already extracted.  Duplicates sit at round-off level,
 # genuinely new directions carry O(1) mass.
 _DUPLICATE_TOL = 1e-5
+
+# Component c of the unit quaternion e_d (e = 1, i, j, k) is _UNITS[c, d].
+_UNITS = np.eye(4)
 
 
 def mgs_orthonormalize(vnew, basis, degenerate_tol=DEGENERATE_TOL):
@@ -61,17 +64,18 @@ def mgs_orthonormalize(vnew, basis, degenerate_tol=DEGENERATE_TOL):
     return QVector.from_real(v / r)
 
 
-def _canonical_phase(v):
-    """Fix the right unit-quaternion phase deterministically.
+def _canonical_phase(w):
+    """Fix the right unit-quaternion phase of (4, n) planes deterministically.
 
-    Right-multiplies so that the first entry of significant modulus
-    becomes real and nonnegative, then renormalizes.
+    Right-multiplies by the conjugate sign of the first entry of
+    significant modulus, which makes that entry real and nonnegative,
+    then renormalizes.
     """
-    mods = v.abs()
+    mods = np.sqrt((w * w).sum(axis=0))
     t = int(np.argmax(mods > 1e-8 * mods.max()))
-    q = v.entry(t).sign().conj()
-    w = v.rmul(q)
-    return w / w.norm()
+    q = w[:, t] * _CONJ / mods[t]
+    w = np.stack(hamilton_planes(w, q, np.multiply))
+    return w / np.linalg.norm(w)
 
 
 def hermitian_topk_eig(G, k, hermitian_rtol=HERMITIAN_RTOL):
@@ -81,11 +85,13 @@ def hermitian_topk_eig(G, k, hermitian_rtol=HERMITIAN_RTOL):
     eigenvalue appears there with multiplicity four, and the four real
     eigenvectors of a group are the images of one quaternion eigenvector
     under right multiplication by 1, i, j, k.  Walking the real spectrum
-    downward, each candidate goes through :func:`mgs_orthonormalize`
-    against the vectors already accepted and is kept only when it
-    carries mass outside their right-unit span, which yields one
-    orthonormal quaternion eigenvector per group.  Phases follow the
-    deterministic convention of :func:`_canonical_phase`.
+    downward, each candidate is projected off the right-unit images of
+    the vectors already accepted, v <- v - B (B^T v) twice, exactly as
+    :func:`mgs_orthonormalize` does with B = real_repr(W), and is kept
+    only when it carries mass outside their span.  That yields one
+    orthonormal quaternion eigenvector per group.  B grows by the four
+    images of each accepted vector instead of being rebuilt.  Phases
+    follow the deterministic convention of :func:`_canonical_phase`.
 
     Returns a list of (eigenvalue, eigenvector) pairs.
     """
@@ -102,18 +108,27 @@ def hermitian_topk_eig(G, k, hermitian_rtol=HERMITIAN_RTOL):
     R = (R + R.T) / 2.0
     evals, evecs = np.linalg.eigh(R)
 
+    # images[:, c, j] is the real layout of w_j e_c (e = 1, i, j, k), so
+    # images[:, :, :a] flattens to real_repr of the first a columns.
+    images = np.empty((4 * n, 4, k))
     evals_kept, vectors = [], []
     for idx in range(4 * n - 1, -1, -1):
-        try:
-            v = mgs_orthonormalize(QVector.from_real(evecs[:, idx]), vectors,
-                                   degenerate_tol=_DUPLICATE_TOL)
-        except DegenerateDirection:
+        v = evecs[:, idx].copy()
+        if vectors:
+            B = np.ascontiguousarray(images[:, :, :len(vectors)]).reshape(4 * n, -1)
+            for _ in range(2):
+                v = v - B @ (B.T @ v)
+        r = float(np.linalg.norm(v))
+        if r < _DUPLICATE_TOL:
             continue
+        w = v.reshape(4, n) / r
+        images[:, :, len(vectors)] = np.stack(
+            hamilton_planes(w, _UNITS, np.multiply.outer)).reshape(4 * n, 4)
         evals_kept.append(float(evals[idx]))
-        vectors.append(v)
+        vectors.append(w)
         if len(vectors) == k:
             break
     if len(vectors) < k:
         raise InvalidParameter(
             f"could only extract {len(vectors)} of {k} eigenvectors")
-    return [(lam, _canonical_phase(v)) for lam, v in zip(evals_kept, vectors)]
+    return [(lam, QVector(_canonical_phase(w))) for lam, w in zip(evals_kept, vectors)]

@@ -42,6 +42,9 @@ __all__ = [
     "plane_conj_transpose",
 ]
 
+# Component signs of the conjugate: (a0, a1, a2, a3)^* = (a0, -a1, -a2, -a3).
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
 
 def hamilton_planes(a, b, mul):
     """Combine two 4-tuples of real operands with the Hamilton sign pattern.
@@ -74,7 +77,7 @@ def plane_matmul(A, B):
 
 def plane_conj_transpose(A):
     """Conjugate transpose of every matrix in a (..., 4, m, n) plane array."""
-    return np.swapaxes(A, -1, -2) * np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
+    return np.swapaxes(A, -1, -2) * _CONJ[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -242,7 +245,7 @@ class QVector:
         return QVector(self._data / float(scalar))
 
     def conj(self):
-        return QVector(self._data * np.array([1.0, -1.0, -1.0, -1.0])[:, None])
+        return QVector(self._data * _CONJ[:, None])
 
     def rmul(self, q):
         """Right scalar multiplication: entries v_t * q."""

@@ -1,18 +1,28 @@
-"""Projection-basis fitting by Lp-sphere ascent with deflation.
+"""Projection-basis fitting: an exact eigensolve at s = p = 2, else Lp-sphere ascent.
 
-Each projection direction maximizes f(w) = sum_i ||F_i w||_s^s over the
-unit Lp sphere through a minorize-maximize iteration: linearize f at the
-current iterate, then apply the closed-form maximizer of the linear form
-over the sphere (four regimes: 0 < p < 1, p = 1, 1 < p < inf, p = inf).
-Accepted directions are orthonormalized and the samples are deflated so
-that later directions explore the remaining subspace only.  Left
-directions solve the mirrored problem max sum_i ||u^* F_i||_s^s, which is
-the same computation on conjugate-transposed samples.
+At s = p = 2 the model is two-dimensional quaternion PCA: the fixed
+point of the ascent with deflation is the top-k eigenbasis of each side's
+Gram matrix, so :func:`fit` takes it directly from one Hermitian
+eigensolve per side (``hermitian_topk_eig`` on the real representation),
+with no iterations; ``tol``, ``max_iter``, ``init`` and ``seed`` do not
+apply there.  :func:`covariance_baseline` runs the same eigen path on the
+Gram matrix divided by the sample count.
+
+For every other (s, p), each projection direction maximizes
+f(w) = sum_i ||F_i w||_s^s over the unit Lp sphere through a
+minorize-maximize iteration: linearize f at the current iterate, then
+apply the closed-form maximizer of the linear form over the sphere (four
+regimes: 0 < p < 1, p = 1, 1 < p < inf, p = inf).  Accepted directions
+are orthonormalized and the samples are deflated so that later
+directions explore the remaining subspace only.  Left directions solve
+the mirrored problem max sum_i ||u^* F_i||_s^s, which is the same
+computation on conjugate-transposed samples.
 
 The samples of one side form one tall matrix T = [F_1; ...; F_l], so
 f(w) = ||T w||_s^s.  Only its conjugate transpose H = T^* is ever built.
-s = 2 fits run on the Gram matrix G = T^* T alone (n x n on the right,
-sum_i F_i F_i^* on the left), kept only as its 4n x 4n real
+The Gram matrix G = T^* T (n x n on the right, sum_i F_i F_i^* on the
+left) is one real GEMM of the stacked planes of H with their transpose.
+s = 2 ascents run on G alone, kept only as its 4n x 4n real
 representation R: y = G w is one real matrix-vector product and gives
 both the objective <w, y> and the next ascent vector, so the
 per-iteration cost no longer grows with the sample count.  Other s keep
@@ -24,24 +34,22 @@ Both paths deflate through the real representation Rp of I - WW^*:
 G <- (I - WW^*) G (I - WW^*) is R <- Rp R Rp, and H <- (I - WW^*) H is
 the one GEMM Rp [H0; H1; H2; H3].  A step that lowers the objective
 (possible for 0 < p < 1) is rejected and ends the direction on the
-previous iterate.
-
-The s = p = 2 case reduces to eigendecomposition of the sample
-covariance; :func:`covariance_baseline` computes that directly and serves
-as a reference implementation.
+previous iterate.  :func:`solve_direction` and :func:`mm_update` run this
+ascent for any (s, p), s = p = 2 included.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DegenerateDirection, InvalidDataset, InvalidParameter, ShapeError
 from .qlinalg import hermitian_topk_eig, mgs_orthonormalize
-from .quaternion import (QMatrix, Quaternion, QVector, _moduli_lp_norm, hamilton_planes,
-                         lp_norm, plane_conj_transpose, plane_matmul)
+from .quaternion import (_CONJ, QMatrix, QVector, _moduli_lp_norm, hamilton_planes, lp_norm,
+                         plane_conj_transpose, plane_matmul)
 
 __all__ = [
     "FitParams",
@@ -75,7 +83,9 @@ class FitParams:
     directions.  ``init`` selects the starting iterate: "ones" is the
     deterministic all-ones pure-real vector, "random" draws from a
     PRNG seeded with ``seed``.  The 0 < p < 1 regime reweights by the
-    moduli of the starting iterate.
+    moduli of the starting iterate.  ``tol``, ``max_iter``, ``init`` and
+    ``seed`` steer the ascent only: an s = p = 2 fit is an exact
+    eigensolve and reads none of them (they are still validated).
     """
 
     s: float
@@ -118,13 +128,16 @@ class FitParams:
 
 @dataclass
 class DirectionTrace:
-    """Per-direction diagnostics of the ascent iteration.
+    """Per-direction diagnostics of the fit.
 
     ``iterations`` counts the MM steps taken; the histories hold the
     accepted iterates only, so a final step that lowered the objective
     is counted but not recorded.  ``stop_reason`` names the rule that
-    ended the ascent, "tolerance", "iteration cap" or "rejected step";
-    ``converged`` means the tolerance rule did.
+    ended the ascent, "tolerance", "iteration cap" or "rejected step", or
+    is "eigensolve" for an s = p = 2 direction, which comes from the
+    eigendecomposition with 0 iterations and one-entry histories.
+    ``converged`` means the tolerance rule ended the ascent, or that the
+    direction is an exact eigenvector.
     """
 
     side: str
@@ -250,14 +263,27 @@ def _wide(S, side="right"):
     [F_1^*; ...; F_l^*] of the left side, so H is [F_1^*, ..., F_l^*] or
     [F_1, ..., F_l].
     """
-    if side == "right":
-        S = plane_conj_transpose(S)
-    return np.ascontiguousarray(S.transpose(1, 2, 0, 3).reshape(4, S.shape[2], -1))
+    l, _, m, n = S.shape
+    if side == "left":
+        return np.ascontiguousarray(S.transpose(1, 2, 0, 3).reshape(4, m, l * n))
+    # Plane c of F_i^* is the sign of plane c times its transpose; one
+    # strided pass writes all of them into place.
+    H = np.empty((4, n, l, m))
+    np.multiply(S.transpose(1, 3, 0, 2), _CONJ[:, None, None, None], out=H)
+    return H.reshape(4, n, l * m)
 
 
 def _gram(H):
-    """Quaternion Gram matrix T^* T = H H^* as a (4, n, n) plane array."""
-    return plane_matmul(H, plane_conj_transpose(H))
+    """Quaternion Gram matrix T^* T = H H^* as a (4, n, n) plane array.
+
+    One real GEMM of the stacked planes Hf = [H0; H1; H2; H3] with its
+    own transpose gives every H_c H_d^T, and _HAMILTON_CONJ_B combines
+    the 16 blocks.
+    """
+    n = H.shape[1]
+    Hf = H.reshape(4 * n, -1)
+    blocks = (Hf @ Hf.T).reshape(4, n, 4, n).transpose(0, 2, 1, 3).reshape(16, -1)
+    return (_HAMILTON_CONJ_B @ blocks).reshape(4, n, n)
 
 
 def _projector(W):
@@ -269,12 +295,13 @@ def _projector(W):
 
 # The Hamilton table as (4, 16) real coefficients, read off hamilton_planes
 # with one-hot operands: plane o of a b is sum_{c,d} _HAMILTON[o, 4c + d] a_c b_d,
-# and plane o of a^* b is the same sum over _HAMILTON_CONJ_A.
+# and plane o of a^* b (a b^*) is the same sum over _HAMILTON_CONJ_A (_B).
 _ONE_HOT = np.eye(16).reshape(4, 4, 16)
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 _HAMILTON = np.stack(hamilton_planes(range(4), range(4), lambda c, d: _ONE_HOT[c, d]))
 _HAMILTON_CONJ_A = np.stack(hamilton_planes(range(4), range(4),
                                             lambda c, d: _CONJ[c] * _ONE_HOT[c, d]))
+_HAMILTON_CONJ_B = np.stack(hamilton_planes(range(4), range(4),
+                                            lambda c, d: _CONJ[d] * _ONE_HOT[c, d]))
 
 
 class _GramObjective:
@@ -382,7 +409,8 @@ def _sphere_step(y, p, cur_mods, init_mods):
     starting iterate; only 0 < p < 1 reads them.  Every modulus here is
     derived from the one modulus array of y.
     """
-    mods = np.sqrt((y * y).sum(axis=0))
+    sq = (y * y).sum(axis=0)
+    mods = np.sqrt(sq)
     top = float(mods.max(initial=0.0))
     if top <= 0.0:
         raise DegenerateDirection("ascent vector is zero")
@@ -394,7 +422,9 @@ def _sphere_step(y, p, cur_mods, init_mods):
     if p == 1:
         j = int(np.argmax(mods))
         w, w_mods = np.zeros_like(y), np.zeros_like(mods)
-        w[:, j] = Quaternion.from_components(y[:, j]).sign().components
+        # y_j / |y_j|, by hypot where the squares under- or overflowed
+        r = mods[j] if sys.float_info.min <= sq[j] < math.inf else math.hypot(*y[:, j])
+        w[:, j] = y[:, j] / r
         w_mods[j] = 1.0
         return w, w_mods
 
@@ -506,11 +536,43 @@ def _fit_side(obj, n, count, params, side, rng):
     return QMatrix.from_columns(vectors), np.array(values), traces
 
 
+def _eigenbasis(G, k):
+    """Top-k eigenvalues (descending) and orthonormal eigenvectors of Gram planes G."""
+    pairs = hermitian_topk_eig(QMatrix(G), k)
+    return np.array([lam for lam, _ in pairs]), QMatrix.from_columns([v for _, v in pairs])
+
+
+def _eigen_side(S, count, side):
+    """s = p = 2: one side's basis as the top eigenvectors of its Gram matrix.
+
+    The eigenvalue of the unscaled G is the objective w^* G w, the value
+    the ascent stores.  An eigenvalue within round-off of zero (relative
+    to the largest) means the data span fewer than ``count`` directions.
+    """
+    d, W = _eigenbasis(_gram(_wide(S, side)), count)
+    floor = 4 * W.m * np.finfo(float).eps * max(d[0], 0.0)
+    for t, f in enumerate(d):
+        if not f > floor:
+            raise DegenerateDirection(
+                f"{side} direction {t}: Gram eigenvalue {f:.3e} is not positive "
+                f"beyond round-off ({floor:.1e}); the data span fewer directions",
+                index=t)
+    norms = np.sqrt((W.data * W.data).sum(axis=(0, 1)))
+    traces = [DirectionTrace(side=side, index=t, objective_history=[float(f)],
+                             pnorm_history=[float(r)], iterations=0, converged=True,
+                             final_objective=float(f), stop_reason="eigensolve")
+              for t, (f, r) in enumerate(zip(d, norms))]
+    return W, d, traces
+
+
 def fit(samples, params):
     """Fit both projection bases on a centered sample set.
 
     Right directions come first, then left directions on the
-    conjugate-transposed samples; the two passes are independent.
+    conjugate-transposed samples; the two passes are independent.  At
+    s = p = 2 each side is one eigensolve of its Gram matrix, and raises
+    DegenerateDirection (with the direction's index) when the data span
+    fewer directions than requested; other (s, p) run the ascent.
     Returns a :class:`BasisPair` carrying the training mean and a
     per-direction :class:`FitReport`.  Raises InvalidDataset when a
     sample holds a NaN or infinite entry.
@@ -520,12 +582,15 @@ def fit(samples, params):
     S = _sample_stack(samples)
     m, n = S.shape[2:]
     params.validate(m, n)
-    rng = np.random.default_rng(params.seed)
-
-    V, d_right, right_traces = _fit_side(_objective_for(_wide(S), params.s), n,
-                                         params.k2, params, "right", rng)
-    U, d_left, left_traces = _fit_side(_objective_for(_wide(S, "left"), params.s), m,
-                                       params.k1, params, "left", rng)
+    if params.s == 2 and params.p == 2:
+        V, d_right, right_traces = _eigen_side(S, params.k2, "right")
+        U, d_left, left_traces = _eigen_side(S, params.k1, "left")
+    else:
+        rng = np.random.default_rng(params.seed)
+        V, d_right, right_traces = _fit_side(_objective_for(_wide(S), params.s), n,
+                                             params.k2, params, "right", rng)
+        U, d_left, left_traces = _fit_side(_objective_for(_wide(S, "left"), params.s), m,
+                                           params.k1, params, "left", rng)
 
     mean = getattr(samples, "mean", None)
     if mean is None:
@@ -540,16 +605,15 @@ def covariance_baseline(samples, k):
 
     The samples are expected to be centered already.  Returns
     (eigenvalues, W) with eigenvalues descending and W the n x k matrix
-    of orthonormal eigenvectors.  At s = p = 2 the ascent fit converges
-    to the same subspaces, which makes this a direct cross-check.
+    of orthonormal eigenvectors.  The s = p = 2 fit takes the same
+    eigenvectors from the unscaled G, and its objectives are l times
+    these eigenvalues.
     """
     S = _sample_stack(samples)
     n = S.shape[3]
     if not 1 <= k <= n:
         raise InvalidParameter(f"k must satisfy 1 <= k <= {n}, got {k}")
-    G = QMatrix(_gram(_wide(S))) / len(S)
-    pairs = hermitian_topk_eig(G, k)
-    return np.array([lam for lam, _ in pairs]), QMatrix.from_columns([v for _, v in pairs])
+    return _eigenbasis(_gram(_wide(S)) / len(S), k)
 
 
 def deflated_residuals(samples, basis):

@@ -164,7 +164,9 @@ def test_fit_writes_basis_and_reports(workspace, capsys):
 
 def test_fit_reports_iteration_cap(workspace, capsys):
     cfg = workspace["tmp"] / "capped.cfg"
-    cfg.write_text(workspace["cfg"].read_text() + "model.tol = 1e-12\nmodel.max_iter = 1\n")
+    # s = p = 2 is an eigensolve without iterations; p = 1.5 still ascends
+    text = workspace["cfg"].read_text().replace("model.p = 2\n", "model.p = 1.5\n")
+    cfg.write_text(text + "model.tol = 1e-12\nmodel.max_iter = 1\n")
     rc, out, _ = run(capsys, ["fit", "--config", str(cfg),
                               "--basis", str(workspace["basis"])])
     assert rc == 0

@@ -31,13 +31,14 @@ from quatpca import (
     real_repr,
     solve_direction,
 )
-from quatpca.quaternion import plane_matmul
+from quatpca.quaternion import plane_conj_transpose, plane_matmul
 from quatpca.solver import _GramObjective, _StackObjective, _gram, _wide
 from conftest import (
     max_principal_angle,
     planted_samples,
     random_orthonormal_columns,
     random_qmatrix,
+    stacked_right_singular_basis,
 )
 
 TIGHT = FitParams(s=2.0, p=2.0, k1=2, k2=2, tol=1e-12)
@@ -108,6 +109,16 @@ def test_lp_update_p1_takes_largest_entry():
 def test_lp_update_p1_keeps_sign_and_breaks_ties_low():
     w = lp_update(entries(-2.0, 2.0), 1.0)
     assert w.entry(0) == Quaternion(-1.0)
+    assert w.entry(1) == Quaternion(0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e200])
+def test_lp_update_p1_sign_survives_squares_out_of_range(scale):
+    # the squared moduli are subnormal at 1e-160 and overflow at 1e200
+    y = entries(Quaternion(0.0, 3.0 * scale, 0.0, -4.0 * scale), 1e-3 * scale)
+    with np.errstate(over="ignore"):
+        w = lp_update(y, 1.0)
+    assert w.entry(0).isclose(Quaternion(0.0, 0.6, 0.0, -0.8), tol=1e-15)
     assert w.entry(1) == Quaternion(0.0)
 
 
@@ -296,6 +307,34 @@ def test_fit_degenerate_direction_carries_index():
     assert err.value.index == 1
 
 
+def test_fit_degenerate_left_direction_carries_index():
+    data = np.zeros((4, 2, 2))
+    data[1, 0, 0] = 3.0  # rank one: only a single left direction exists
+    F = QMatrix(data)
+    ss = center(SampleSet.build([("a", F), ("b", -F)]))
+    with pytest.raises(DegenerateDirection, match="left direction 1") as err:
+        fit(ss, FitParams(s=2.0, p=2.0, k1=2, k2=1))
+    assert err.value.index == 1
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_eigensolve_rejects_round_off_rank(side):
+    # Rank two up to round-off: the third Gram eigenvalue is noise, and
+    # the fit raises instead of returning a null-space vector.
+    rng = np.random.default_rng(37)
+    Y = random_qmatrix(rng, 2, 5)
+    mats = [random_qmatrix(rng, 5, 2) @ Y for _ in range(6)]
+    if side == "left":
+        mats = [F.H for F in mats]
+    ss = center(SampleSet.build([(str(t), F) for t, F in enumerate(mats)]))
+    k1, k2 = (1, 3) if side == "right" else (3, 1)
+    with pytest.raises(DegenerateDirection, match=f"{side} direction 2") as err:
+        fit(ss, FitParams(s=2.0, p=2.0, k1=k1, k2=k2))
+    assert err.value.index == 2
+    basis = fit(ss, FitParams(s=2.0, p=2.0, k1=min(k1, 2), k2=min(k2, 2)))
+    assert basis.k1 == min(k1, 2) and basis.k2 == min(k2, 2)
+
+
 # -- truncation ---------------------------------------------------------
 
 
@@ -394,7 +433,8 @@ def test_low_p_ascent_never_lowers_objective(seed, s):
 
 
 def test_stop_reason_iteration_cap(diag_samples):
-    basis = fit(diag_samples, FitParams(s=2.0, p=2.0, k1=1, k2=1, tol=1e-12, max_iter=1))
+    # s = p = 2 is an eigensolve without iterations; p = 1.5 still ascends
+    basis = fit(diag_samples, FitParams(s=2.0, p=1.5, k1=1, k2=1, tol=1e-12, max_iter=1))
     trace = basis.report.right[0]
     assert trace.stop_reason == "iteration cap"
     assert not trace.converged and trace.iterations == 1
@@ -545,7 +585,7 @@ def _gap_sets():
 
 
 @pytest.mark.parametrize("data", ["planted", "small-gap"])
-@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, math.inf])
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, math.inf])
 def test_gram_fit_matches_stack_oracle(data, p):
     ss = _gap_sets()[data]
     params = FitParams(s=2.0, p=p, k1=3, k2=3)
@@ -559,6 +599,55 @@ def test_gram_fit_matches_stack_oracle(data, p):
     assert basis.U.allclose(U, tol=1e-8)
     assert basis.d_right == pytest.approx(d_right, rel=1e-8, abs=1e-8)
     assert basis.d_left == pytest.approx(d_left, rel=1e-8, abs=1e-8)
+
+
+# -- s = p = 2: the exact eigensolve --------------------------------------
+
+
+def _projector_distance(A, B):
+    """Spectral norm of the difference of the realified column projectors."""
+    Ra = A if isinstance(A, np.ndarray) else real_repr(A)
+    Rb = B if isinstance(B, np.ndarray) else real_repr(B)
+    return float(np.linalg.norm(Ra @ Ra.T - Rb @ Rb.T, 2))
+
+
+@pytest.mark.parametrize("data", ["planted", "small-gap"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_quadratic_fit_matches_eigen_oracles(data, k):
+    ss = _gap_sets()[data]
+    basis = fit(ss, FitParams(s=2.0, p=2.0, k1=k, k2=k))
+    images = list(ss.images())
+    for W, d, mats in ((basis.V, basis.d_right, images),
+                       (basis.U, basis.d_left, [F.H for F in images])):
+        evals, E = covariance_baseline(mats, k)
+        oracle, _ = stacked_right_singular_basis(mats, k)
+        assert _projector_distance(W, E) <= 1e-10
+        assert _projector_distance(W, oracle) <= 1e-10
+        assert d == pytest.approx(len(ss) * evals, rel=1e-10)
+
+
+def test_quadratic_fit_traces_name_the_eigensolve(diag_samples):
+    basis = fit(diag_samples, FitParams(s=2.0, p=2.0, k1=2, k2=2))
+    for trace, d in zip(basis.report.all_traces(),
+                        np.concatenate([basis.d_right, basis.d_left])):
+        assert trace.stop_reason == "eigensolve"
+        assert trace.converged and trace.iterations == 0
+        assert trace.objective_history == [trace.final_objective] == [d]
+        assert trace.pnorm_history == pytest.approx([1.0], abs=1e-14)
+    # tol, max_iter, init and seed do not enter the eigensolve
+    other = fit(diag_samples, FitParams(s=2.0, p=2.0, k1=2, k2=2, tol=0.5, max_iter=1,
+                                        init="random", seed=9))
+    assert np.array_equal(other.V.data, basis.V.data)
+    assert np.array_equal(other.U.data, basis.U.data)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_gram_matches_plane_matmul(side):
+    rng = np.random.default_rng(38)
+    for count, m, n in ((1, 1, 1), (5, 3, 7), (12, 9, 4)):
+        H = _wide(rng.standard_normal((count, 4, m, n)), side)
+        ref = plane_matmul(H, plane_conj_transpose(H))
+        assert np.max(np.abs(_gram(H) - ref)) <= 1e-12 * np.abs(ref).max()
 
 
 # -- determinism across BLAS thread counts -------------------------------
@@ -579,25 +668,31 @@ for s in (2.0, 1.0):
 """
 
 
-def test_fit_bytes_independent_of_blas_threads():
+def _thread_digests(p):
+    """Fit digests of _DIGEST_SCRIPT at sphere exponent p, under 1 and 2 BLAS threads."""
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, "1.5"], env=env,
+        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, p], env=env,
                              capture_output=True, text=True, check=True)
         digests.append(out.stdout.split())
     assert len(digests[0]) == 2
-    assert digests[0] == digests[1]
+    return digests
+
+
+def test_fit_bytes_independent_of_blas_threads():
+    one, two = _thread_digests("1.5")
+    assert one == two
+
+
+def test_fit_bytes_independent_of_blas_threads_eigensolve():
+    # p = 2: the s = 2 fit is the eigensolve, the s = 1 fit the MM ascent
+    one, two = _thread_digests("2.0")
+    assert one == two
 
 
 def test_fit_bytes_independent_of_blas_threads_low_p():
     # p = 0.5 at s = 2 and s = 1: the robust sparse fits, whose s = 1
     # ascent products and deflations run as batched GEMMs.
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, "0.5"], env=env,
-                             capture_output=True, text=True, check=True)
-        digests.append(out.stdout.split())
-    assert len(digests[0]) == 2
-    assert digests[0] == digests[1]
+    one, two = _thread_digests("0.5")
+    assert one == two
