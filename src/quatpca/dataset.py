@@ -334,18 +334,18 @@ def center(sample_set):
 def split(sample_set, fractions, seed):
     """Stratified (train, validation, test) split.
 
-    ``fractions`` are three nonnegative numbers summing to one.  Within
-    each class, the validation and test parts receive floor(fraction *
-    count) samples but at least one when their fraction is nonzero;
-    leftovers go to the training part (or to the largest nonzero part
-    when the training fraction is zero).  The shuffle is driven only by
-    ``seed``, and each part keeps the original sample order.
+    ``fractions`` are three finite nonnegative numbers summing to one.
+    Within each class, the validation and test parts receive
+    floor(fraction * count) samples but at least one when their fraction
+    is nonzero; leftovers go to the training part (or to the largest
+    nonzero part when the training fraction is zero).  The shuffle is
+    driven only by ``seed``, and each part keeps the original sample order.
     """
     fracs = [float(x) for x in fractions]
     if len(fracs) != 3:
         raise InvalidParameter(f"expected three split fractions, got {len(fracs)}")
-    if any(x < 0 for x in fracs):
-        raise InvalidParameter(f"split fractions must be nonnegative, got {fracs}")
+    if not all(0 <= x < math.inf for x in fracs):
+        raise InvalidParameter(f"split fractions must be finite and nonnegative, got {fracs}")
     if abs(sum(fracs) - 1.0) > 1e-9:
         raise InvalidParameter(f"split fractions must sum to 1, got {sum(fracs)}")
     nonzero = sum(1 for x in fracs if x > 0)
@@ -410,7 +410,7 @@ def save_basis(basis, path):
 
 
 def load_basis(path):
-    """Read a BasisPair back; rejects malformed files with FormatError."""
+    """Read a BasisPair back; rejects malformed or non-finite payloads with FormatError."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -427,6 +427,7 @@ def load_basis(path):
     s, p = struct.unpack_from("<dd", data, 4 + struct.calcsize("<IIIII"))
 
     counts = [m * k1] * 4 + [n * k2] * 4 + [k1, k2] + [m * n] * 4
+    names = ["U"] * 4 + ["V"] * 4 + ["d_left", "d_right"] + ["mean"] * 4
     expected = header_size + 8 * sum(counts)
     if len(data) < expected:
         raise FormatError(f"{path}: truncated payload ({len(data)} of {expected} bytes)")
@@ -435,8 +436,10 @@ def load_basis(path):
 
     pos = header_size
     arrays = []
-    for count in counts:
+    for name, count in zip(names, counts):
         arrays.append(np.frombuffer(data, dtype="<f8", count=count, offset=pos))
+        if not np.isfinite(arrays[-1]).all():
+            raise FormatError(f"{path}: {name} holds a non-finite value (NaN or inf)")
         pos += 8 * count
 
     try:

@@ -9,7 +9,9 @@ of Wr span the right-unit images w, w i, w j, w k of every basis vector.
 Eigenpairs of a Hermitian quaternion matrix are recovered from the
 symmetric eigendecomposition of its real representation, where every
 quaternion eigenvalue appears four times; the same projection keeps one
-real eigenvector per group.
+real eigenvector per group.  No product here writes the Hamilton table
+out: the right-unit images of w are the real representation of w as an
+n x 1 matrix, and the phase fix is ``plane_matmul`` with w on the left.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDirection, InvalidParameter, ShapeError
-from .quaternion import _CONJ, QMatrix, QVector, hamilton_planes
+from .quaternion import _CONJ, QMatrix, QVector, _real_repr, plane_matmul
 
 __all__ = [
     "mgs_orthonormalize",
@@ -33,9 +35,6 @@ HERMITIAN_RTOL = 1e-10
 # multiple of one already extracted.  Duplicates sit at round-off level,
 # genuinely new directions carry O(1) mass.
 _DUPLICATE_TOL = 1e-5
-
-# Component c of the unit quaternion e_d (e = 1, i, j, k) is _UNITS[c, d].
-_UNITS = np.eye(4)
 
 
 def mgs_orthonormalize(vnew, basis, degenerate_tol=DEGENERATE_TOL):
@@ -74,7 +73,7 @@ def _canonical_phase(w):
     mods = np.sqrt((w * w).sum(axis=0))
     t = int(np.argmax(mods > 1e-8 * mods.max()))
     q = w[:, t] * _CONJ / mods[t]
-    w = np.stack(hamilton_planes(w, q, np.multiply))
+    w = plane_matmul(w[:, :, None], q[:, None, None])[:, :, 0]
     return w / np.linalg.norm(w)
 
 
@@ -109,7 +108,8 @@ def hermitian_topk_eig(G, k, hermitian_rtol=HERMITIAN_RTOL):
     evals, evecs = np.linalg.eigh(R)
 
     # images[:, c, j] is the real layout of w_j e_c (e = 1, i, j, k), so
-    # images[:, :, :a] flattens to real_repr of the first a columns.
+    # images[:, :, j] is the real representation of w_j as an n x 1 matrix
+    # and images[:, :, :a] flattens to real_repr of the first a columns.
     images = np.empty((4 * n, 4, k))
     evals_kept, vectors = [], []
     for idx in range(4 * n - 1, -1, -1):
@@ -122,8 +122,7 @@ def hermitian_topk_eig(G, k, hermitian_rtol=HERMITIAN_RTOL):
         if r < _DUPLICATE_TOL:
             continue
         w = v.reshape(4, n) / r
-        images[:, :, len(vectors)] = np.stack(
-            hamilton_planes(w, _UNITS, np.multiply.outer)).reshape(4 * n, 4)
+        images[:, :, len(vectors)] = _real_repr(w[:, :, None])
         evals_kept.append(float(evals[idx]))
         vectors.append(w)
         if len(vectors) == k:

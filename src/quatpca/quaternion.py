@@ -15,6 +15,12 @@ matrix F to the 4m x 4n real block matrix
 
 and a length-n vector w to the stacked real vector [w0; w1; w2; w3].
 Quaternion products agree with real products of these representations.
+This block pattern is the Hamilton multiplication table, and it is
+written once, as _PLANE and _SIGN below.  Every quaternion product in
+the package goes through it: :func:`plane_matmul` expands its left
+operand to the real representation and makes one real GEMM with the
+stacked planes of its right operand, so callers put the small operand
+(a basis) on the left.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ __all__ = [
     "lp_norm",
     "real_scale",
     "real_repr",
-    "hamilton_planes",
     "plane_matmul",
     "plane_conj_transpose",
 ]
@@ -46,22 +51,26 @@ __all__ = [
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def hamilton_planes(a, b, mul):
-    """Combine two 4-tuples of real operands with the Hamilton sign pattern.
+# Block (o, d) of the real representation is _SIGN[o, d] times plane
+# _PLANE[o, d]; equivalently, plane o of a b is sum_d _SIGN[o, d] a_{_PLANE[o, d]} b_d.
+_PLANE = np.array([[0, 1, 2, 3],
+                   [1, 0, 3, 2],
+                   [2, 3, 0, 1],
+                   [3, 2, 1, 0]])
+_SIGN = np.array([[1.0, -1.0, -1.0, -1.0],
+                  [1.0, 1.0, -1.0, 1.0],
+                  [1.0, 1.0, 1.0, -1.0],
+                  [1.0, -1.0, 1.0, 1.0]])
 
-    ``mul`` multiplies one pair of real operands (scalars, arrays, or any
-    bilinear contraction such as a matrix product).  Returns the four
-    component planes of the quaternion product.  This is the single place
-    where the multiplication table lives.
-    """
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
-        mul(a0, b0) - mul(a1, b1) - mul(a2, b2) - mul(a3, b3),
-        mul(a0, b1) + mul(a1, b0) + mul(a2, b3) - mul(a3, b2),
-        mul(a0, b2) - mul(a1, b3) + mul(a2, b0) + mul(a3, b1),
-        mul(a0, b3) + mul(a1, b2) - mul(a2, b1) + mul(a3, b0),
-    )
+
+def _real_repr(planes):
+    """Real representations of a (..., 4, m, n) plane array, as (..., 4m, 4n)."""
+    *lead, _, m, n = planes.shape
+    out = np.empty((*lead, 4, m, 4, n))
+    # One gather of the planes into blocks (o, d), signed in place.
+    np.multiply(planes[..., _PLANE, :, :], _SIGN[:, :, None, None],
+                out=np.moveaxis(out, -2, -3))
+    return out.reshape(*lead, 4 * m, 4 * n)
 
 
 def plane_matmul(A, B):
@@ -69,10 +78,12 @@ def plane_matmul(A, B):
 
     ``A`` has shape (..., 4, m, n) and ``B`` shape (..., 4, n, k); the
     leading axes broadcast against each other.  Returns (..., 4, m, k).
+    This is one real GEMM, real_repr(A) [B0; B1; B2; B3], so only ``A``
+    is expanded fourfold: keep the larger operand on the right.
     """
-    a = tuple(A[..., c, :, :] for c in range(4))
-    b = tuple(B[..., c, :, :] for c in range(4))
-    return np.stack(hamilton_planes(a, b, np.matmul), axis=-3)
+    *_, n, k = B.shape
+    C = _real_repr(A) @ B.reshape(*B.shape[:-3], 4 * n, k)
+    return C.reshape(*C.shape[:-2], 4, A.shape[-2], k)
 
 
 def plane_conj_transpose(A):
@@ -118,12 +129,8 @@ class Quaternion:
 
     def __mul__(self, other):
         other = _as_quaternion(other)
-        planes = hamilton_planes(
-            (self.w0, self.w1, self.w2, self.w3),
-            (other.w0, other.w1, other.w2, other.w3),
-            lambda x, y: x * y,
-        )
-        return Quaternion(*planes)
+        return Quaternion.from_components(
+            _real_repr(self.components[:, None, None]) @ other.components)
 
     def __rmul__(self, other):
         return _as_quaternion(other) * self
@@ -212,10 +219,6 @@ class QVector:
     def __len__(self):
         return self.n
 
-    @property
-    def planes(self):
-        return tuple(self._data[c] for c in range(4))
-
     def entry(self, t):
         return Quaternion.from_components(self._data[:, t])
 
@@ -250,16 +253,13 @@ class QVector:
     def rmul(self, q):
         """Right scalar multiplication: entries v_t * q."""
         q = _as_quaternion(q)
-        planes = hamilton_planes(self.planes, (q.w0, q.w1, q.w2, q.w3),
-                                 lambda x, y: x * y)
-        return QVector(np.stack(planes))
+        return QVector(plane_matmul(self._data[:, :, None], q.components[:, None, None])[:, :, 0])
 
     def inner(self, other):
         """Quaternion inner product self^* other = sum conj(self_t) other_t."""
         self._check_same(other)
-        a = (self._data[0], -self._data[1], -self._data[2], -self._data[3])
-        planes = hamilton_planes(a, other.planes, np.dot)
-        return Quaternion(*(float(p) for p in planes))
+        row = plane_conj_transpose(self._data[:, :, None])
+        return Quaternion.from_components(plane_matmul(row, other._data[:, :, None])[:, 0, 0])
 
     def abs(self):
         """Entrywise moduli as a real (n,) array, with the rule of ``abs(Quaternion)``."""
@@ -484,13 +484,7 @@ class QMatrix:
 
     def real_repr(self):
         """The 4m x 4n real structure-preserving representation."""
-        q0, q1, q2, q3 = self._data
-        return np.block([
-            [q0, -q1, -q2, -q3],
-            [q1, q0, -q3, q2],
-            [q2, q3, q0, -q1],
-            [q3, -q2, q1, q0],
-        ])
+        return _real_repr(self._data)
 
     def allclose(self, other, tol=1e-12):
         self._check_same(other)

@@ -44,8 +44,8 @@ def _rebuild_bases(basis, scheme):
 
 
 def _rebuild(P, A, B, mean):
-    """Images A P_i B^* + mean of a (N, 4, k1, k2) feature stack, as (N, 4, m, n)."""
-    R = plane_matmul(plane_matmul(A, P), plane_conj_transpose(B))
+    """Images A P_i B^* + mean = A (B P_i^*)^* + mean of a (N, 4, k1, k2) stack."""
+    R = plane_matmul(A, plane_conj_transpose(plane_matmul(B, plane_conj_transpose(P))))
     R += mean.data
     return R
 
@@ -109,9 +109,9 @@ def sweep_ratios(samples, basis, scheme, K):
     if len(samples) == 0:
         raise InvalidDataset("need at least one sample to compute a ratio")
     # Checks run in the per-k order: all of k = 1's, then each larger k's weights.
-    X = _checked_stack(centered_stack(samples, basis), basis, samples.samples)
-    inverses = [_rebuild_bases(prefixes[0], scheme)]
     F = np.stack([s.image.data for s in samples.samples])
+    X = _checked_stack(F if samples.centered else F - basis.mean.data, basis, samples.samples)
+    inverses = [_rebuild_bases(prefixes[0], scheme)]
     nf = _norms(F)
     if np.any(nf == 0.0):
         raise InvalidDataset("zero-norm original has no relative error")

@@ -29,13 +29,14 @@ per-iteration cost no longer grows with the sample count.  Other s keep
 H alone and compute P = T w once per iterate, then take the objective
 and the ascent vector T^* (|P|^(s-2) (.) P) from it.  Each of the two
 products reads H once in one batched GEMM over its four planes, and the
-Hamilton table of ``hamilton_planes`` combines the 16 real products.
-Both paths deflate through the real representation Rp of I - WW^*:
-G <- (I - WW^*) G (I - WW^*) is R <- Rp R Rp, and H <- (I - WW^*) H is
-the one GEMM Rp [H0; H1; H2; H3].  A step that lowers the objective
-(possible for 0 < p < 1) is rejected and ends the direction on the
-previous iterate.  :func:`solve_direction` and :func:`mm_update` run this
-ascent for any (s, p), s = p = 2 included.
+Hamilton table of ``quaternion``, as 4 x 16 real coefficients, combines
+the 16 real products.  Both paths deflate through the real
+representation Rp of I - WW^*: G <- (I - WW^*) G (I - WW^*) is
+R <- Rp R Rp, and H <- (I - WW^*) H is the one ``plane_matmul`` GEMM
+Rp [H0; H1; H2; H3], which expands the projector, never H.  A step that
+lowers the objective (possible for 0 < p < 1) is rejected and ends the
+direction on the previous iterate.  :func:`solve_direction` and
+:func:`mm_update` run this ascent for any (s, p), s = p = 2 included.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import DegenerateDirection, InvalidDataset, InvalidParameter, ShapeError
 from .qlinalg import hermitian_topk_eig, mgs_orthonormalize
-from .quaternion import (_CONJ, QMatrix, QVector, _moduli_lp_norm, hamilton_planes, lp_norm,
+from .quaternion import (_CONJ, QMatrix, QVector, _moduli_lp_norm, _real_repr, lp_norm,
                          plane_conj_transpose, plane_matmul)
 
 __all__ = [
@@ -287,21 +288,19 @@ def _gram(H):
 
 
 def _projector(W):
-    """Planes of I - W W^* for a QMatrix W with orthonormal columns."""
-    P = -plane_matmul(W.data, plane_conj_transpose(W.data))
+    """Planes of I - W W^* for a QMatrix W with orthonormal columns (W W^* is _gram(W))."""
+    P = -_gram(W.data)
     P[0] += np.eye(W.m)
     return P
 
 
-# The Hamilton table as (4, 16) real coefficients, read off hamilton_planes
-# with one-hot operands: plane o of a b is sum_{c,d} _HAMILTON[o, 4c + d] a_c b_d,
-# and plane o of a^* b (a b^*) is the same sum over _HAMILTON_CONJ_A (_B).
-_ONE_HOT = np.eye(16).reshape(4, 4, 16)
-_HAMILTON = np.stack(hamilton_planes(range(4), range(4), lambda c, d: _ONE_HOT[c, d]))
-_HAMILTON_CONJ_A = np.stack(hamilton_planes(range(4), range(4),
-                                            lambda c, d: _CONJ[c] * _ONE_HOT[c, d]))
-_HAMILTON_CONJ_B = np.stack(hamilton_planes(range(4), range(4),
-                                            lambda c, d: _CONJ[d] * _ONE_HOT[c, d]))
+# The Hamilton table as (4, 16) real coefficients, read off the real
+# representations of the units e_c: plane o of a b is sum_{c,d}
+# _HAMILTON[o, 4c + d] a_c b_d, and conjugating a (b) signs the c (d) axis.
+_TABLE = _real_repr(np.eye(4)[:, :, None, None]).transpose(1, 0, 2)
+_HAMILTON = _TABLE.reshape(4, 16)
+_HAMILTON_CONJ_A = (_TABLE * _CONJ[:, None]).reshape(4, 16)
+_HAMILTON_CONJ_B = (_TABLE * _CONJ).reshape(4, 16)
 
 
 class _GramObjective:
@@ -312,7 +311,7 @@ class _GramObjective:
     """
 
     def __init__(self, H):
-        self.R = QMatrix(_gram(H)).real_repr()
+        self.R = _real_repr(_gram(H))
 
     def evaluate(self, w):
         wr = w.reshape(-1)
@@ -321,7 +320,7 @@ class _GramObjective:
 
     def deflate(self, P):
         # G <- P G P, as real GEMMs with the real representation of P.
-        Rp = QMatrix(P).real_repr()
+        Rp = _real_repr(P)
         self.R = Rp @ self.R @ Rp
 
 
@@ -349,10 +348,8 @@ class _StackObjective:
         return float(np.sum(A ** self.s)), y
 
     def deflate(self, P):
-        # T <- T P with P Hermitian, so T^* <- P T^*: one real GEMM of the
-        # real representation of P with the stacked planes [H0; H1; H2; H3].
-        n = self.H.shape[1]
-        self.H = (QMatrix(P).real_repr() @ self.H.reshape(4 * n, -1)).reshape(4, n, -1)
+        # T <- T P with P Hermitian, so T^* <- P T^*.
+        self.H = plane_matmul(P, self.H)
 
 
 def _objective_for(H, s):
@@ -617,7 +614,8 @@ def covariance_baseline(samples, k):
 
 
 def deflated_residuals(samples, basis):
-    """Left- and right-deflated samples (I - UU^*) F_i and F_i (I - VV^*)."""
+    """Left- and right-deflated samples (I - UU^*) F_i and F_i (I - VV^*) = (P F_i^*)^*."""
     S = _sample_stack(samples)
+    right = plane_matmul(_projector(basis.V), plane_conj_transpose(S))
     return ([QMatrix(L) for L in plane_matmul(_projector(basis.U), S)],
-            [QMatrix(R) for R in plane_matmul(S, _projector(basis.V))])
+            [QMatrix(R) for R in plane_conj_transpose(right)])

@@ -15,8 +15,8 @@ unweighted, and rescales those features for every manner: the weights
 are real diagonal matrices, so (U D)^* F (V E) = D (U^* F V) E.
 
 :func:`project_stack` projects a whole (N, 4, m, n) stack of centered
-images with two broadcasting quaternion products; :func:`project` is its
-one-image case.
+images as A^* X B = (B^* (A^* X)^*)^*: two real GEMMs that each expand a
+basis, never the stack.  :func:`project` is its one-image case.
 """
 
 from __future__ import annotations
@@ -137,8 +137,9 @@ def _checked_stack(X, basis, samples=None):
 
 
 def _project(X, A, B):
-    """Features A^* X_i B of a checked stack, given the (weighted) basis planes."""
-    return plane_matmul(plane_conj_transpose(A), plane_matmul(X, B))
+    """Features A^* X_i B = (B^* (A^* X_i)^*)^* of a checked stack, given the basis planes."""
+    Y = plane_conj_transpose(plane_matmul(plane_conj_transpose(A), X))
+    return plane_conj_transpose(plane_matmul(plane_conj_transpose(B), Y))
 
 
 def project_stack(X, basis, scheme=WeightingScheme(Manner.UNWEIGHTED), samples=None):

@@ -245,6 +245,18 @@ def test_recognize_corrupt_basis(workspace, capsys):
     assert "error:" in err
 
 
+def test_recognize_rejects_non_finite_basis(workspace, capsys):
+    fit_workspace(capsys, workspace)
+    data = bytearray(workspace["basis"].read_bytes())
+    # The payload starts after the 40-byte header, with the planes of U first.
+    data[40:48] = np.array([np.nan], dtype="<f8").tobytes()
+    workspace["basis"].write_bytes(bytes(data))
+    rc, _, err = run(capsys, ["recognize", "--config", str(workspace["cfg"]),
+                              "--basis", str(workspace["basis"])])
+    assert rc == 1
+    assert "U holds a non-finite value" in err
+
+
 def test_recognize_dimension_mismatch(workspace, capsys, tmp_path, rng):
     fit_workspace(capsys, workspace)
     other_root = tmp_path / "small"
@@ -474,15 +486,20 @@ for argv in (["fit", "--config", cfg, "--basis", basis],
 """
 
 
-def test_recognize_and_selection_bytes_independent_of_blas_threads(tmp_path, rng):
+# (s, p) = (2, 2) is the eigensolve, (2, 1.5) the Gram ascent, (1, 0.5) the stack ascent.
+_THREAD_GRID = [(2, 1.5), (2, 2), (1, 0.5)]
+
+
+@pytest.mark.parametrize("s, p", _THREAD_GRID)
+def test_recognize_and_selection_bytes_independent_of_blas_threads(tmp_path, rng, s, p):
     root = tmp_path / "data"
     write_image_tree(root, {f"c{c}": [random_rgb(rng, 12, 10) for _ in range(8)]
                             for c in range(5)})
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"""dataset.root = {root}
 dataset.split = [0.5, 0, 0.5]
-model.s = 2
-model.p = 1.5
+model.s = {s}
+model.p = {p}
 model.k1 = 4
 model.k2 = 3
 weighting.manner = weighted-both
@@ -495,7 +512,8 @@ selection.repeats = 2
                    PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", _PIPELINE_SCRIPT, str(cfg), str(tmp_path)],
                              env=env, capture_output=True, text=True, check=True)
-        runs.append((out.stdout, (tmp_path / "confusion.csv").read_bytes(),
+        runs.append((out.stdout, (tmp_path / "fitted.bqp").read_bytes(),
+                     (tmp_path / "confusion.csv").read_bytes(),
                      (tmp_path / "manifest.json").read_bytes()))
     assert "accuracy:" in runs[0][0] and "<- chosen" in runs[0][0]
     assert runs[0] == runs[1]
@@ -515,15 +533,16 @@ for argv in (["fit", "--config", cfg, "--basis", basis],
 """
 
 
-def test_sweep_csv_bytes_independent_of_blas_threads(tmp_path, rng):
+@pytest.mark.parametrize("s, p", _THREAD_GRID)
+def test_sweep_csv_bytes_independent_of_blas_threads(tmp_path, rng, s, p):
     root = tmp_path / "data"
     write_image_tree(root, {f"c{c}": [random_rgb(rng, 12, 10) for _ in range(8)]
                             for c in range(5)})
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"""dataset.root = {root}
 dataset.split = [0.5, 0, 0.5]
-model.s = 2
-model.p = 1.5
+model.s = {s}
+model.p = {p}
 model.k1 = 5
 model.k2 = 4
 weighting.manner = weighted-both
@@ -536,7 +555,7 @@ weighting.transform = inverse-log
                    PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", _SWEEP_SCRIPT, str(cfg), str(tmp_path)],
                        env=env, capture_output=True, text=True, check=True)
-        runs.append(tuple((tmp_path / f"{name}.csv").read_bytes()
-                          for name in ("recognize", "reconstruct")))
-    assert len(runs[0][0].splitlines()) == len(runs[0][1].splitlines()) == 5
+        runs.append(tuple((tmp_path / name).read_bytes()
+                          for name in ("fitted.bqp", "recognize.csv", "reconstruct.csv")))
+    assert len(runs[0][1].splitlines()) == len(runs[0][2].splitlines()) == 5
     assert runs[0] == runs[1]

@@ -372,6 +372,10 @@ def test_split_validates_fractions(rng):
         split(ss, (0.8, 0.3, -0.1), seed=0)
     with pytest.raises(InvalidParameter):
         split(ss, (0.5, 0.4, 0.3), seed=0)
+    # NaN passes both the sign and the sum check unless rejected first.
+    for fractions in ((math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (math.inf, 0.0, 0.0)):
+        with pytest.raises(InvalidParameter, match="finite"):
+            split(ss, fractions, seed=0)
 
 
 # -- basis serialization ------------------------------------------------
@@ -450,6 +454,23 @@ def test_load_rejects_invalid_hyperparameters(fitted, tmp_path):
     data[24:32] = struct.pack("<d", 0.5)  # s below one
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError):
+        load_basis(path)
+
+
+@pytest.mark.parametrize("name", ["U", "V", "d_left", "d_right", "mean"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_load_rejects_non_finite_payload(fitted, tmp_path, name, value):
+    path = tmp_path / "b.bqp"
+    save_basis(fitted, path)
+    header = 4 + struct.calcsize("<IIIII") + struct.calcsize("<dd")
+    sizes = {"U": fitted.U.data.size, "V": fitted.V.data.size, "d_left": fitted.k1,
+             "d_right": fitted.k2, "mean": fitted.mean.data.size}
+    # Payload arrays follow the header in this order; poison the last entry of one.
+    offset = header + 8 * sum(list(sizes.values())[:list(sizes).index(name) + 1]) - 8
+    data = bytearray(path.read_bytes())
+    data[offset:offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match=f"b.bqp: {name} holds a non-finite value"):
         load_basis(path)
 
 

@@ -31,19 +31,35 @@ quaternions = st.builds(Quaternion, components, components, components, componen
 # -- scalar algebra -----------------------------------------------------
 
 
+# Products of the units (1, i, j, k), row times column, written out by
+# hand so that they do not read the table the package uses.
+_UNIT_PRODUCTS = [
+    ["1", "i", "j", "k"],
+    ["i", "-1", "k", "-j"],
+    ["j", "-k", "-1", "i"],
+    ["k", "j", "-i", "-1"],
+]
+
+
+def _unit(name):
+    """Components of a signed unit written as '1', '-i', 'j', ..."""
+    c = np.zeros(4)
+    c["1ijk".index(name[-1])] = -1.0 if name.startswith("-") else 1.0
+    return c
+
+
 def test_unit_multiplication_table():
-    one = Quaternion(1.0)
-    i = Quaternion(0.0, 1.0, 0.0, 0.0)
-    j = Quaternion(0.0, 0.0, 1.0, 0.0)
-    k = Quaternion(0.0, 0.0, 0.0, 1.0)
-    assert qmul(i, j) == k
-    assert qmul(j, i) == -k
-    assert qmul(j, k) == i
-    assert qmul(k, j) == -i
-    assert qmul(k, i) == j
-    assert qmul(i, k) == -j
-    for u in (i, j, k):
-        assert qmul(u, u) == -one
+    units = [_unit(u) for u in "1ijk"]
+    for a in range(4):
+        R = real_repr(QMatrix(units[a][:, None, None]))
+        for b in range(4):
+            expected = _unit(_UNIT_PRODUCTS[a][b])
+            q = qmul(Quaternion.from_components(units[a]), Quaternion.from_components(units[b]))
+            assert np.array_equal(q.components, expected), (a, b)
+            planes = plane_matmul(units[a][:, None, None], units[b][:, None, None])
+            assert np.array_equal(planes[:, 0, 0], expected), (a, b)
+            # Column b of real_repr(a) is the real layout of a e_b.
+            assert np.array_equal(R[:, b], expected), (a, b)
 
 
 def test_hand_product():
