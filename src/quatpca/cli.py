@@ -23,6 +23,7 @@ listed.  Exit codes: 0 success, 2 validation failure, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dataset import center, load_basis, load_dataset, save_basis, split
-from .errors import ConfigError, InvalidDataset, InvalidWeight, QuatPcaError, ShapeError
+from .errors import ConfigError, InvalidDataset, InvalidWeight, IoError, QuatPcaError, ShapeError
 from .recognition import build_gallery, predict, sweep_accuracies
 from .reconstruction import reconstruct_samples, reconstruction_ratio, sweep_ratios
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, FitParams, fit
@@ -227,10 +228,19 @@ def _check_basis_dims(basis, dataset):
             f"but the basis was fitted on {basis.m}x{basis.n}")
 
 
+@contextlib.contextmanager
+def _writing(path, what):
+    """Report an OSError raised while writing ``path`` as an IoError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoError(f"{path}: cannot write {what} ({exc})") from exc
+
+
 def _emit_csv(path, what, header, rows, out):
     """Write the rows to ``path`` (and say so), or print them when no path is given."""
     if path:
-        with open(path, "w", newline="") as fh:
+        with _writing(path, "CSV"), open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
@@ -281,7 +291,8 @@ def cmd_fit(args, out):
     text = "\n".join(lines)
     print(text, file=out)
     if args.report:
-        Path(args.report).write_text(text + "\n")
+        with _writing(args.report, "report"):
+            Path(args.report).write_text(text + "\n")
     return 0
 
 
@@ -307,7 +318,7 @@ def cmd_select_weighting(args, out):
         "repeats": protocol.repeats,
         "seed": protocol.seed,
     }
-    with open(args.manifest, "w") as fh:
+    with _writing(args.manifest, "manifest"), open(args.manifest, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     print(f"manifest: written to {args.manifest}", file=out)
@@ -369,7 +380,8 @@ def cmd_reconstruct(args, out):
         from .dataset import export_image
 
         outdir = Path(args.export)
-        outdir.mkdir(parents=True, exist_ok=True)
+        with _writing(outdir, "export directory"):
+            outdir.mkdir(parents=True, exist_ok=True)
         for idx, (sample, rec) in enumerate(zip(train.samples, recs)):
             suffix = Path(sample.source).suffix.lower() if sample.source else ".ppm"
             if suffix not in (".ppm", ".png"):

@@ -4,7 +4,10 @@ A dataset is a directory of class subdirectories holding 8-bit RGB
 images (PNG or binary PPM).  A pixel with channels (r, g, b) becomes the
 pure quaternion (r i + g j + b k) / 255, so an h x w image is an h x w
 pure quaternion matrix.  Sample order is deterministic: sorted by label,
-then by file name.
+then by file name.  :func:`load_dataset` decodes every file straight into
+one C-contiguous, read-only (N, 4, m, n) float64 array, and each sample's
+image is a view of its row; :func:`center` likewise returns views of one
+centred array.
 
 PNG is read and written by a small zlib codec.  It reads 8-bit,
 non-interlaced gray, RGB, gray+alpha and RGBA images with any of the
@@ -21,9 +24,11 @@ mean (4).  The format is bit-exact and language neutral.
 from __future__ import annotations
 
 import math
+import os
+import re
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -111,33 +116,30 @@ class SampleSet:
         return SampleSet(samples=picked, mean=self.mean, centered=self.centered)
 
 
+# "P6", then width, height and maxval as decimal tokens; whitespace and
+# "#" comments running to the end of their line separate the tokens, and
+# one whitespace byte after maxval ends the header (group 4 is empty when
+# the file ends there instead).
+_PPM_HEADER = re.compile(
+    rb"P6" + rb"(?:\s|#[^\n]*\n)*(\d+)\s" * 2 + rb"(?:\s|#[^\n]*\n)*(\d+)(\s|\Z)")
+
+
 def _read_ppm(path):
-    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     if not data.startswith(b"P6"):
         raise IoError(f"{path}: not a binary PPM (P6) file")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
-        if not token.isdigit():
-            raise IoError(f"{path}: malformed PPM header")
-        fields.append(int(token))
-    if pos >= len(data):
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise IoError(f"{path}: malformed PPM header")
+    if not header[4]:
         raise IoError(f"{path}: truncated PPM header")
-    pos += 1  # single whitespace byte ends the header
-    width, height, maxval = fields
+    width, height, maxval = (int(token) for token in header.groups()[:3])
     if maxval != 255:
         raise IoError(f"{path}: only 8-bit PPM supported (maxval 255, got {maxval})")
-    raster = data[pos:]
+    if not width or not height:
+        raise IoError(f"{path}: empty image ({width}x{height})")
+    raster = memoryview(data)[header.end():]
     if len(raster) != width * height * 3:
         raise IoError(f"{path}: raster has {len(raster)} bytes, expected {width * height * 3}")
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
@@ -190,7 +192,8 @@ def _png_unfilter(rows, bpp):
 
 
 def _read_png(path):
-    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     if not data.startswith(_PNG_SIGNATURE):
         raise IoError(f"{path}: not a PNG file (bad signature)")
     pos, header, idat = len(_PNG_SIGNATURE), None, []
@@ -217,6 +220,8 @@ def _read_png(path):
         ">IIBBBBB", header)
     if depth != 8:
         raise IoError(f"{path}: only 8-bit PNG supported (bit depth {depth})")
+    if not width or not height:
+        raise IoError(f"{path}: empty image ({width}x{height})")
     if ctype not in _PNG_CHANNELS:
         raise IoError(f"{path}: unsupported PNG colour type {ctype} "
                       "(palette images are not read)")
@@ -246,9 +251,16 @@ def _write_png(path, rgb):
         + _png_chunk(b"IEND", b""))
 
 
+def _suffix(name):
+    """Lower-cased suffix of a file name as ``pathlib`` reads it ("" for ".ppm")."""
+    dot = name.rfind(".")
+    return name[dot:].lower() if 0 < dot < len(name) - 1 else ""
+
+
 def _read_image(path):
+    """Decode one PPM or PNG file to an (h, w, 3) uint8 raster."""
     try:
-        if path.suffix.lower() == ".ppm":
+        if _suffix(os.path.basename(path)) == ".ppm":
             return _read_ppm(path)
         return _read_png(path)
     except IoError:
@@ -257,39 +269,43 @@ def _read_image(path):
         raise IoError(f"{path}: cannot read image ({exc})") from exc
 
 
-def _image_to_pure(rgb):
-    planes = rgb.astype(np.float64).transpose(2, 0, 1) / 255.0
-    h, w = rgb.shape[:2]
-    return QMatrix(np.concatenate([np.zeros((1, h, w)), planes]))
-
-
 def load_dataset(root):
-    """Load every class subdirectory of ``root`` into a SampleSet."""
+    """Load every class subdirectory of ``root`` into a SampleSet.
+
+    The files are listed first and then decoded in sample order into one
+    C-contiguous (N, 4, m, n) array with a zero real plane.  The array is
+    read-only and every sample's image is a view of its row.
+    """
     rootp = Path(root)
     if not rootp.is_dir():
         raise IoError(f"{rootp}: not a readable directory")
-    class_dirs = sorted((d for d in rootp.iterdir() if d.is_dir()),
-                        key=lambda d: d.name)
-    if not class_dirs:
+    with os.scandir(rootp) as entries:
+        labels = sorted(d.name for d in entries if d.is_dir())
+    if not labels:
         raise InvalidDataset(f"{rootp}: no class subdirectories")
-    samples = []
-    shape = None
-    for cdir in class_dirs:
-        files = sorted((f for f in cdir.iterdir()
-                        if f.is_file() and f.suffix.lower() in _IMAGE_SUFFIXES),
-                       key=lambda f: f.name)
-        for f in files:
-            image = _image_to_pure(_read_image(f))
-            if shape is None:
-                shape = image.shape
-            elif image.shape != shape:
-                raise InvalidDataset(
-                    f"{f}: image dimensions {image.shape} differ from {shape}")
-            samples.append(Sample(label=cdir.name, image=image, source=str(f)))
-    if not samples:
+    listed = []
+    for label in labels:
+        cdir = str(rootp / label)
+        with os.scandir(cdir) as entries:
+            names = sorted(f.name for f in entries
+                           if _suffix(f.name) in _IMAGE_SUFFIXES and f.is_file())
+        listed.extend((label, os.path.join(cdir, name)) for name in names)
+    if not listed:
         raise InvalidDataset(f"{rootp}: no images found")
-    m, n = shape
-    return SampleSet(samples=tuple(samples), mean=QMatrix.zeros(m, n), centered=False)
+
+    stack = None
+    for i, (_, path) in enumerate(listed):
+        rgb = _read_image(path)
+        if stack is None:
+            stack = np.zeros((len(listed), 4, *rgb.shape[:2]))
+        elif rgb.shape[:2] != stack.shape[2:]:
+            raise InvalidDataset(
+                f"{path}: image dimensions {rgb.shape[:2]} differ from {stack.shape[2:]}")
+        np.divide(rgb.transpose(2, 0, 1), 255.0, out=stack[i, 1:])
+    stack.flags.writeable = False
+    samples = tuple(Sample(label, QMatrix._view(image), path)
+                    for (label, path), image in zip(listed, stack))
+    return SampleSet(samples=samples, mean=QMatrix.zeros(*stack.shape[2:]), centered=False)
 
 
 def export_image(image, path):
@@ -318,17 +334,21 @@ def export_image(image, path):
 
 
 def center(sample_set):
-    """Subtract the mean image from every sample; idempotent."""
+    """Subtract the mean image from every sample; idempotent.
+
+    The centred images are read-only views of one (N, 4, m, n) array.
+    """
     if sample_set.centered:
         return sample_set
     if len(sample_set) == 0:
         raise InvalidDataset("cannot center an empty sample set")
-    mean_data = np.mean([s.image.data for s in sample_set.samples], axis=0)
-    mean = QMatrix(mean_data)
-    shifted = tuple(
-        replace(s, image=QMatrix(s.image.data - mean_data))
-        for s in sample_set.samples)
-    return SampleSet(samples=shifted, mean=mean, centered=True)
+    stack = np.stack([s.image.data for s in sample_set.samples])
+    mean = stack.mean(axis=0)
+    stack -= mean
+    stack.flags.writeable = False
+    shifted = tuple(Sample(s.label, QMatrix._view(image), s.source)
+                    for s, image in zip(sample_set.samples, stack))
+    return SampleSet(samples=shifted, mean=QMatrix(mean), centered=True)
 
 
 def split(sample_set, fractions, seed):

@@ -372,6 +372,13 @@ class QMatrix:
     # -- construction -------------------------------------------------
 
     @classmethod
+    def _view(cls, data):
+        """Wrap a read-only float64 (4, m, n) array as is; ``QMatrix(data)`` copies."""
+        matrix = cls.__new__(cls)
+        matrix._data = data
+        return matrix
+
+    @classmethod
     def zeros(cls, m, n):
         return cls(np.zeros((4, m, n)))
 

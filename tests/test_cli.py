@@ -453,6 +453,28 @@ weighting.transform = inverse-log
     assert "hint:" in err
 
 
+# -- output paths -------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("fit", "--report"),
+    ("select-weighting", "--manifest"),
+    ("recognize", "--csv"),
+    ("reconstruct", "--export"),
+])
+def test_unwritable_output_path_is_an_error(workspace, capsys, command, flag):
+    fit_workspace(capsys, workspace)
+    blocker = workspace["tmp"] / "blocker"
+    blocker.write_text("a file, so nothing can be created below it")
+    target = blocker / "out"
+    argv = [command, "--config", str(workspace["cfg"])]
+    if command != "select-weighting":
+        argv += ["--basis", str(workspace["basis"])]
+    rc, _, err = run(capsys, argv + [flag, str(target)])
+    assert rc == 1
+    assert err.startswith(f"error: {target}: cannot write")
+
+
 # -- argparse surface ---------------------------------------------------
 
 

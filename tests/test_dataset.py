@@ -1,12 +1,14 @@
 """Image loading, centering, stratified splits, and basis serialization."""
 
 import math
+import re
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
+import quatpca.dataset
 from quatpca import (
     FitParams,
     FormatError,
@@ -97,6 +99,58 @@ def test_load_dataset_error_cases(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(InvalidDataset):
         load_dataset(tmp_path)  # subdirectory without images
+
+
+def test_loaded_images_are_read_only_contiguous_views(tree):
+    root, _ = tree
+    for sample in load_dataset(root).samples:
+        data = sample.image.data
+        assert data.flags.c_contiguous
+        assert not data.flags.writeable
+        with pytest.raises(ValueError):
+            data.flags.writeable = True
+
+
+def test_loaded_pixels_match_per_file_decode(tmp_path, rng):
+    # One class mixing a canonical PPM, a PPM with a commented header and a PNG.
+    d = tmp_path / "c"
+    d.mkdir()
+    (d / "a.ppm").write_bytes(ppm_bytes(random_rgb(rng, 3, 5)))
+    (d / "b.ppm").write_bytes(
+        b"P6 # size\n5\n# rows\n 3 255\t" + random_rgb(rng, 3, 5).tobytes())
+    export_image(QMatrix(np.concatenate(
+        [np.zeros((1, 3, 5)), random_rgb(rng, 3, 5).transpose(2, 0, 1) / 255.0])),
+        d / "c.png")
+    ss = load_dataset(tmp_path)
+    assert [s.source.split("/")[-1] for s in ss.samples] == ["a.ppm", "b.ppm", "c.png"]
+    for sample in ss.samples:
+        rgb = quatpca.dataset._read_image(sample.source)
+        assert not np.any(sample.image.data[0])
+        assert np.array_equal(sample.image.data[1:],
+                              rgb.astype(np.float64).transpose(2, 0, 1) / 255.0)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (b"P6\n4 3\n255\n" + bytes(5), IoError),
+    (ppm_bytes(np.zeros((2, 3, 3), dtype=np.uint8)), InvalidDataset),
+], ids=["malformed", "mismatched"])
+def test_load_stops_at_the_failing_file(tmp_path, rng, monkeypatch, bad, error):
+    arrays = {label: [random_rgb(rng, 3, 4) for _ in range(3)] for label in ("a", "b", "c")}
+    write_image_tree(tmp_path, arrays)
+    failing = tmp_path / "b" / "img01.ppm"
+    failing.write_bytes(bad)
+    reads = []
+    read = quatpca.dataset._read_image
+
+    def read_image(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(quatpca.dataset, "_read_image", read_image)
+    with pytest.raises(error, match=re.escape(str(failing))):
+        load_dataset(tmp_path)
+    assert str(reads[-1]) == str(failing)
+    assert len(reads) == 5  # a/img00..02, b/img00, b/img01
 
 
 def test_png_round_trip(tmp_path, rng):
@@ -230,6 +284,19 @@ def test_ppm_malformed_files(tmp_path, payload):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("name, payload", [
+    ("x.ppm", b"P6\n0 0\n255\n"),
+    ("x.ppm", b"P6\n3 0\n255\n"),
+    ("x.png", png_file(0, 2, 2, bytes(2))),
+], ids=["ppm-0x0", "ppm-3x0", "png-0x2"])
+def test_zero_size_images_rejected(tmp_path, name, payload):
+    d = tmp_path / "c"
+    d.mkdir()
+    (d / name).write_bytes(payload)
+    with pytest.raises(IoError, match=re.escape(str(d / name))):
+        load_dataset(tmp_path)
+
+
 def test_export_reproduces_canonical_ppm_bytes(tree, tmp_path):
     root, arrays = tree
     ss = load_dataset(root)
@@ -263,6 +330,19 @@ def test_center_removes_mean(rng):
     mean = np.mean([F.data for F in mats], axis=0)
     assert np.allclose(ss.mean.data, mean)
     assert ss.images()[0].allclose(mats[0] - ss.mean, tol=1e-15)
+
+
+def test_center_matches_per_sample_formula(tree):
+    root, _ = tree
+    ss = load_dataset(root).subset([7, 0, 3, 9, 4])
+    centered = center(ss)
+    mean = np.mean([s.image.data for s in ss.samples], axis=0)
+    assert np.array_equal(centered.mean.data, mean)
+    for before, after in zip(ss.samples, centered.samples):
+        assert (after.label, after.source) == (before.label, before.source)
+        assert np.array_equal(after.image.data, before.image.data - mean)
+        assert after.image.data.flags.c_contiguous
+        assert not after.image.data.flags.writeable
 
 
 def test_center_idempotent(rng):
