@@ -118,6 +118,12 @@ def centered_stack(samples, basis):
     return X
 
 
+def _gamma(n):
+    """gamma_n = n u / (1 - n u): the relative round-off bound of an n-term float64 sum."""
+    nu = n * np.finfo(np.float64).eps / 2
+    return nu / (1.0 - nu)
+
+
 def _truncations(basis, K):
     """``basis.truncated(k, k)`` for k = 1..K: the nested prefixes a sweep reports."""
     top = min(basis.k1, basis.k2)

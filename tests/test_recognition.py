@@ -24,9 +24,11 @@ from quatpca import (
     fit,
     predict,
     project,
+    project_stack,
     split,
     sweep_accuracies,
 )
+from quatpca.weighting import centered_stack
 from conftest import random_qmatrix, separable_classes
 
 PARAMS = FitParams(s=2.0, p=2.0, k1=2, k2=2)
@@ -286,3 +288,77 @@ def test_sweep_accuracies_reject_sizes_outside_the_basis(sweep_split, K):
     train, test, basis = sweep_split
     with pytest.raises(InvalidParameter, match="min\\(k1, k2\\) = 3"):
         sweep_accuracies(train, test, basis, WeightingScheme(Manner.UNWEIGHTED), K)
+
+
+# -- the one-GEMM screen against the exhaustive search -------------------
+
+
+def _exhaustive(probes, gallery):
+    """Exact differences against every gallery entry; ties to the smallest index."""
+    diff = gallery.reshape(1, len(gallery), -1) - probes.reshape(len(probes), 1, -1)
+    d = np.sqrt(np.square(diff).sum(axis=-1))
+    return np.argmin(d, axis=1), d.min(axis=1)
+
+
+def _assert_search_exact(probes, gallery):
+    from quatpca.recognition import _nearest
+
+    index, dist = _nearest(probes, gallery)
+    want_index, want_dist = _exhaustive(probes, gallery)
+    np.testing.assert_array_equal(index, want_index)
+    assert dist.tobytes() == want_dist.tobytes()
+    return index
+
+
+def _features(samples, basis, scheme):
+    return project_stack(centered_stack(samples, basis), basis, scheme)
+
+
+@pytest.mark.parametrize("data", ["separable", "random"])
+@pytest.mark.parametrize("manner", [Manner.UNWEIGHTED, Manner.WEIGHTED_BOTH])
+def test_screen_matches_exhaustive_search_at_every_k(sweep_split, rng, data, manner):
+    train, test, basis = sweep_split
+    if data == "random":
+        train, _, test = split(_random_classes(rng), (0.5, 0.0, 0.5), seed=3)
+        basis = fit(center(train), FitParams(s=2.0, p=2.0, k1=3, k2=3))
+    scheme = WeightingScheme(manner)
+    G, Q = _features(train, basis, scheme), _features(test, basis, scheme)
+    for k in range(1, 4):
+        _assert_search_exact(Q[:, :, :k, :k], G[:, :, :k, :k])
+
+
+def test_screen_resolves_near_ties_the_expansion_gets_wrong(rng):
+    # A common offset of 1e8 puts |q|^2 + |g|^2 near 4e16, whose last bit is 8,
+    # while the squared distances are about 1e-6: the expansion is noise.
+    offset = 1e8 * np.ones((1, 4, 1, 1))
+    gallery = offset + 1e-3 * rng.standard_normal((24, 4, 1, 1))
+    probes = offset + 1e-3 * rng.standard_normal((12, 4, 1, 1))
+    G, Q = gallery.reshape(24, 4), probes.reshape(12, 4)
+    expansion = np.argmin((Q * Q).sum(1)[:, None] + (G * G).sum(1) - 2.0 * Q @ G.T, axis=1)
+    index = _assert_search_exact(probes, gallery)
+    assert np.any(expansion != index)
+
+
+def test_screen_keeps_smallest_index_on_duplicates_and_equidistant_probes():
+    # Integer features: every distance below is exact, so the ties are real.
+    points = np.array([[0, 0, 0, 0], [2, 0, 0, 0], [0, 2, 0, 0], [2, 2, 0, 0]], dtype=float)
+    # Entries 0, 3, 7 hold points[1]; 1, 5, 9 points[3]; 2, 6 points[0]; 4, 8 points[2].
+    gallery = np.concatenate([points[[1, 3]], points, points]).reshape(-1, 4, 1, 1)
+    probes = np.array([[1, 0, 0, 0],    # midway between points[1] and points[0]
+                       [1, 1, 0, 0],    # equidistant from all four points
+                       [2, 2, 0, 0],    # on points[3]
+                       [0, 1, 0, 0]], dtype=float).reshape(-1, 4, 1, 1)
+    index = _assert_search_exact(probes, gallery)
+    np.testing.assert_array_equal(index, [0, 0, 1, 2])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_screen_falls_back_to_the_full_search_on_overflow(rng):
+    # Squared norms near 1e312 overflow: the screen is not finite and the
+    # exhaustive search, whose other distances overflow too, decides alone.
+    gallery = 1e156 * rng.standard_normal((6, 4, 2, 2))
+    probes = gallery[[3, 1]] * (1.0 + 1e-9)
+    index = _assert_search_exact(probes, gallery)
+    np.testing.assert_array_equal(index, [3, 1])
+    tiny = 1e-160 * rng.standard_normal((6, 4, 2, 2))
+    _assert_search_exact(tiny[[2, 5]] * (1.0 + 1e-3), tiny)

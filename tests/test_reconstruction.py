@@ -196,3 +196,39 @@ def test_sweep_ratios_reject_empty_sets_and_bad_sizes(raw_set, full_basis):
         sweep_ratios(raw_set.subset([]), full_basis, scheme, 2)
     with pytest.raises(InvalidParameter):
         sweep_ratios(raw_set, full_basis, scheme, 4)
+
+
+@pytest.fixture
+def square_set(rng):
+    mats = [random_qmatrix(rng, 3, 3, pure=True) for _ in range(6)]
+    return SampleSet.build([(str(t % 2), F) for t, F in enumerate(mats)])
+
+
+@pytest.mark.parametrize("transform", list(Transform))
+@pytest.mark.parametrize("manner", MANNER_PRECEDENCE)
+def test_sweep_ratios_match_per_k_path_with_complete_bases(square_set, manner, transform):
+    # At k = m = n every residual is round-off, so ||X||^2 - ||P||^2 is all
+    # cancellation: the sweep must take those residuals from the rebuild.
+    basis = fit(center(square_set), FitParams(s=2.0, p=2.0, k1=3, k2=3, tol=1e-8))
+    scheme = WeightingScheme(manner, transform)
+    np.testing.assert_allclose(sweep_ratios(square_set, basis, scheme, 3),
+                               _per_k_ratios(square_set, basis, scheme, 3), rtol=1e-13)
+
+
+def test_ratios_reject_a_centered_set(raw_set, full_basis):
+    centered = center(raw_set)
+    recs = reconstruct_samples(centered, full_basis)
+    assert reconstruction_ratio(raw_set, recs) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(InvalidDataset, match="centered"):
+        reconstruction_ratio(centered, recs)
+    with pytest.raises(InvalidDataset, match="centered"):
+        sweep_ratios(centered, full_basis, WeightingScheme(Manner.UNWEIGHTED), 2)
+
+
+def test_sweep_ratios_rebuild_everything_for_a_non_orthonormal_basis(raw_set, full_basis):
+    # Pythagoras needs orthonormal columns; a basis that lacks them (say, a
+    # hand-written BQP1 file) widens the guard zone until every image is rebuilt.
+    basis = replace(full_basis, U=QMatrix(full_basis.U.data * 1.01))
+    scheme = WeightingScheme(Manner.WEIGHTED_BOTH)
+    np.testing.assert_allclose(sweep_ratios(raw_set, basis, scheme, 3),
+                               _per_k_ratios(raw_set, basis, scheme, 3), rtol=1e-13)
