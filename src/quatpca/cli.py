@@ -344,7 +344,7 @@ def cmd_recognize(args, out):
     if len(test) == 0:
         raise InvalidDataset("the test split is empty")
     gallery = build_gallery(train, basis, scheme)
-    confusion = Counter(zip(test.labels(), predict(test, gallery, basis, scheme)))
+    confusion = Counter(zip(test.labels(), predict(test, gallery)))
     hits = sum(count for (true, predicted), count in confusion.items() if true == predicted)
     accuracy = hits / len(test)
     print(f"recognize: manner={scheme.manner.value} transform={scheme.transform.value} "

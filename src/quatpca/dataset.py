@@ -403,26 +403,15 @@ _MAGIC = b"BQP1"
 _VERSION = 1
 
 
-def _plane_bytes(arr):
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
 def save_basis(basis, path):
     """Write a BasisPair in the binary BQP1 format."""
-    m, n, k1, k2 = basis.m, basis.n, basis.k1, basis.k2
     blob = [
         _MAGIC,
-        struct.pack("<IIIII", _VERSION, m, n, k1, k2),
+        struct.pack("<IIIII", _VERSION, basis.m, basis.n, basis.k1, basis.k2),
         struct.pack("<dd", float(basis.params.s), float(basis.params.p)),
     ]
-    for c in range(4):
-        blob.append(_plane_bytes(basis.U.data[c]))
-    for c in range(4):
-        blob.append(_plane_bytes(basis.V.data[c]))
-    blob.append(_plane_bytes(basis.d_left))
-    blob.append(_plane_bytes(basis.d_right))
-    for c in range(4):
-        blob.append(_plane_bytes(basis.mean.data[c]))
+    for block in (basis.U.data, basis.V.data, basis.d_left, basis.d_right, basis.mean.data):
+        blob.append(np.asarray(block, dtype="<f8").tobytes())
     try:
         Path(path).write_bytes(b"".join(blob))
     except OSError as exc:
@@ -446,34 +435,31 @@ def load_basis(path):
         raise FormatError(f"{path}: unsupported format version {version}")
     s, p = struct.unpack_from("<dd", data, 4 + struct.calcsize("<IIIII"))
 
-    counts = [m * k1] * 4 + [n * k2] * 4 + [k1, k2] + [m * n] * 4
-    names = ["U"] * 4 + ["V"] * 4 + ["d_left", "d_right"] + ["mean"] * 4
-    expected = header_size + 8 * sum(counts)
+    shapes = {"U": (4, m, k1), "V": (4, n, k2), "d_left": (k1,), "d_right": (k2,),
+              "mean": (4, m, n)}
+    expected = header_size + 8 * sum(math.prod(shape) for shape in shapes.values())
     if len(data) < expected:
         raise FormatError(f"{path}: truncated payload ({len(data)} of {expected} bytes)")
     if len(data) > expected:
         raise FormatError(f"{path}: trailing data ({len(data) - expected} extra bytes)")
 
     pos = header_size
-    arrays = []
-    for name, count in zip(names, counts):
-        arrays.append(np.frombuffer(data, dtype="<f8", count=count, offset=pos))
-        if not np.isfinite(arrays[-1]).all():
+    blocks = {}
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        blocks[name] = np.frombuffer(data, dtype="<f8", count=count, offset=pos).reshape(shape)
+        if not np.isfinite(blocks[name]).all():
             raise FormatError(f"{path}: {name} holds a non-finite value (NaN or inf)")
         pos += 8 * count
 
     try:
-        U = QMatrix(np.stack([a.reshape(m, k1) for a in arrays[0:4]]))
-        V = QMatrix(np.stack([a.reshape(n, k2) for a in arrays[4:8]]))
-        d_left = arrays[8].copy()
-        d_right = arrays[9].copy()
-        mean = QMatrix(np.stack([a.reshape(m, n) for a in arrays[10:14]]))
         params = FitParams(s=float(s), p=float(p), k1=int(k1), k2=int(k2))
         problems = params.violations(m, n)
         if problems:
             raise FormatError(f"{path}: invalid hyperparameters: " + "; ".join(problems))
-        return BasisPair(U=U, V=V, d_left=d_left, d_right=d_right,
-                         params=params, mean=mean)
+        return BasisPair(U=QMatrix(blocks["U"]), V=QMatrix(blocks["V"]),
+                         d_left=blocks["d_left"].copy(), d_right=blocks["d_right"].copy(),
+                         params=params, mean=QMatrix(blocks["mean"]))
     except FormatError:
         raise
     except Exception as exc:

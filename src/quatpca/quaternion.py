@@ -3,7 +3,9 @@
 A quaternion is a = a0 + a1*i + a2*j + a3*k with i^2 = j^2 = k^2 = ijk = -1.
 Vectors and matrices keep the four real component planes in one float64
 array (structure of arrays), so all heavy arithmetic reduces to plain real
-array operations.  Values are immutable after construction.
+array operations.  Values are immutable after construction.  One private
+base, _Planes, holds that array with the checks, arithmetic and norm
+that vectors and matrices share.
 
 The real structure-preserving representation maps an m x n quaternion
 matrix F to the 4m x 4n real block matrix
@@ -166,23 +168,84 @@ def qmul(a, b):
     return _as_quaternion(a) * _as_quaternion(b)
 
 
-class QVector:
-    """Quaternion column vector held as a read-only (4, n) plane array."""
+class _Planes:
+    """A read-only float64 (4, ...) plane array; the base of QVector and QMatrix.
+
+    Subclasses set _NDIM, the constructor's ShapeError text _LAYOUT, and
+    _MISMATCH, the format of the ShapeError for two operands of different
+    shapes.
+    """
 
     __slots__ = ("_data",)
 
     def __init__(self, data):
         arr = np.array(data, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != 4:
-            raise ShapeError(f"vector planes must have shape (4, n), got {arr.shape}")
+        if arr.ndim != self._NDIM or arr.shape[0] != 4:
+            raise ShapeError(f"{self._LAYOUT}, got {arr.shape}")
         arr.flags.writeable = False
         self._data = arr
 
-    # -- construction -------------------------------------------------
-
     @classmethod
-    def zeros(cls, n):
-        return cls(np.zeros((4, n)))
+    def zeros(cls, *shape):
+        return cls(np.zeros((4, *shape)))
+
+    @property
+    def data(self):
+        return self._data
+
+    def __add__(self, other):
+        self._check_same(other)
+        return type(self)(self._data + other._data)
+
+    def __sub__(self, other):
+        self._check_same(other)
+        return type(self)(self._data - other._data)
+
+    def __neg__(self):
+        return type(self)(-self._data)
+
+    def __mul__(self, scalar):
+        return type(self)(self._data * float(scalar))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return type(self)(self._data / float(scalar))
+
+    def _norm(self):
+        """Root of the summed squared moduli (Frobenius, or Euclidean for a vector)."""
+        # Memory order, as np.linalg.norm sums, so in-range values match it bit for bit.
+        x = self._data.ravel(order="K")
+        with np.errstate(over="ignore"):
+            total = x.dot(x)
+        if not sys.float_info.min <= total < math.inf:
+            # The squares under- or overflowed; scale by the largest component.
+            big = np.abs(x).max(initial=0.0)
+            if 0.0 < big < math.inf:
+                y = x / big
+                return float(big * np.sqrt(y.dot(y)))
+        return float(np.sqrt(total))
+
+    def allclose(self, other, tol=1e-12):
+        self._check_same(other)
+        return bool(np.max(np.abs(self._data - other._data), initial=0.0) <= tol)
+
+    def _check_same(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if other._data.shape != self._data.shape:
+            raise ShapeError(self._MISMATCH.format(self, other))
+
+
+class QVector(_Planes):
+    """Quaternion column vector held as a read-only (4, n) plane array."""
+
+    __slots__ = ()
+    _NDIM = 2
+    _LAYOUT = "vector planes must have shape (4, n)"
+    _MISMATCH = "vector lengths differ: {0.n} vs {1.n}"
+
+    # -- construction -------------------------------------------------
 
     @classmethod
     def unit(cls, n, t):
@@ -209,10 +272,6 @@ class QVector:
     # -- structure ----------------------------------------------------
 
     @property
-    def data(self):
-        return self._data
-
-    @property
     def n(self):
         return self._data.shape[1]
 
@@ -227,25 +286,6 @@ class QVector:
         return self._data.reshape(-1).copy()
 
     # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        self._check_same(other)
-        return QVector(self._data + other._data)
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return QVector(self._data - other._data)
-
-    def __neg__(self):
-        return QVector(-self._data)
-
-    def __mul__(self, scalar):
-        return QVector(self._data * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return QVector(self._data / float(scalar))
 
     def conj(self):
         return QVector(self._data * _CONJ[:, None])
@@ -279,31 +319,10 @@ class QVector:
         safe = np.where(mods > 0.0, mods, 1.0)
         return QVector(np.where(mods > 0.0, self._data / safe, 0.0))
 
-    def norm(self):
-        """Euclidean (L2) norm."""
-        x = self._data.ravel()
-        with np.errstate(over="ignore"):
-            total = x.dot(x)
-        if not sys.float_info.min <= total < math.inf:
-            # The squares under- or overflowed; scale by the largest modulus.
-            big = self.abs().max(initial=0.0)
-            if 0.0 < big < math.inf:
-                y = x / big
-                return float(big * np.sqrt(y.dot(y)))
-        return float(np.sqrt(total))
+    norm = _Planes._norm
 
     def lp_norm(self, p):
         return lp_norm(self, p)
-
-    def allclose(self, other, tol=1e-12):
-        self._check_same(other)
-        return bool(np.max(np.abs(self._data - other._data), initial=0.0) <= tol)
-
-    def _check_same(self, other):
-        if not isinstance(other, QVector):
-            raise TypeError(f"expected QVector, got {type(other).__name__}")
-        if other.n != self.n:
-            raise ShapeError(f"vector lengths differ: {self.n} vs {other.n}")
 
     def __repr__(self):
         return f"QVector(n={self.n})"
@@ -357,17 +376,13 @@ def real_scale(weights, v):
     return QVector(v.data * weights[None, :])
 
 
-class QMatrix:
+class QMatrix(_Planes):
     """Quaternion matrix held as a read-only (4, m, n) plane array."""
 
-    __slots__ = ("_data",)
-
-    def __init__(self, data):
-        arr = np.array(data, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[0] != 4:
-            raise ShapeError(f"matrix planes must have shape (4, m, n), got {arr.shape}")
-        arr.flags.writeable = False
-        self._data = arr
+    __slots__ = ()
+    _NDIM = 3
+    _LAYOUT = "matrix planes must have shape (4, m, n)"
+    _MISMATCH = "matrix shapes differ: {0.shape} vs {1.shape}"
 
     # -- construction -------------------------------------------------
 
@@ -377,10 +392,6 @@ class QMatrix:
         matrix = cls.__new__(cls)
         matrix._data = data
         return matrix
-
-    @classmethod
-    def zeros(cls, m, n):
-        return cls(np.zeros((4, m, n)))
 
     @classmethod
     def eye(cls, n):
@@ -400,10 +411,6 @@ class QMatrix:
         return cls(np.stack([c.data for c in cols], axis=2))
 
     # -- structure ----------------------------------------------------
-
-    @property
-    def data(self):
-        return self._data
 
     @property
     def shape(self):
@@ -432,25 +439,6 @@ class QMatrix:
         return QMatrix(self._data[:, :, :k])
 
     # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        self._check_same(other)
-        return QMatrix(self._data + other._data)
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return QMatrix(self._data - other._data)
-
-    def __neg__(self):
-        return QMatrix(-self._data)
-
-    def __mul__(self, scalar):
-        return QMatrix(self._data * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return QMatrix(self._data / float(scalar))
 
     def conj_transpose(self):
         return QMatrix(plane_conj_transpose(self._data))
@@ -485,23 +473,11 @@ class QMatrix:
             raise ShapeError(f"weights shape {weights.shape} does not match column count {self.n}")
         return QMatrix(self._data * weights[None, None, :])
 
-    def fro_norm(self):
-        """Frobenius norm: root of the summed squared moduli."""
-        return float(np.linalg.norm(self._data))
+    fro_norm = _Planes._norm
 
     def real_repr(self):
         """The 4m x 4n real structure-preserving representation."""
         return _real_repr(self._data)
-
-    def allclose(self, other, tol=1e-12):
-        self._check_same(other)
-        return bool(np.max(np.abs(self._data - other._data), initial=0.0) <= tol)
-
-    def _check_same(self, other):
-        if not isinstance(other, QMatrix):
-            raise TypeError(f"expected QMatrix, got {type(other).__name__}")
-        if other.shape != self.shape:
-            raise ShapeError(f"matrix shapes differ: {self.shape} vs {other.shape}")
 
     def __repr__(self):
         return f"QMatrix(shape={self.m}x{self.n})"

@@ -136,37 +136,34 @@ def build_gallery(train, basis, scheme):
     return Gallery(labels=labels, features=features, basis=basis, scheme=scheme)
 
 
-def classify(probe, gallery, basis=None, scheme=None):
+def classify(probe, gallery):
     """Label and distance of the nearest gallery feature.
 
     The probe must already be centered by the training mean.  Distance
     ties resolve to the smallest gallery index.
     """
     G = _gallery_planes(gallery)
-    basis = gallery.basis if basis is None else basis
-    scheme = gallery.scheme if scheme is None else scheme
-    P = project(probe, basis, scheme)
+    P = project(probe, gallery.basis, gallery.scheme)
     index, dist = _nearest(P.data[None], G)
     return gallery.labels[index[0]], float(dist[0])
 
 
-def predict(test, gallery, basis=None, scheme=None):
+def predict(test, gallery):
     """Predicted label of every test sample, in sample order."""
     if len(test) == 0:
         raise InvalidDataset("cannot predict on an empty sample set")
     G = _gallery_planes(gallery)
-    basis = gallery.basis if basis is None else basis
-    scheme = gallery.scheme if scheme is None else scheme
-    probes = project_stack(centered_stack(test, basis), basis, scheme, test.samples)
+    basis = gallery.basis
+    probes = project_stack(centered_stack(test, basis), basis, gallery.scheme, test.samples)
     index, _ = _nearest(probes, G)
     return [gallery.labels[i] for i in index]
 
 
-def evaluate(test, gallery, basis=None, scheme=None):
+def evaluate(test, gallery):
     """Fraction of test samples whose nearest neighbor shares their label."""
     if len(test) == 0:
         raise InvalidDataset("cannot evaluate on an empty sample set")
-    predicted = predict(test, gallery, basis, scheme)
+    predicted = predict(test, gallery)
     hits = sum(p == s.label for p, s in zip(predicted, test.samples))
     return hits / len(test)
 

@@ -391,7 +391,7 @@ def test_sweep_csvs_match_the_per_k_path(workspace, capsys):
     accuracy, ratio = [], []
     for k in range(1, 4):
         b = basis.truncated(k, k)
-        accuracy.append((k, f"{evaluate(test, build_gallery(train, b, scheme), b, scheme):.6f}"))
+        accuracy.append((k, f"{evaluate(test, build_gallery(train, b, scheme)):.6f}"))
         ratio.append((k, k, f"{reconstruction_ratio(train, reconstruct_samples(train, b, scheme)):.6f}"))
     assert paths["recognize"].read_bytes() == _csv_text(["k", "accuracy"], accuracy).encode()
     assert paths["reconstruct"].read_bytes() == _csv_text(["k1", "k2", "ratio"], ratio).encode()

@@ -10,6 +10,7 @@ import pytest
 
 import quatpca.dataset
 from quatpca import (
+    BasisPair,
     FitParams,
     FormatError,
     InvalidDataset,
@@ -480,6 +481,28 @@ def test_basis_round_trip_bit_exact(fitted, tmp_path):
     assert back.params.s == fitted.params.s
     assert back.params.p == math.inf
     assert (back.params.k1, back.params.k2) == (2, 2)
+
+
+def test_basis_file_matches_the_documented_layout(tmp_path):
+    # Every entry distinct, m != n and k1 != k2, so a swapped or transposed block shows.
+    m, n, k1, k2 = 3, 4, 2, 3
+    values = iter(0.5 + np.arange(4 * m * k1 + 4 * n * k2 + k1 + k2 + 4 * m * n))
+    U = [[[next(values) for _ in range(k1)] for _ in range(m)] for _ in range(4)]
+    V = [[[next(values) for _ in range(k2)] for _ in range(n)] for _ in range(4)]
+    d_left = [next(values) for _ in range(k1)]
+    d_right = [next(values) for _ in range(k2)]
+    mean = [[[next(values) for _ in range(n)] for _ in range(m)] for _ in range(4)]
+    basis = BasisPair(U=QMatrix(U), V=QMatrix(V), d_left=d_left, d_right=d_right,
+                      params=FitParams(s=1.5, p=0.75, k1=k1, k2=k2), mean=QMatrix(mean))
+    save_basis(basis, tmp_path / "b.bqp")
+
+    # Header, then U planes 0-3 row-major, V, d_left, d_right and the mean.
+    expected = b"BQP1" + struct.pack("<IIIII", 1, m, n, k1, k2) + struct.pack("<dd", 1.5, 0.75)
+    for planes in (U, V):
+        expected += b"".join(struct.pack("<d", x) for plane in planes for row in plane for x in row)
+    expected += b"".join(struct.pack("<d", x) for x in d_left + d_right)
+    expected += b"".join(struct.pack("<d", x) for plane in mean for row in plane for x in row)
+    assert (tmp_path / "b.bqp").read_bytes() == expected
 
 
 def test_basis_save_load_again_identical_bytes(fitted, tmp_path):

@@ -236,6 +236,15 @@ def test_eig_rejects_non_hermitian(rng):
         hermitian_topk_eig(A, 1)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_eig_rejects_non_hermitian_at_any_scale(scale):
+    # Squares of 1e200 overflow; an unscaled Frobenius norm read inf and let this through.
+    G = np.zeros((4, 2, 2))
+    G[0] = [[1.0, 5.0], [0.0, 1.0]]
+    with pytest.raises(InvalidParameter, match="not Hermitian"):
+        hermitian_topk_eig(QMatrix(G * scale), 1)
+
+
 def test_eig_rejects_bad_k(rng):
     G = quaternion_gram(random_qmatrix(rng, 4, 3))
     with pytest.raises(InvalidParameter):

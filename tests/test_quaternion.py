@@ -325,6 +325,83 @@ def test_fro_norm_hand_value():
     assert QMatrix(data).fro_norm() == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_fro_norm_and_norm_survive_squares_out_of_range(scale):
+    # Entries 3i and 4j: the squares 9e400 overflow, 9e-340 underflow.
+    data = np.zeros((4, 1, 2))
+    data[1, 0, 0] = 3.0 * scale
+    data[2, 0, 1] = 4.0 * scale
+    assert QMatrix(data).fro_norm() == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+    assert QVector(data[:, 0, :]).norm() == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+    assert QMatrix(data).fro_norm() == QVector(data[:, 0, :]).norm()
+
+
+# -- behaviour shared by vectors and matrices ---------------------------
+
+
+# Per class: a shape, a different shape, a bad constructor shape and the
+# texts of the two ShapeErrors.
+_PLANE_CASES = {
+    QVector: ((3,), (2,), (3, 3),
+              "vector lengths differ: 3 vs 2",
+              "vector planes must have shape (4, n), got (3, 3)"),
+    QMatrix: ((3, 2), (2, 3), (4, 3),
+              "matrix shapes differ: (3, 2) vs (2, 3)",
+              "matrix planes must have shape (4, m, n), got (4, 3)"),
+}
+
+
+def _planes(cls, rng, shape):
+    return cls(rng.standard_normal((4, *shape)))
+
+
+@pytest.mark.parametrize("cls", [QVector, QMatrix])
+def test_shared_methods_keep_the_class_and_stay_read_only(cls, rng):
+    shape = _PLANE_CASES[cls][0]
+    a, b = _planes(cls, rng, shape), _planes(cls, rng, shape)
+    results = {
+        "zeros": (cls.zeros(*shape), np.zeros((4, *shape))),
+        "+": (a + b, a.data + b.data),
+        "-": (a - b, a.data - b.data),
+        "neg": (-a, -a.data),
+        "*": (a * 2.5, a.data * 2.5),
+        "rmul": (2.5 * a, a.data * 2.5),
+        "/": (a / 4.0, a.data / 4.0),
+    }
+    for name, (got, expected) in results.items():
+        assert type(got) is cls, name
+        assert not got.data.flags.writeable, name
+        assert got.data.dtype == np.float64, name
+        assert np.array_equal(got.data, expected), name
+    assert not a.data.flags.writeable
+    assert a.allclose(a + cls.zeros(*shape)) and not a.allclose(b)
+    norm = a.norm() if cls is QVector else a.fro_norm()
+    assert norm == float(np.linalg.norm(a.data))
+
+
+@pytest.mark.parametrize("cls, other", [(QVector, QMatrix), (QMatrix, QVector)])
+def test_shared_methods_reject_the_other_class(cls, other, rng):
+    a = _planes(cls, rng, _PLANE_CASES[cls][0])
+    b = _planes(other, rng, _PLANE_CASES[other][0])
+    message = f"^expected {cls.__name__}, got {other.__name__}$"
+    for op in (lambda: a + b, lambda: a - b, lambda: a.allclose(b)):
+        with pytest.raises(TypeError, match=message):
+            op()
+
+
+@pytest.mark.parametrize("cls", [QVector, QMatrix])
+def test_shared_methods_shape_error_texts(cls, rng):
+    shape, other_shape, bad, differ, layout = _PLANE_CASES[cls]
+    a, b = _planes(cls, rng, shape), _planes(cls, rng, other_shape)
+    for op in (lambda: a + b, lambda: a - b, lambda: a.allclose(b)):
+        with pytest.raises(ShapeError) as info:
+            op()
+        assert str(info.value) == differ
+    with pytest.raises(ShapeError) as info:
+        cls(np.zeros(bad))
+    assert str(info.value) == layout
+
+
 # -- real representation ------------------------------------------------
 
 

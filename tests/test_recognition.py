@@ -237,7 +237,7 @@ def _with_image(samples, index, data):
 def _per_k_accuracies(train, test, basis, scheme, K):
     """The sweep as it was: one gallery and one evaluation per truncated basis."""
     truncated = [basis.truncated(k, k) for k in range(1, K + 1)]
-    return [evaluate(test, build_gallery(train, b, scheme), b, scheme) for b in truncated]
+    return [evaluate(test, build_gallery(train, b, scheme)) for b in truncated]
 
 
 @pytest.fixture
