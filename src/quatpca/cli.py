@@ -30,13 +30,15 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from .dataset import center, load_basis, load_dataset, save_basis, split
-from .errors import ConfigError, InvalidDataset, InvalidWeight, IoError, QuatPcaError, ShapeError
+from .dataset import _split_fractions, center, load_basis, load_dataset, save_basis, split
+from .errors import (ConfigError, InvalidDataset, InvalidParameter, InvalidWeight, IoError,
+                     QuatPcaError, ShapeError)
 from .recognition import build_gallery, predict, sweep_accuracies
 from .reconstruction import reconstruct_samples, reconstruction_ratio, sweep_ratios
-from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, FitParams, fit
+from .solver import _RULES, DEFAULT_MAX_ITER, DEFAULT_TOL, FitParams, fit
 from .weighting import (
     Manner,
     SelectionConfig,
@@ -82,78 +84,36 @@ def _parse_float(raw):
     return value
 
 
-def _parse_positive_int(raw):
-    value = _parse_int(raw)
-    if value < 1:
-        raise ValueError(f"must be a positive integer, got {value}")
-    return value
-
-
-def _parse_s(raw):
-    value = _parse_float(raw)
-    if not (value >= 1 and math.isfinite(value)):
-        raise ValueError(f"must satisfy 1 <= s < inf, got {raw}")
-    return value
-
-
-def _parse_p(raw):
-    value = _parse_float(raw)
-    if not (value == math.inf or value > 0):
-        raise ValueError(f"must satisfy p > 0 or p = inf, got {raw}")
-    return value
-
-
-def _parse_tol(raw):
-    value = _parse_float(raw)
-    if not value > 0:
-        raise ValueError(f"must be positive, got {raw}")
-    return value
-
-
 def _parse_split(raw):
-    raw = raw.strip()
     if not (raw.startswith("[") and raw.endswith("]")):
         raise ValueError(f"expected [train, val, test], got {raw!r}")
-    parts = [x.strip() for x in raw[1:-1].split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"expected three fractions, got {len(parts)}")
-    fracs = tuple(_parse_float(x) for x in parts)
-    if any(not math.isfinite(f) or f < 0 for f in fracs):
-        raise ValueError(f"fractions must be finite and nonnegative, got {fracs}")
-    if abs(sum(fracs) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(fracs)}")
-    return fracs
+    return _split_fractions(_parse_float(x.strip()) for x in raw[1:-1].split(","))
 
 
-def _parse_manner(raw):
+def _parse_choice(kind, raw):
     try:
-        return Manner(raw.strip().lower())
+        return kind(raw.lower())
     except ValueError:
-        options = ", ".join(m.value for m in Manner)
+        options = ", ".join(choice.value for choice in kind)
         raise ValueError(f"must be one of {options}, got {raw!r}") from None
 
 
-def _parse_transform(raw):
-    try:
-        return Transform(raw.strip().lower())
-    except ValueError:
-        options = ", ".join(t.value for t in Transform)
-        raise ValueError(f"must be one of {options}, got {raw!r}") from None
-
-
+# Each key's RunConfig field and the reader that converts its text.  A
+# field with a range rule in the solver's table is then checked against
+# that rule, so the CLI and the library report the same text.
 _KEY_PARSERS = {
     "dataset.root": ("root", str),
     "dataset.split": ("split", _parse_split),
     "dataset.seed": ("seed", _parse_int),
-    "model.s": ("s", _parse_s),
-    "model.p": ("p", _parse_p),
-    "model.k1": ("k1", _parse_positive_int),
-    "model.k2": ("k2", _parse_positive_int),
-    "model.tol": ("tol", _parse_tol),
-    "model.max_iter": ("max_iter", _parse_positive_int),
-    "weighting.manner": ("manner", _parse_manner),
-    "weighting.transform": ("transform", _parse_transform),
-    "selection.repeats": ("repeats", _parse_positive_int),
+    "model.s": ("s", _parse_float),
+    "model.p": ("p", _parse_float),
+    "model.k1": ("k1", _parse_int),
+    "model.k2": ("k2", _parse_int),
+    "model.tol": ("tol", _parse_float),
+    "model.max_iter": ("max_iter", _parse_int),
+    "weighting.manner": ("manner", partial(_parse_choice, Manner)),
+    "weighting.transform": ("transform", partial(_parse_choice, Transform)),
+    "selection.repeats": ("repeats", _parse_int),
 }
 
 
@@ -186,46 +146,49 @@ def parse_config(path):
         seen.add(key)
         attr, parser = _KEY_PARSERS[key]
         try:
-            setattr(cfg, attr, parser(raw))
-        except ValueError as exc:
+            value = parser(raw)
+            if attr in _RULES and not _RULES[attr][0](value):
+                raise ValueError(f"{_RULES[attr][1]}, got {raw}")
+            setattr(cfg, attr, value)
+        except (ValueError, InvalidParameter) as exc:
             problems.append(f"{key}: {exc}")
     if problems:
         raise ConfigError(problems)
     return cfg
 
 
-def _require(cfg, keys):
-    missing = []
-    if "dataset.root" in keys and cfg.root is None:
-        missing.append("dataset.root: required but not set")
-    if "model.k1" in keys and cfg.k1 is None:
-        missing.append("model.k1: required but not set")
-    if "model.k2" in keys and cfg.k2 is None:
-        missing.append("model.k2: required but not set")
+def _setup(args, fitting):
+    """The prologue every command shares; returns (cfg, model, dataset, train, test).
+
+    The fitting commands (fit, select-weighting) also need model.k1 and
+    model.k2, and their model is the FitParams, checked against the image
+    size.  For the others it is the basis read from --basis, whose image
+    size must match the dataset's.  Every command needs a nonempty
+    training split.
+    """
+    cfg = parse_config(args.config)
+    keys = ("dataset.root", "model.k1", "model.k2") if fitting else ("dataset.root",)
+    missing = [f"{key}: required but not set" for key in keys
+               if getattr(cfg, _KEY_PARSERS[key][0]) is None]
     if missing:
         raise ConfigError(missing)
-
-
-def _fit_params(cfg, m, n):
+    basis = None if fitting else load_basis(args.basis)
+    dataset = load_dataset(cfg.root)
+    train, _, test = split(dataset, cfg.split, cfg.seed)
+    m, n = dataset.shape
+    if not fitting and (m, n) != (basis.m, basis.n):
+        raise ShapeError(
+            f"dataset images are {m}x{n} but the basis was fitted on {basis.m}x{basis.n}")
+    if len(train) == 0:
+        raise InvalidDataset("the training split is empty")
+    if not fitting:
+        return cfg, basis, dataset, train, test
     params = FitParams(s=cfg.s, p=cfg.p, k1=cfg.k1, k2=cfg.k2,
                        tol=cfg.tol, max_iter=cfg.max_iter)
     problems = params.violations(m, n)
     if problems:
         raise ConfigError([f"model: {msg}" for msg in problems])
-    return params
-
-
-def _load_splits(cfg):
-    dataset = load_dataset(cfg.root)
-    train, val, test = split(dataset, cfg.split, cfg.seed)
-    return dataset, train, val, test
-
-
-def _check_basis_dims(basis, dataset):
-    if dataset.shape != (basis.m, basis.n):
-        raise ShapeError(
-            f"dataset images are {dataset.shape[0]}x{dataset.shape[1]} "
-            f"but the basis was fitted on {basis.m}x{basis.n}")
+    return cfg, params, dataset, train, test
 
 
 @contextlib.contextmanager
@@ -252,7 +215,10 @@ def _emit_csv(path, what, header, rows, out):
 
 
 def _sweep_size(args, basis):
-    """The --sweep K, checked against the fitted sizes before any work."""
+    """The --sweep K, checked against the fitted sizes.
+
+    Runs once the basis and the whole dataset are loaded, before any projection.
+    """
     top = min(basis.k1, basis.k2)
     if not 1 <= args.sweep <= top:
         raise ConfigError(
@@ -265,15 +231,9 @@ def _fmt(x):
 
 
 def cmd_fit(args, out):
-    cfg = parse_config(args.config)
-    _require(cfg, ["dataset.root", "model.k1", "model.k2"])
-    dataset, train, _, _ = _load_splits(cfg)
-    if len(train) == 0:
-        raise InvalidDataset("the training split is empty")
+    cfg, params, dataset, train, _ = _setup(args, fitting=True)
     m, n = dataset.shape
-    params = _fit_params(cfg, m, n)
-    train_c = center(train)
-    basis = fit(train_c, params)
+    basis = fit(center(train), params)
     save_basis(basis, args.basis)
 
     lines = [
@@ -297,11 +257,7 @@ def cmd_fit(args, out):
 
 
 def cmd_select_weighting(args, out):
-    cfg = parse_config(args.config)
-    _require(cfg, ["dataset.root", "model.k1", "model.k2"])
-    dataset, train, _, _ = _load_splits(cfg)
-    m, n = dataset.shape
-    params = _fit_params(cfg, m, n)
+    cfg, params, _, train, _ = _setup(args, fitting=True)
     protocol = SelectionConfig(repeats=cfg.repeats, seed=cfg.seed, transform=cfg.transform)
     scores = score_weightings(train, params, protocol)
     chosen = best_manner(scores)
@@ -326,13 +282,7 @@ def cmd_select_weighting(args, out):
 
 
 def cmd_recognize(args, out):
-    cfg = parse_config(args.config)
-    _require(cfg, ["dataset.root"])
-    basis = load_basis(args.basis)
-    dataset, train, _, test = _load_splits(cfg)
-    _check_basis_dims(basis, dataset)
-    if len(train) == 0:
-        raise InvalidDataset("the training split is empty")
+    cfg, basis, _, train, test = _setup(args, fitting=False)
     scheme = WeightingScheme(cfg.manner, cfg.transform)
 
     if args.sweep is not None:
@@ -356,13 +306,7 @@ def cmd_recognize(args, out):
 
 
 def cmd_reconstruct(args, out):
-    cfg = parse_config(args.config)
-    _require(cfg, ["dataset.root"])
-    basis = load_basis(args.basis)
-    dataset, train, _, _ = _load_splits(cfg)
-    _check_basis_dims(basis, dataset)
-    if len(train) == 0:
-        raise InvalidDataset("the training split is empty")
+    cfg, basis, _, train, _ = _setup(args, fitting=False)
     scheme = WeightingScheme(cfg.manner, cfg.transform)
 
     if args.sweep is not None:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidDataset, InvalidParameter, IoError
 from .quaternion import QMatrix
-from .solver import BasisPair, FitParams
+from .solver import BasisPair, FitParams, _check
 
 __all__ = [
     "Sample",
@@ -351,6 +351,18 @@ def center(sample_set):
     return SampleSet(samples=shifted, mean=QMatrix(mean), centered=True)
 
 
+def _split_fractions(fractions):
+    """The (train, validation, test) fractions as floats, checked against their rules."""
+    fracs = tuple(float(x) for x in fractions)
+    if len(fracs) != 3:
+        raise InvalidParameter(f"expected three split fractions, got {len(fracs)}")
+    if not all(0 <= x < math.inf for x in fracs):
+        raise InvalidParameter(f"split fractions must be finite and nonnegative, got {fracs}")
+    if abs(sum(fracs) - 1.0) > 1e-9:
+        raise InvalidParameter(f"split fractions must sum to 1, got {sum(fracs)}")
+    return fracs
+
+
 def split(sample_set, fractions, seed):
     """Stratified (train, validation, test) split.
 
@@ -359,15 +371,11 @@ def split(sample_set, fractions, seed):
     floor(fraction * count) samples but at least one when their fraction
     is nonzero; leftovers go to the training part (or to the largest
     nonzero part when the training fraction is zero).  The shuffle is
-    driven only by ``seed``, and each part keeps the original sample order.
+    driven only by ``seed`` (an integer >= 0), and each part keeps
+    the original sample order.
     """
-    fracs = [float(x) for x in fractions]
-    if len(fracs) != 3:
-        raise InvalidParameter(f"expected three split fractions, got {len(fracs)}")
-    if not all(0 <= x < math.inf for x in fracs):
-        raise InvalidParameter(f"split fractions must be finite and nonnegative, got {fracs}")
-    if abs(sum(fracs) - 1.0) > 1e-9:
-        raise InvalidParameter(f"split fractions must sum to 1, got {sum(fracs)}")
+    fracs = _split_fractions(fractions)
+    _check("seed", seed)
     nonzero = sum(1 for x in fracs if x > 0)
 
     rng = np.random.default_rng(seed)

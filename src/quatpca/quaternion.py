@@ -344,15 +344,17 @@ def lp_norm(w, p):
     Requires p > 0.  For p >= 1 this is a norm; for 0 < p < 1 it is the
     same expression without the triangle inequality.
     """
+    # Imported here because the solver, which keeps the rule, sits above this module.
+    from .solver import _check
+
+    _check("p", p)
     return _moduli_lp_norm(w.abs(), p)
 
 
 def _moduli_lp_norm(mods, p):
-    """lp_norm of a vector given its entrywise moduli."""
+    """lp_norm of a vector given its entrywise moduli, for a legal p."""
     if p == math.inf:
         return float(mods.max(initial=0.0))
-    if not p > 0:
-        raise InvalidParameter(f"lp_norm requires p > 0 or p = +inf, got {p}")
     # No errstate: the ascent calls this twice per step on unit-norm
     # iterates, which cannot overflow.  Moduli beyond about 1e308^(1/p)
     # still raise numpy's overflow warning, then take the rescaled value.

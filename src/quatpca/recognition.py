@@ -37,7 +37,6 @@ from .weighting import (
     _checked_stack,
     _gamma,
     _project,
-    _scaled_bases,
     _side_weights,
     _truncations,
     centered_stack,
@@ -188,7 +187,8 @@ def sweep_accuracies(train, test, basis, scheme, K):
         raise InvalidDataset("cannot evaluate on an empty sample set")
     Y = _checked_stack(centered_stack(test, basis), basis, test.samples)
     weights += [_side_weights(b, scheme) for b in prefixes[1:]]
-    A, B = _scaled_bases(prefixes[-1], *weights[-1])
+    left, right = weights[-1]
+    A, B = prefixes[-1].U.data * left, prefixes[-1].V.data * right
     G, Q = _project(X, A, B), _project(Y, A, B)
     labels = train.labels()
     accuracies = []

@@ -27,7 +27,6 @@ from .weighting import (
     _checked_stack,
     _gamma,
     _project,
-    _scaled_bases,
     _side_weights,
     _truncations,
     centered_stack,
@@ -38,8 +37,6 @@ __all__ = ["reconstruct", "reconstruct_samples", "reconstruction_ratio", "sweep_
 
 
 def _inverse(w):
-    if w is None:
-        return None
     if np.any(w == 0.0):
         raise InvalidWeight("zero weight cannot be inverted for reconstruction")
     return 1.0 / w
@@ -47,7 +44,8 @@ def _inverse(w):
 
 def _rebuild_bases(basis, scheme):
     """Planes of U and V with the inverse of the scheme's weights folded in."""
-    return _scaled_bases(basis, *(_inverse(w) for w in _side_weights(basis, scheme)))
+    left, right = (_inverse(w) for w in _side_weights(basis, scheme))
+    return basis.U.data * left, basis.V.data * right
 
 
 def _rebuild(P, A, B, mean):

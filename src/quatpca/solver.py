@@ -75,6 +75,39 @@ DEFAULT_MAX_ITER = 500
 _F_GUARD = 1e-300
 
 
+# The legal range of each hyperparameter as (test, rule).  Every check in
+# the package, the CLI's included, reads it here and reports a value that
+# fails as "<name> <rule>, got <value>".
+_COUNT = (lambda v: isinstance(v, int) and v >= 1, "must be a positive integer")
+_RULES = {
+    "s": (lambda v: isinstance(v, (int, float)) and 1 <= v < math.inf,
+          "must satisfy 1 <= s < inf"),
+    "p": (lambda v: isinstance(v, (int, float)) and (v == math.inf or v > 0),
+          "must satisfy p > 0 or p = inf"),
+    "k1": _COUNT,
+    "k2": _COUNT,
+    "tol": (lambda v: v > 0, "must be positive"),
+    "max_iter": _COUNT,
+    "repeats": _COUNT,
+    # np.random.default_rng accepts any of these.
+    "seed": (lambda v: isinstance(v, (int, np.integer)) and v >= 0,
+             "must be a nonnegative integer"),
+}
+
+
+def _violation(name, value):
+    """The message for ``value`` breaking the rule of ``name``; None when legal."""
+    legal, rule = _RULES[name]
+    return None if legal(value) else f"{name} {rule}, got {value}"
+
+
+def _check(name, value):
+    """Raise InvalidParameter when ``value`` breaks the rule of ``name``."""
+    problem = _violation(name, value)
+    if problem:
+        raise InvalidParameter(problem)
+
+
 @dataclass(frozen=True)
 class FitParams:
     """Hyperparameters of one fit.
@@ -83,10 +116,11 @@ class FitParams:
     exponent (p > 0 or math.inf); ``k1``/``k2`` the number of left/right
     directions.  ``init`` selects the starting iterate: "ones" is the
     deterministic all-ones pure-real vector, "random" draws from a
-    PRNG seeded with ``seed``.  The 0 < p < 1 regime reweights by the
-    moduli of the starting iterate.  ``tol``, ``max_iter``, ``init`` and
-    ``seed`` steer the ascent only: an s = p = 2 fit is an exact
-    eigensolve and reads none of them (they are still validated).
+    PRNG seeded with ``seed`` (an integer >= 0).  The 0 < p < 1
+    regime reweights by the moduli of the starting iterate.  ``tol``,
+    ``max_iter``, ``init`` and ``seed`` steer the ascent only: an
+    s = p = 2 fit is an exact eigensolve and reads none of them (they are
+    still validated).
     """
 
     s: float
@@ -100,26 +134,15 @@ class FitParams:
 
     def violations(self, m=None, n=None):
         """Collect conflicts with the legal ranges; empty when valid."""
-        problems = []
-        if not (isinstance(self.s, (int, float)) and self.s >= 1 and math.isfinite(self.s)):
-            problems.append(f"s must satisfy 1 <= s < inf, got {self.s}")
-        if not (isinstance(self.p, (int, float)) and (self.p == math.inf or self.p > 0)):
-            problems.append(f"p must satisfy p > 0 or p = +inf, got {self.p}")
-        if not (isinstance(self.k1, int) and self.k1 >= 1):
-            problems.append(f"k1 must be a positive integer, got {self.k1}")
-        if not (isinstance(self.k2, int) and self.k2 >= 1):
-            problems.append(f"k2 must be a positive integer, got {self.k2}")
+        problems = [_violation(name, getattr(self, name)) for name in ("s", "p", "k1", "k2")]
         if m is not None and isinstance(self.k1, int) and self.k1 > m:
             problems.append(f"k1 must not exceed the image row count ({self.k1} > {m})")
         if n is not None and isinstance(self.k2, int) and self.k2 > n:
             problems.append(f"k2 must not exceed the image column count ({self.k2} > {n})")
-        if not self.tol > 0:
-            problems.append(f"tol must be positive, got {self.tol}")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
-            problems.append(f"max_iter must be a positive integer, got {self.max_iter}")
+        problems += [_violation(name, getattr(self, name)) for name in ("tol", "max_iter", "seed")]
         if self.init not in ("ones", "random"):
             problems.append(f"init must be 'ones' or 'random', got {self.init!r}")
-        return problems
+        return [problem for problem in problems if problem]
 
     def validate(self, m=None, n=None):
         problems = self.violations(m, n)
@@ -368,8 +391,7 @@ def objective(samples, w, side="right", s=2.0):
 
 def _ascent_terms(samples, w, s, side="right"):
     """(f(w), ascent vector) on the samples as given, for any s."""
-    if not (s >= 1 and math.isfinite(s)):
-        raise InvalidParameter(f"s must satisfy 1 <= s < inf, got {s}")
+    _check("s", s)
     H = _wide(_sample_stack(samples), side)
     if w.n != H.shape[1]:
         raise ShapeError(f"vector length {w.n} does not match sample width {H.shape[1]}")
@@ -391,6 +413,7 @@ def lp_update(y, p, current=None, initial=None):
 
     Raises DegenerateDirection when y (or the reweighted vector) is zero.
     """
+    _check("p", p)
     mods = []
     for v in (current, initial):
         if v is not None and v.n != y.n:
@@ -414,8 +437,6 @@ def _sphere_step(y, p, cur_mods, init_mods):
     if p == math.inf:
         nonzero = mods > 0.0
         return np.where(nonzero, y / np.where(nonzero, mods, 1.0), 0.0), nonzero.astype(float)
-    if not p > 0:
-        raise InvalidParameter(f"p must satisfy p > 0 or p = +inf, got {p}")
     if p == 1:
         j = int(np.argmax(mods))
         w, w_mods = np.zeros_like(y), np.zeros_like(mods)
@@ -607,9 +628,6 @@ def covariance_baseline(samples, k):
     these eigenvalues.
     """
     S = _sample_stack(samples)
-    n = S.shape[3]
-    if not 1 <= k <= n:
-        raise InvalidParameter(f"k must satisfy 1 <= k <= {n}, got {k}")
     return _eigenbasis(_gram(_wide(S)) / len(S), k)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidDataset, InvalidParameter, InvalidWeight, ShapeError
 from .quaternion import QMatrix, plane_conj_transpose, plane_matmul
-from .solver import _require_finite, fit
+from .solver import _check, _require_finite, fit
 
 __all__ = [
     "Manner",
@@ -93,21 +93,17 @@ def _transform_values(d, transform):
 
 
 def _side_weights(basis, scheme):
-    """Transformed (left, right) weights, None for a side the manner leaves alone.
+    """Transformed (left, right) weights, ones for a side the manner leaves alone.
 
     Weights are built only for the sides the manner actually uses, so an
-    unweighted projection never trips transform validity checks.
+    unweighted projection never trips transform validity checks.  A
+    weight of one leaves every product it enters bit for bit unchanged.
     """
-    left = _transform_values(basis.d_left, scheme.transform) if scheme.weights_left else None
-    right = _transform_values(basis.d_right, scheme.transform) if scheme.weights_right else None
+    left = (_transform_values(basis.d_left, scheme.transform) if scheme.weights_left
+            else np.ones(basis.k1))
+    right = (_transform_values(basis.d_right, scheme.transform) if scheme.weights_right
+             else np.ones(basis.k2))
     return left, right
-
-
-def _scaled_bases(basis, left, right):
-    """Planes of U and V with real column weights folded in; None leaves a side as is."""
-    A = basis.U.data if left is None else basis.U.data * left
-    B = basis.V.data if right is None else basis.V.data * right
-    return A, B
 
 
 def centered_stack(samples, basis):
@@ -156,7 +152,8 @@ def project_stack(X, basis, scheme=WeightingScheme(Manner.UNWEIGHTED), samples=N
     non-finite image be reported by its source or label.
     """
     X = _checked_stack(X, basis, samples)
-    return _project(X, *_scaled_bases(basis, *_side_weights(basis, scheme)))
+    left, right = _side_weights(basis, scheme)
+    return _project(X, basis.U.data * left, basis.V.data * right)
 
 
 def project(F, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
@@ -179,8 +176,8 @@ class SelectionConfig:
     transform: Transform = Transform.IDENTITY
 
     def validate(self):
-        if not (isinstance(self.repeats, int) and self.repeats >= 1):
-            raise InvalidParameter(f"repeats must be a positive integer, got {self.repeats}")
+        _check("repeats", self.repeats)
+        _check("seed", self.seed)
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidParameter(
                 f"train_fraction must lie strictly between 0 and 1, got {self.train_fraction}")
@@ -214,11 +211,7 @@ def score_weightings(train, params, protocol=SelectionConfig()):
         inner_labels = inner_c.labels()
         for manner in MANNER_PRECEDENCE:
             left, right = _side_weights(basis, WeightingScheme(manner, protocol.transform))
-            gallery, probes = plain
-            if left is not None:
-                gallery, probes = gallery * left[:, None], probes * left[:, None]
-            if right is not None:
-                gallery, probes = gallery * right, probes * right
+            gallery, probes = (P * left[:, None] * right for P in plain)
             nearest, _ = _nearest(probes, gallery)
             hits = sum(inner_labels[i] == s.label for i, s in zip(nearest, val.samples))
             sums[manner] += hits / len(val)

@@ -17,8 +17,11 @@ import quatpca
 import quatpca.cli
 from quatpca import (
     ConfigError,
+    FitParams,
+    InvalidParameter,
     Manner,
     QMatrix,
+    SelectionConfig,
     Transform,
     WeightingScheme,
     build_gallery,
@@ -142,6 +145,67 @@ def test_split_must_sum_to_one(tmp_path):
     cfg.write_text("dataset.split = [0.5, 0.4, 0.2]\n")
     with pytest.raises(ConfigError):
         parse_config(cfg)
+
+
+# Every key with a range rule, and an illegal value for it.
+_RANGE_KEYS = [("model.s", "0.5"), ("model.p", "-1"), ("model.k1", "0"), ("model.k2", "-2"),
+               ("model.tol", "0"), ("model.max_iter", "0"), ("selection.repeats", "0"),
+               ("dataset.seed", "-1")]
+
+
+def library_message(key, value, root):
+    """What the library's own validator says of ``value`` for the field behind ``key``."""
+    field = key.split(".")[1]
+    with pytest.raises(InvalidParameter) as err:
+        if key == "dataset.seed":
+            split(load_dataset(root), (0.75, 0, 0.25), value)
+        elif key == "selection.repeats":
+            SelectionConfig(repeats=value).validate()
+        else:
+            FitParams(**{"s": 2.0, "p": 2.0, "k1": 1, "k2": 1, field: value}).validate()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("key, raw", _RANGE_KEYS)
+def test_config_range_errors_quote_the_library_rule(workspace, capsys, key, raw):
+    field = key.split(".")[1]
+    value = float(raw) if field in ("s", "p", "tol") else int(raw)
+    message = library_message(key, value, workspace["root"])
+    prefix, suffix = f"{field} ", f", got {value}"
+    assert message.startswith(prefix) and message.endswith(suffix), message
+    rule = message[len(prefix):-len(suffix)]
+    cfg = workspace["tmp"] / "range.cfg"
+    cfg.write_text(f"dataset.root = {workspace['root']}\n{key} = {raw}\n")
+    assert run(capsys, ["fit", "--config", str(cfg), "--basis", str(workspace["basis"])]) == (
+        2, "", f"error: {key}: {rule}, got {raw}\n")
+
+
+_COMMANDS = ["fit", "select-weighting", "recognize", "reconstruct"]
+
+
+def command_argv(command, cfg, ws):
+    argv = [command, "--config", str(cfg)]
+    if command == "select-weighting":
+        return argv + ["--manifest", str(ws["tmp"] / "manifest.json")]
+    return argv + ["--basis", str(ws["basis"])]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_negative_seed_is_a_config_error(workspace, capsys, command):
+    fit_workspace(capsys, workspace)
+    cfg = workspace["tmp"] / "seed.cfg"
+    cfg.write_text(workspace["cfg"].read_text().replace("dataset.seed = 5", "dataset.seed = -1"))
+    assert run(capsys, command_argv(command, cfg, workspace)) == (
+        2, "", "error: dataset.seed: must be a nonnegative integer, got -1\n")
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_empty_training_split_is_one_error_for_every_command(workspace, capsys, command):
+    fit_workspace(capsys, workspace)
+    cfg = workspace["tmp"] / "no-train.cfg"
+    cfg.write_text(workspace["cfg"].read_text().replace("[0.75, 0, 0.25]", "[0, 0.5, 0.5]"))
+    assert run(capsys, command_argv(command, cfg, workspace)) == (
+        1, "", "error: the training split is empty\n")
 
 
 # -- fit ----------------------------------------------------------------

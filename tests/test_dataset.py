@@ -459,6 +459,12 @@ def test_split_validates_fractions(rng):
             split(ss, fractions, seed=0)
 
 
+def test_split_rejects_a_negative_seed(rng):
+    ss = build_labeled(rng, {"a": 4})
+    with pytest.raises(InvalidParameter, match="seed must be a nonnegative integer, got -1"):
+        split(ss, (0.5, 0.5, 0.0), seed=-1)
+
+
 # -- basis serialization ------------------------------------------------
 
 

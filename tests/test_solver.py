@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,12 @@ def test_fitparams_collects_all_violations():
     assert len(problems) >= 6
     with pytest.raises(InvalidParameter):
         bad.validate(4, 3)
+
+
+def test_fitparams_lists_a_negative_seed():
+    assert FitParams(s=2.0, p=2.0, k1=1, k2=1, seed=-1).violations() == [
+        "seed must be a nonnegative integer, got -1"]
+    FitParams(s=2.0, p=2.0, k1=1, k2=1, seed=np.int64(3)).validate()
 
 
 def test_fitparams_accepts_infinite_p():
@@ -283,13 +290,17 @@ def test_fit_checks_dimensions(diag_samples):
 
 
 def test_fit_random_init_reproducible(diag_samples):
-    params = FitParams(s=2.0, p=2.0, k1=2, k2=2, tol=1e-12,
+    # p = 1.5 runs the ascent; the s = p = 2 eigensolve reads neither init nor seed.
+    params = FitParams(s=2.0, p=1.5, k1=2, k2=2, tol=1e-12,
                        init="random", seed=11)
     b1 = fit(diag_samples, params)
     b2 = fit(diag_samples, params)
     assert np.array_equal(b1.V.data, b2.V.data)
     assert np.array_equal(b1.U.data, b2.U.data)
+    assert b1.report.all_traces() == b2.report.all_traces()
     assert b1.d_right == pytest.approx([18.0, 2.0], rel=1e-8)
+    ones = fit(diag_samples, replace(params, init="ones"))
+    assert b1.report.right[0].objective_history[0] != ones.report.right[0].objective_history[0]
 
 
 def test_fit_rejects_unknown_init(diag_samples):

@@ -141,6 +141,8 @@ def test_selection_config_validation():
         SelectionConfig(repeats=0).validate()
     with pytest.raises(InvalidParameter):
         SelectionConfig(train_fraction=1.0).validate()
+    with pytest.raises(InvalidParameter, match="seed must be a nonnegative integer, got -1"):
+        SelectionConfig(seed=-1).validate()
     SelectionConfig().validate()
 
 
