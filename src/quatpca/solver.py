@@ -13,10 +13,10 @@ f(w) = sum_i ||F_i w||_s^s over the unit Lp sphere through a
 minorize-maximize iteration: linearize f at the current iterate, then
 apply the closed-form maximizer of the linear form over the sphere (four
 regimes: 0 < p < 1, p = 1, 1 < p < inf, p = inf).  Accepted directions
-are orthonormalized and the samples are deflated so that later
-directions explore the remaining subspace only.  Left directions solve
-the mirrored problem max sum_i ||u^* F_i||_s^s, which is the same
-computation on conjugate-transposed samples.
+are orthonormalized and the problem is deflated, T <- T (I - WW^*), so
+that later directions explore the remaining subspace only.  Left
+directions solve the mirrored problem max sum_i ||u^* F_i||_s^s, which
+is the same computation on conjugate-transposed samples.
 
 The samples of one side form one tall matrix T = [F_1; ...; F_l], so
 f(w) = ||T w||_s^s.  Only its conjugate transpose H = T^* is ever built.
@@ -28,14 +28,17 @@ both the objective <w, y> and the next ascent vector, so the
 per-iteration cost no longer grows with the sample count.  Other s keep
 H alone and compute P = T w once per iterate, then take the objective
 and the ascent vector T^* (|P|^(s-2) (.) P) from it.  Each of the two
-products reads H once in one batched GEMM over its four planes, and the
+products reads H once in one batched GEMM over its planes, and the
 Hamilton table of ``quaternion``, as 4 x 16 real coefficients, combines
-the 16 real products.  Both paths deflate through the real
-representation Rp of I - WW^*: G <- (I - WW^*) G (I - WW^*) is
-R <- Rp R Rp, and H <- (I - WW^*) H is the one ``plane_matmul`` GEMM
-Rp [H0; H1; H2; H3], which expands the projector, never H.  A step that
-lowers the objective (possible for 0 < p < 1) is rejected and ends the
-direction on the previous iterate.  :func:`solve_direction` and
+the real products; planes of H that are zero everywhere (the real plane
+of colour images) are dropped once, so those run 12 of the 16.  Both
+paths deflate through the real representation Rp of I - WW^*:
+G <- (I - WW^*) G (I - WW^*) is R <- Rp R Rp, while H is never
+rewritten.  The projectors are nested, so the latest one covers every
+earlier one, and T (I - WW^*) has the objective f(Rp w) and the ascent
+vector Rp y(Rp w): two 4n x 4n real matrix-vector products per
+evaluation.  A step that lowers the objective (possible for 0 < p < 1)
+is rejected and ends the direction on the previous iterate.  :func:`solve_direction` and
 :func:`mm_update` run this ascent for any (s, p), s = p = 2 included.
 """
 
@@ -44,6 +47,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -77,20 +81,20 @@ _F_GUARD = 1e-300
 
 # The legal range of each hyperparameter as (test, rule).  Every check in
 # the package, the CLI's included, reads it here and reports a value that
-# fails as "<name> <rule>, got <value>".
-_COUNT = (lambda v: isinstance(v, int) and v >= 1, "must be a positive integer")
+# fails as "<name> <rule>, got <value>".  The numbers ABCs admit numpy
+# scalars, which np.random.default_rng and the solver accept too.
+_COUNT = (lambda v: isinstance(v, Integral) and v >= 1, "must be a positive integer")
 _RULES = {
-    "s": (lambda v: isinstance(v, (int, float)) and 1 <= v < math.inf,
+    "s": (lambda v: isinstance(v, Real) and 1 <= v < math.inf,
           "must satisfy 1 <= s < inf"),
-    "p": (lambda v: isinstance(v, (int, float)) and (v == math.inf or v > 0),
+    "p": (lambda v: isinstance(v, Real) and (v == math.inf or v > 0),
           "must satisfy p > 0 or p = inf"),
     "k1": _COUNT,
     "k2": _COUNT,
-    "tol": (lambda v: v > 0, "must be positive"),
+    "tol": (lambda v: isinstance(v, Real) and v > 0, "must be positive"),
     "max_iter": _COUNT,
     "repeats": _COUNT,
-    # np.random.default_rng accepts any of these.
-    "seed": (lambda v: isinstance(v, (int, np.integer)) and v >= 0,
+    "seed": (lambda v: isinstance(v, Integral) and v >= 0,
              "must be a nonnegative integer"),
 }
 
@@ -132,12 +136,19 @@ class FitParams:
     init: str = "ones"
     seed: int = 0
 
+    def __post_init__(self):
+        # A numpy float passes the rules; the fit computes with its Python
+        # value, so float32 arithmetic never enters the exponents.
+        for name in ("s", "p", "tol"):
+            if isinstance(getattr(self, name), np.floating):
+                object.__setattr__(self, name, float(getattr(self, name)))
+
     def violations(self, m=None, n=None):
         """Collect conflicts with the legal ranges; empty when valid."""
         problems = [_violation(name, getattr(self, name)) for name in ("s", "p", "k1", "k2")]
-        if m is not None and isinstance(self.k1, int) and self.k1 > m:
+        if m is not None and isinstance(self.k1, Integral) and self.k1 > m:
             problems.append(f"k1 must not exceed the image row count ({self.k1} > {m})")
-        if n is not None and isinstance(self.k2, int) and self.k2 > n:
+        if n is not None and isinstance(self.k2, Integral) and self.k2 > n:
             problems.append(f"k2 must not exceed the image column count ({self.k2} > {n})")
         problems += [_violation(name, getattr(self, name)) for name in ("tol", "max_iter", "seed")]
         if self.init not in ("ones", "random"):
@@ -350,29 +361,41 @@ class _GramObjective:
 class _StackObjective:
     """General s: f(w) = ||T w||_s^s, ascent vector T^* (|P|^(s-2) (.) P).
 
-    Only H = T^* is stored, as one C-contiguous (4, n, L) array.  Each
-    product reads it once in one batched GEMM, and the Hamilton table
-    combines the 16 real products it returns: Z[c, d] = w_d^T H_c gives
-    P = H^* w through _HAMILTON_CONJ_A, and M[c, :, e] = H_c Q_e gives
-    T^* Q = H Q through _HAMILTON.
+    Only H = T^* is stored, as one C-contiguous (k, n, L) array of its k
+    planes that are not zero everywhere (at least one is kept; colour
+    images have a zero real plane, so k = 3).  Each product reads it
+    once in one batched GEMM, and the columns of the Hamilton table that
+    belong to the kept planes combine the 4k real products it returns:
+    Z[c, d] = w_d^T H_c gives P = H^* w through _HAMILTON_CONJ_A, and
+    M[c, :, e] = H_c Q_e gives T^* Q = H Q through _HAMILTON.
+
+    H never changes.  Deflation keeps only Rp, the real representation of
+    the latest projector I - WW^*, which covers every earlier one because
+    the projectors are nested: the deflated stack has f(Rp w) and the
+    ascent vector Rp y(Rp w), two 4n x 4n matrix-vector products.
     """
 
     def __init__(self, H, s):
-        self.H, self.s = H, s
+        keep = [c for c in range(4) if H[c].any()] or [0]
+        cols = [4 * c + d for c in keep for d in range(4)]
+        self.H, self.s, self.Rp = H[keep], s, None
+        self.conj_a, self.table = _HAMILTON_CONJ_A[:, cols], _HAMILTON[:, cols]
 
     def evaluate(self, w):
+        if self.Rp is not None:
+            w = (self.Rp @ w.reshape(-1)).reshape(w.shape)
         Z = w[None] @ self.H
-        P = _HAMILTON_CONJ_A @ Z.reshape(16, -1)
-        A = np.sqrt(np.sum(P * P, axis=0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fac = np.where(A > 0.0, A ** (self.s - 2.0), 0.0)
+        P = self.conj_a @ Z.reshape(-1, Z.shape[2])
+        A = np.sqrt(np.einsum("ij,ij->j", P, P))
+        fac = np.power(A, self.s - 2.0, out=np.zeros_like(A), where=A > 0.0)
         M = self.H @ (P * fac).T
-        y = _HAMILTON @ M.transpose(0, 2, 1).reshape(16, -1)
+        y = self.table @ M.transpose(0, 2, 1).reshape(-1, M.shape[1])
+        if self.Rp is not None:
+            y = (self.Rp @ y.reshape(-1)).reshape(y.shape)
         return float(np.sum(A ** self.s)), y
 
     def deflate(self, P):
-        # T <- T P with P Hermitian, so T^* <- P T^*.
-        self.H = plane_matmul(P, self.H)
+        self.Rp = _real_repr(P)
 
 
 def _objective_for(H, s):

@@ -18,6 +18,7 @@ from quatpca import (
     QVector,
     Quaternion,
     SampleSet,
+    SelectionConfig,
     ShapeError,
     center,
     covariance_baseline,
@@ -65,6 +66,44 @@ def test_fitparams_lists_a_negative_seed():
     assert FitParams(s=2.0, p=2.0, k1=1, k2=1, seed=-1).violations() == [
         "seed must be a nonnegative integer, got -1"]
     FitParams(s=2.0, p=2.0, k1=1, k2=1, seed=np.int64(3)).validate()
+
+
+# Per rule: a numpy scalar inside the range, and a value that is no number.
+_NUMPY_LEGAL = {"s": np.float32(1.5), "p": np.float32(0.5), "k1": np.int64(2),
+                "k2": np.int32(2), "tol": np.float32(1e-3), "max_iter": np.uint16(7),
+                "repeats": np.int64(2), "seed": np.int64(3)}
+
+
+def _rule_problems(name, value):
+    """What the public validator of ``name`` reports for ``value``."""
+    if name == "repeats":
+        try:
+            SelectionConfig(repeats=value).validate()
+        except InvalidParameter as exc:
+            return [str(exc)]
+        return []
+    return FitParams(**{"s": 2.0, "p": 2.0, "k1": 1, "k2": 1, name: value}).violations(3, 3)
+
+
+@pytest.mark.parametrize("name", sorted(_NUMPY_LEGAL))
+def test_rules_accept_numpy_scalars_and_name_non_numbers(name):
+    assert _rule_problems(name, _NUMPY_LEGAL[name]) == []
+    rule = {"s": "must satisfy 1 <= s < inf", "p": "must satisfy p > 0 or p = inf",
+            "tol": "must be positive", "seed": "must be a nonnegative integer"}.get(
+        name, "must be a positive integer")
+    assert _rule_problems(name, "x") == [f"{name} {rule}, got x"]
+
+
+def test_fit_reads_numpy_scalars_like_python_numbers(diag_samples):
+    params = FitParams(s=1.5, p=1.5, k1=2, k2=2, tol=1e-8, max_iter=50)
+    scalars = FitParams(s=np.float64(1.5), p=np.float32(1.5), k1=np.int64(2), k2=np.int32(2),
+                        tol=np.float64(1e-8), max_iter=np.uint16(50))
+    assert FitParams(s=2.0, p=2.0, k1=np.int64(4), k2=1).violations(3, 2) == [
+        "k1 must not exceed the image row count (4 > 3)"]
+    ref, got = fit(diag_samples, params), fit(diag_samples, scalars)
+    for a, b in ((ref.U, got.U), (ref.V, got.V)):
+        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(ref.d_left, got.d_left) and np.array_equal(ref.d_right, got.d_right)
 
 
 def test_fitparams_accepts_infinite_p():
@@ -523,32 +562,87 @@ def test_stack_kernel_matches_per_sample_oracle(side, s):
         assert np.max(np.abs(step.to_real() - y_ref / np.linalg.norm(y_ref))) <= 1e-12
 
 
+def _random_projector(width, seed):
+    """Planes of I - WW^* for a random W with two orthonormal columns."""
+    W = random_orthonormal_columns(np.random.default_rng(seed), width, 2)
+    RP = np.eye(4 * width) - real_repr(W) @ real_repr(W).T
+    return RP[:, :width].reshape(4, width, width)
+
+
+def _deflated(mats, P, side):
+    """The samples whose stack is T P: F_i P on the right, P F_i on the left."""
+    return [QMatrix(plane_matmul(F.data, P) if side == "right" else plane_matmul(P, F.data))
+            for F in mats]
+
+
+def _assert_stack_matches_oracle(obj, mats, s, side, seed):
+    """obj.evaluate agrees with the per-sample oracle on mats at a random and a unit w."""
+    width = mats[0].n if side == "right" else mats[0].m
+    for w in (QVector(np.random.default_rng(seed).standard_normal((4, width))),
+              QVector.unit(width, 0)):
+        f, y = obj.evaluate(w.data)
+        f_ref, y_ref = _oracle_terms(mats, w, s, side)
+        assert f == pytest.approx(f_ref, rel=1e-12)
+        assert np.max(np.abs(y.reshape(-1) - y_ref)) <= 1e-12
+
+
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_stack_deflation_matches_per_sample_oracle(side):
     mats = _samples_with_zero_lines(33)
-    width = mats[0].n if side == "right" else mats[0].m
-    W = random_orthonormal_columns(np.random.default_rng(34), width, 2)
-    RP = np.eye(4 * width) - real_repr(W) @ real_repr(W).T
-    P = RP[:, :width].reshape(4, width, width)
-    H = _wide(np.stack([F.data for F in mats]), side)
-    obj = _StackObjective(H, 1.0)
+    P = _random_projector(mats[0].n if side == "right" else mats[0].m, 34)
+    obj = _StackObjective(_wide(np.stack([F.data for F in mats]), side), 1.0)
     obj.deflate(P)
-    # T^* after deflation: [(F_i (I - WW^*))^*, ...] on the right,
-    # [(I - WW^*) F_i, ...] on the left; first block column of each
-    # real representation holds the planes
-    blocks = []
-    for R in _oracle_matrices(mats, side):
-        D = RP @ R.T
-        blocks.append(D[:, :D.shape[1] // 4].reshape(4, width, -1))
-    assert np.max(np.abs(obj.H - np.concatenate(blocks, axis=2))) <= 1e-12
+    _assert_stack_matches_oracle(obj, _deflated(mats, P, side), 1.0, side, 35)
+
+
+def _pure_samples(seed):
+    rng = np.random.default_rng(seed)
+    return [random_qmatrix(rng, 5, 4, pure=True) for _ in range(6)]
+
+
+def _one_real_entry(seed):
+    mats = _pure_samples(seed)
+    data = mats[3].data.copy()
+    data[0, 2, 1] = 0.75
+    mats[3] = QMatrix(data)
+    return mats
+
+
+def _zero_samples(seed):
+    return [QMatrix.zeros(5, 4) for _ in range(3)]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("s", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("make, planes",
+                         [(_pure_samples, 3), (_one_real_entry, 4), (_zero_samples, 1)])
+def test_stack_planes_match_per_sample_oracle(side, s, make, planes):
+    # A real plane zero everywhere is dropped, one nonzero entry keeps it,
+    # and all-zero samples keep one plane; either way the deflated
+    # objective fills the dropped planes of the iterate.
+    mats = make(41)
+    P = _random_projector(mats[0].n if side == "right" else mats[0].m, 42)
+    obj = _StackObjective(_wide(np.stack([F.data for F in mats]), side), s)
+    assert obj.H.shape[0] == planes
+    _assert_stack_matches_oracle(obj, mats, s, side, 43)
+    obj.deflate(P)
+    _assert_stack_matches_oracle(obj, _deflated(mats, P, side), s, side, 44)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("s", [1.0, 1.5, 3.0])
+def test_zero_samples_have_no_ascent_direction(side, s):
+    mats = _zero_samples(45)
+    api_samples = mats if side == "right" else [F.H for F in mats]
+    with pytest.raises(DegenerateDirection, match="ascent vector is zero"):
+        mm_update(QVector.unit(api_samples[0].n, 0), api_samples, s=s, p=1.5)
+    with pytest.raises(DegenerateDirection, match="ascent vector is zero"):
+        solve_direction(api_samples, FitParams(s=s, p=1.5, k1=1, k2=1))
 
 
 def test_gram_deflation_matches_oracle():
     mats = _samples_with_zero_lines(35)
-    width = mats[0].n
-    W = random_orthonormal_columns(np.random.default_rng(36), width, 2)
-    RP = np.eye(4 * width) - real_repr(W) @ real_repr(W).T
-    P = RP[:, :width].reshape(4, width, width)
+    P = _random_projector(mats[0].n, 36)
     H = _wide(np.stack([F.data for F in mats]))
     obj = _GramObjective(H)
     obj.deflate(P)
@@ -669,6 +763,9 @@ import numpy as np
 from quatpca import FitParams, QMatrix, SampleSet, center, fit
 rng = np.random.default_rng(77)
 mats = [QMatrix(rng.standard_normal((4, 24, 20))) for _ in range(60)]
+if sys.argv[2:] == ["pure"]:
+    # colour pixels are pure quaternions: the real plane is zero
+    mats = [QMatrix(F.data * np.array([0.0, 1.0, 1.0, 1.0])[:, None, None]) for F in mats]
 ss = center(SampleSet.build([(str(t % 6), F) for t, F in enumerate(mats)]))
 for s in (2.0, 1.0):
     b = fit(ss, FitParams(s=s, p=float(sys.argv[1]), k1=3, k2=3))
@@ -679,12 +776,15 @@ for s in (2.0, 1.0):
 """
 
 
-def _thread_digests(p):
-    """Fit digests of _DIGEST_SCRIPT at sphere exponent p, under 1 and 2 BLAS threads."""
+def _thread_digests(p, *samples):
+    """Fit digests of _DIGEST_SCRIPT at sphere exponent p, under 1 and 2 BLAS threads.
+
+    ``samples`` may be ("pure",) for samples with a zero real plane.
+    """
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, p], env=env,
+        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, p, *samples], env=env,
                              capture_output=True, text=True, check=True)
         digests.append(out.stdout.split())
     assert len(digests[0]) == 2
@@ -706,4 +806,11 @@ def test_fit_bytes_independent_of_blas_threads_low_p():
     # p = 0.5 at s = 2 and s = 1: the robust sparse fits, whose s = 1
     # ascent products and deflations run as batched GEMMs.
     one, two = _thread_digests("0.5")
+    assert one == two
+
+
+def test_fit_bytes_independent_of_blas_threads_pure_quaternion():
+    # p = 0.5 on samples with a zero real plane: the s = 1 ascent drops
+    # that plane of its stack.
+    one, two = _thread_digests("0.5", "pure")
     assert one == two
