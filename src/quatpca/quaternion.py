@@ -358,7 +358,7 @@ def _moduli_lp_norm(mods, p):
     # No errstate: the ascent calls this twice per step on unit-norm
     # iterates, which cannot overflow.  Moduli beyond about 1e308^(1/p)
     # still raise numpy's overflow warning, then take the rescaled value.
-    total = (mods ** p).sum()
+    total = np.add.reduce(mods ** p)
     if not sys.float_info.min <= total < math.inf:
         # The powers under- or overflowed; scale by the largest modulus.
         big = mods.max(initial=0.0)

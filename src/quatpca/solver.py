@@ -20,26 +20,34 @@ is the same computation on conjugate-transposed samples.
 
 The samples of one side form one tall matrix T = [F_1; ...; F_l], so
 f(w) = ||T w||_s^s.  Only its conjugate transpose H = T^* is ever built.
-The Gram matrix G = T^* T (n x n on the right, sum_i F_i F_i^* on the
-left) is one real GEMM of the stacked planes of H with their transpose.
-s = 2 ascents run on G alone, kept only as its 4n x 4n real
-representation R: y = G w is one real matrix-vector product and gives
-both the objective <w, y> and the next ascent vector, so the
-per-iteration cost no longer grows with the sample count.  Other s keep
-H alone and compute P = T w once per iterate, then take the objective
+Both objectives drop the planes of H that are zero everywhere (the real
+plane of colour images) by one rule, _live_planes.  The Gram matrix
+G = T^* T (n x n on the right, sum_i F_i F_i^* on the left) is one real
+GEMM of the stacked live planes of H with their transpose, 9 of the 16
+block products for colour images.  s = 2 ascents run on G alone, kept
+only as its 4n x 4n real representation R: y = G w is one real
+matrix-vector product and gives both the objective <w, y> and the next
+ascent vector, so the per-iteration cost no longer grows with the sample
+count.  Other s keep H alone, as the (k n, L) real matrix of its k live
+planes, and compute P = T w once per iterate, then take the objective
 and the ascent vector T^* (|P|^(s-2) (.) P) from it.  Each of the two
-products reads H once in one batched GEMM over its planes, and the
-Hamilton table of ``quaternion``, as 4 x 16 real coefficients, combines
-the real products; planes of H that are zero everywhere (the real plane
-of colour images) are dropped once, so those run 12 of the 16.  Both
-paths deflate through the real representation Rp of I - WW^*:
-G <- (I - WW^*) G (I - WW^*) is R <- Rp R Rp, while H is never
-rewritten.  The projectors are nested, so the latest one covers every
-earlier one, and T (I - WW^*) has the objective f(Rp w) and the ascent
-vector Rp y(Rp w): two 4n x 4n real matrix-vector products per
+products is one 2-D GEMM: the Hamilton table of ``quaternion``, as
+4 x 16 real coefficients, is folded into the iterate before the first
+and applied to the 4 x (k n) result of the second, so nothing is mixed
+over the L columns.  Both paths deflate through the real representation
+Rp of I - WW^*: G <- (I - WW^*) G (I - WW^*) is R <- Rp R Rp, while H
+is never rewritten.  The projectors are nested, so the latest one covers
+every earlier one, and T (I - WW^*) has the objective f(Rp w) and the
+ascent vector Rp y(Rp w): two 4n x 4n real matrix-vector products per
 evaluation.  A step that lowers the objective (possible for 0 < p < 1)
-is rejected and ends the direction on the previous iterate.  :func:`solve_direction` and
-:func:`mm_update` run this ascent for any (s, p), s = p = 2 included.
+is rejected and ends the direction on the previous iterate.
+:func:`solve_direction` and :func:`mm_update` run this ascent for any
+(s, p), s = p = 2 included.
+
+Data whose largest magnitude would overflow or underflow the sums of
+powers above are rejected up front (see ``_require_scale``).  Inside that
+range a power-of-two rescaling of the data changes neither the steps
+nor the bases of the ascent.
 """
 
 from __future__ import annotations
@@ -75,8 +83,11 @@ __all__ = [
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 500
 
-# Guards the relative-change denominator when the objective is zero.
-_F_GUARD = 1e-300
+# The smallest positive double: it guards the relative-change denominator
+# when the objective is zero and gives a zero modulus a finite weight.
+_TINY = math.ulp(0.0)
+# Moduli from this one up have normal squares.
+_ROOT_NORMAL = math.sqrt(sys.float_info.min)
 
 
 # The legal range of each hyperparameter as (test, rule).  Every check in
@@ -262,20 +273,46 @@ def _require_finite(S, samples=None):
     """Raise InvalidDataset when an image of the (l, 4, m, n) stack S holds NaN or inf.
 
     The error names the first offending sample, by its source or label
-    when ``samples`` (the stack's Sample records) is given.
+    when ``samples`` (the stack's Sample records) is given.  Returns the
+    largest magnitude of an entry, from the same pass: a sample's largest
+    magnitude is NaN or inf exactly when the sample holds one.
     """
-    bad = np.flatnonzero(~np.isfinite(S).reshape(len(S), -1).all(axis=1))
+    flat = S.reshape(len(S), -1)
+    peaks = np.maximum(flat.max(axis=1, initial=0.0), -flat.min(axis=1, initial=0.0))
+    bad = np.flatnonzero(~np.isfinite(peaks))
     if bad.size:
         i = int(bad[0])
         name = f" ({samples[i].source or f'label {samples[i].label!r}'})" if samples else ""
         raise InvalidDataset(f"sample {i}{name} holds a non-finite value (NaN or inf)")
+    return float(peaks.max(initial=0.0))
+
+
+def _require_scale(S, peak, s):
+    """Raise InvalidDataset when entries of magnitude ``peak`` put a fit at exponent s out of range.
+
+    A fit sums t-th powers of the entries of the (l, 4, m, n) stack S,
+    t = max(s, 2): squared moduli, Gram entries and the objective
+    sum_i |P_i|^s.  A modulus of T w is at most 2 w peak, w = max(m, n),
+    over at most l w rows, so every such sum stays finite below the
+    upper bound, and the t-th power of the largest entry is a normal
+    double above the lower one.
+    """
+    l, _, m, n = S.shape
+    t, width = max(s, 2.0), max(m, n)
+    lo = sys.float_info.min ** (1.0 / t)
+    hi = (sys.float_info.max / (l * width)) ** (1.0 / t) / (2 * width)
+    if peak and not lo <= peak <= hi:
+        raise InvalidDataset(
+            f"the largest magnitude of a sample entry is {peak:.3g}, outside the safe range "
+            f"[{lo:.3g}, {hi:.3g}] of a fit at s = {s} on {l} samples of {m} x {n}; "
+            f"rescale the data")
 
 
 def _sample_stack(samples):
-    """Samples as one (l, 4, m, n) array; accepts a SampleSet or QMatrix list.
+    """(stack, peak): the samples as one (l, 4, m, n) array, and its largest magnitude.
 
-    Raises InvalidDataset, naming the first offending sample, when any
-    entry is NaN or infinite.
+    Accepts a SampleSet or QMatrix list.  Raises InvalidDataset, naming
+    the first offending sample, when any entry is NaN or infinite.
     """
     items = getattr(samples, "samples", None)
     mats = list(samples) if items is None else [s.image for s in items]
@@ -287,8 +324,7 @@ def _sample_stack(samples):
         if f.shape != mats[0].shape:
             raise ShapeError(f"samples have mixed shapes: {mats[0].shape} vs {f.shape}")
     S = np.stack([f.data for f in mats])
-    _require_finite(S, items)
-    return S
+    return S, _require_finite(S, items)
 
 
 def _wide(S, side="right"):
@@ -308,17 +344,32 @@ def _wide(S, side="right"):
     return H.reshape(4, n, l * m)
 
 
+def _live_planes(H):
+    """(view, indices) of the planes of H from its first to its last live one.
+
+    A plane is live when it is not zero everywhere; at least one plane is
+    kept.  Colour images have a zero real plane, so their stacks keep
+    three.  A zero plane between live ones stays, which costs products
+    but no accuracy.
+    """
+    live = [c for c in range(4) if H[c].any()] or [0]
+    return H[live[0]:live[-1] + 1], list(range(live[0], live[-1] + 1))
+
+
 def _gram(H):
     """Quaternion Gram matrix T^* T = H H^* as a (4, n, n) plane array.
 
-    One real GEMM of the stacked planes Hf = [H0; H1; H2; H3] with its
-    own transpose gives every H_c H_d^T, and _HAMILTON_CONJ_B combines
-    the 16 blocks.
+    One real GEMM of the stacked live planes Hf = [H_c; ...] (see
+    _live_planes) with its own transpose gives every block H_c H_d^T, and
+    the matching columns of _HAMILTON_CONJ_B combine them; a dropped
+    plane only ever contributed zero blocks.
     """
-    n = H.shape[1]
-    Hf = H.reshape(4 * n, -1)
-    blocks = (Hf @ Hf.T).reshape(4, n, 4, n).transpose(0, 2, 1, 3).reshape(16, -1)
-    return (_HAMILTON_CONJ_B @ blocks).reshape(4, n, n)
+    Hk, keep = _live_planes(H)
+    k, n = len(keep), H.shape[1]
+    Hf = Hk.reshape(k * n, -1)
+    blocks = (Hf @ Hf.T).reshape(k, n, k, n).transpose(0, 2, 1, 3).reshape(k * k, -1)
+    cols = [4 * c + d for c in keep for d in keep]
+    return (_HAMILTON_CONJ_B[:, cols] @ blocks).reshape(4, n, n)
 
 
 def _projector(W):
@@ -361,38 +412,50 @@ class _GramObjective:
 class _StackObjective:
     """General s: f(w) = ||T w||_s^s, ascent vector T^* (|P|^(s-2) (.) P).
 
-    Only H = T^* is stored, as one C-contiguous (k, n, L) array of its k
-    planes that are not zero everywhere (at least one is kept; colour
-    images have a zero real plane, so k = 3).  Each product reads it
-    once in one batched GEMM, and the columns of the Hamilton table that
-    belong to the kept planes combine the 4k real products it returns:
-    Z[c, d] = w_d^T H_c gives P = H^* w through _HAMILTON_CONJ_A, and
-    M[c, :, e] = H_c Q_e gives T^* Q = H Q through _HAMILTON.
+    Only H = T^* is stored, as its k live planes (see _live_planes;
+    colour images have a zero real plane, so k = 3), flattened to the
+    (k n, L) real matrix Hf.  The Hamilton table is folded into the small
+    operands, so each pass over the stack is one 2-D GEMM:
 
-    H never changes.  Deflation keeps only Rp, the real representation of
-    the latest projector I - WW^*, which covers every earlier one because
-    the projectors are nested: the deflated stack has f(Rp w) and the
-    ascent vector Rp y(Rp w), two 4n x 4n matrix-vector products.
+    * P = H^* w is W Hf, where W (4, k n) folds _HAMILTON_CONJ_A into w;
+    * T^* Q = H Q is the table applied to B = Q Hf^T (4, k n), with the
+      columns of _HAMILTON permuted once to B's (plane of Q, plane of H)
+      order, on n columns only.
+
+    The weights |P|^(s-2) and the objective come from the squared
+    moduli alone.  H never changes.  Deflation keeps only Rp, the real
+    representation of the latest projector I - WW^*, which covers every
+    earlier one because the projectors are nested: the deflated stack
+    has f(Rp w) and the ascent vector Rp y(Rp w), two 4n x 4n
+    matrix-vector products.
     """
 
     def __init__(self, H, s):
-        keep = [c for c in range(4) if H[c].any()] or [0]
+        Hk, keep = _live_planes(H)
+        k, n = len(keep), H.shape[1]
         cols = [4 * c + d for c in keep for d in range(4)]
-        self.H, self.s, self.Rp = H[keep], s, None
-        self.conj_a, self.table = _HAMILTON_CONJ_A[:, cols], _HAMILTON[:, cols]
+        self.H, self.power, self.Rp = Hk, (s - 2.0) / 2.0, None
+        self.Hf = Hk.reshape(k * n, -1)
+        # fold[o, c, d] multiplies w_d H_c into plane o of P; table[o, k e + c]
+        # takes plane c of H against plane e of Q.
+        self.fold = _HAMILTON_CONJ_A[:, cols].reshape(4, k, 4)
+        self.table = _HAMILTON[:, cols].reshape(4, k, 4).transpose(0, 2, 1).reshape(4, 4 * k)
 
     def evaluate(self, w):
         if self.Rp is not None:
             w = (self.Rp @ w.reshape(-1)).reshape(w.shape)
-        Z = w[None] @ self.H
-        P = self.conj_a @ Z.reshape(-1, Z.shape[2])
-        A = np.sqrt(np.einsum("ij,ij->j", P, P))
-        fac = np.power(A, self.s - 2.0, out=np.zeros_like(A), where=A > 0.0)
-        M = self.H @ (P * fac).T
-        y = self.table @ M.transpose(0, 2, 1).reshape(-1, M.shape[1])
+        P = (self.fold @ w).reshape(4, -1) @ self.Hf
+        sq = np.einsum("ij,ij->j", P, P)
+        # Zero guard: a zero modulus (P_i = 0) gets the finite weight of the
+        # smallest positive double, so it adds 0 to f and to the product.
+        fac = np.power(np.maximum(sq, _TINY), self.power)
+        # einsum, not a BLAS dot, whose sum depends on the thread count
+        f = float(np.einsum("i,i->", fac, sq))
+        P *= fac
+        y = self.table @ (P @ self.Hf.T).reshape(-1, w.shape[1])
         if self.Rp is not None:
             y = (self.Rp @ y.reshape(-1)).reshape(y.shape)
-        return float(np.sum(A ** self.s)), y
+        return f, y
 
     def deflate(self, P):
         self.Rp = _real_repr(P)
@@ -415,7 +478,9 @@ def objective(samples, w, side="right", s=2.0):
 def _ascent_terms(samples, w, s, side="right"):
     """(f(w), ascent vector) on the samples as given, for any s."""
     _check("s", s)
-    H = _wide(_sample_stack(samples), side)
+    S, peak = _sample_stack(samples)
+    _require_scale(S, peak, s)
+    H = _wide(S, side)
     if w.n != H.shape[1]:
         raise ShapeError(f"vector length {w.n} does not match sample width {H.shape[1]}")
     return _StackObjective(H, s).evaluate(w.data)
@@ -452,9 +517,18 @@ def _sphere_step(y, p, cur_mods, init_mods):
     starting iterate; only 0 < p < 1 reads them.  Every modulus here is
     derived from the one modulus array of y.
     """
-    sq = (y * y).sum(axis=0)
-    mods = np.sqrt(sq)
+    with np.errstate(over="ignore"):
+        mods = np.sqrt(np.add.reduce(y * y))
     top = float(mods.max(initial=0.0))
+    if not _ROOT_NORMAL <= top < math.inf:
+        # The squares left the normal range.  The step is invariant to a
+        # positive rescaling of y, so bring its largest entry into
+        # [0.5, 1) by an exact power of two.
+        big = float(np.abs(y).max(initial=0.0))
+        if 0.0 < big < math.inf:
+            y = np.ldexp(y, -math.frexp(big)[1])
+            mods = np.sqrt(np.add.reduce(y * y))
+            top = float(mods.max())
     if top <= 0.0:
         raise DegenerateDirection("ascent vector is zero")
     if p == math.inf:
@@ -463,9 +537,7 @@ def _sphere_step(y, p, cur_mods, init_mods):
     if p == 1:
         j = int(np.argmax(mods))
         w, w_mods = np.zeros_like(y), np.zeros_like(mods)
-        # y_j / |y_j|, by hypot where the squares under- or overflowed
-        r = mods[j] if sys.float_info.min <= sq[j] < math.inf else math.hypot(*y[:, j])
-        w[:, j] = y[:, j] / r
+        w[:, j] = y[:, j] / mods[j]
         w_mods[j] = 1.0
         return w, w_mods
 
@@ -515,7 +587,7 @@ def _ascend(obj, n, params, orthogonal_to, side, index, rng):
     for iterations in range(1, params.max_iter + 1):
         w_new, mods_new = _sphere_step(y, p, w_mods, w0_mods)
         f_new, y_new = obj.evaluate(w_new)
-        delta = abs(f_new - f) / (abs(f) + _F_GUARD)
+        delta = abs(f_new - f) / (abs(f) + _TINY)
         # A step that lowers the objective is never taken: the direction
         # ends on the previous iterate, by the tolerance rule when the
         # drop lies within it.
@@ -554,7 +626,9 @@ def solve_direction(samples, params, orthogonal_to=()):
     transforming the samples.
     """
     params.validate()
-    H = _wide(_sample_stack(samples))
+    S, peak = _sample_stack(samples)
+    _require_scale(S, peak, params.s)
+    H = _wide(S)
     rng = np.random.default_rng(params.seed)
     v, f, _ = _ascend(_objective_for(H, params.s), H.shape[1], params,
                       tuple(orthogonal_to), "right", 0, rng)
@@ -620,9 +694,10 @@ def fit(samples, params):
     """
     if not getattr(samples, "centered", False):
         raise InvalidDataset("fit requires a centered sample set; call center() first")
-    S = _sample_stack(samples)
+    S, peak = _sample_stack(samples)
     m, n = S.shape[2:]
     params.validate(m, n)
+    _require_scale(S, peak, params.s)
     if params.s == 2 and params.p == 2:
         V, d_right, right_traces = _eigen_side(S, params.k2, "right")
         U, d_left, left_traces = _eigen_side(S, params.k1, "left")
@@ -650,13 +725,14 @@ def covariance_baseline(samples, k):
     eigenvectors from the unscaled G, and its objectives are l times
     these eigenvalues.
     """
-    S = _sample_stack(samples)
+    S, peak = _sample_stack(samples)
+    _require_scale(S, peak, 2.0)
     return _eigenbasis(_gram(_wide(S)) / len(S), k)
 
 
 def deflated_residuals(samples, basis):
     """Left- and right-deflated samples (I - UU^*) F_i and F_i (I - VV^*) = (P F_i^*)^*."""
-    S = _sample_stack(samples)
+    S, _ = _sample_stack(samples)
     right = plane_matmul(_projector(basis.V), plane_conj_transpose(S))
     return ([QMatrix(L) for L in plane_matmul(_projector(basis.U), S)],
             [QMatrix(R) for R in plane_conj_transpose(right)])

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -34,7 +35,7 @@ from quatpca import (
     solve_direction,
 )
 from quatpca.quaternion import plane_conj_transpose, plane_matmul
-from quatpca.solver import _GramObjective, _StackObjective, _gram, _wide
+from quatpca.solver import _GramObjective, _StackObjective, _gram, _live_planes, _wide
 from conftest import (
     max_principal_angle,
     planted_samples,
@@ -629,6 +630,32 @@ def test_stack_planes_match_per_sample_oracle(side, s, make, planes):
     _assert_stack_matches_oracle(obj, _deflated(mats, P, side), s, side, 44)
 
 
+def _pure_with_zero_lines(seed):
+    return [QMatrix(F.data * np.array([0.0, 1.0, 1.0, 1.0])[:, None, None])
+            for F in _samples_with_zero_lines(seed)]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("s", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("make", [_samples_with_zero_lines, _pure_with_zero_lines])
+def test_stack_evaluation_with_zero_moduli_matches_oracle(side, s, make):
+    # Zero lines make some moduli of T w exactly zero, before and after a
+    # deflation, which the weight |P|^(s-2) must skip without a warning;
+    # pure samples run the table folds on three planes, full ones on four.
+    mats = make(46)
+    width = mats[0].n if side == "right" else mats[0].m
+    w = QVector(np.random.default_rng(47).standard_normal((4, width)))
+    moduli = [np.sum((R @ w.to_real()).reshape(4, -1) ** 2, axis=0)
+              for R in _oracle_matrices(mats, side)]
+    assert any(np.any(a == 0.0) for a in moduli) and any(np.any(a > 0.0) for a in moduli)
+    obj = _StackObjective(_wide(np.stack([F.data for F in mats]), side), s)
+    assert obj.H.shape[0] == (3 if make is _pure_with_zero_lines else 4)
+    _assert_stack_matches_oracle(obj, mats, s, side, 47)
+    P = _random_projector(width, 48)
+    obj.deflate(P)
+    _assert_stack_matches_oracle(obj, _deflated(mats, P, side), s, side, 47)
+
+
 @pytest.mark.parametrize("side", ["right", "left"])
 @pytest.mark.parametrize("s", [1.0, 1.5, 3.0])
 def test_zero_samples_have_no_ascent_direction(side, s):
@@ -753,6 +780,90 @@ def test_gram_matches_plane_matmul(side):
         H = _wide(rng.standard_normal((count, 4, m, n)), side)
         ref = plane_matmul(H, plane_conj_transpose(H))
         assert np.max(np.abs(_gram(H) - ref)) <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("mask, planes", [((0, 1, 1, 1), 3), ((0, 0, 1, 1), 2),
+                                          ((1, 0, 1, 0), 3), ((0, 0, 0, 0), 1)])
+def test_gram_of_zero_planes_matches_plane_matmul(side, mask, planes):
+    # zero planes before the first or after the last live one are left
+    # out of the block products
+    rng = np.random.default_rng(39)
+    S = rng.standard_normal((6, 4, 5, 3)) * np.array(mask, dtype=float)[:, None, None]
+    H = _wide(S, side)
+    assert len(_live_planes(H)[1]) == planes
+    ref = plane_matmul(H, plane_conj_transpose(H))
+    assert np.max(np.abs(_gram(H) - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+# -- data scale -----------------------------------------------------------
+
+
+_SCALE_CASES = [(1.0, 0.5), (2.0, 1.0), (2.0, 2.0), (1.5, 1.5)]
+
+
+def _scaled_pure_samples(scale):
+    rng = np.random.default_rng(61)
+    mats = [random_qmatrix(rng, 6, 5, pure=True) for _ in range(8)]
+    base = center(SampleSet.build([(str(t % 4), F) for t, F in enumerate(mats)]))
+    return SampleSet.build([(x.label, QMatrix(x.image.data * scale)) for x in base.samples],
+                           centered=True)
+
+
+@pytest.mark.parametrize("s, p", _SCALE_CASES)
+@pytest.mark.parametrize("scale", [1e155, 1e-170])
+def test_fit_rejects_data_beyond_the_safe_scale(s, p, scale):
+    samples = _scaled_pure_samples(scale)
+    peak = max(np.abs(x.image.data).max() for x in samples.samples)
+    with pytest.raises(InvalidDataset, match=r"largest magnitude .* is %s, outside the "
+                       r"safe range \[\S+, \S+\]" % re.escape(f"{peak:.3g}")):
+        fit(samples, FitParams(s=s, p=p, k1=3, k2=3))
+    with pytest.raises(InvalidDataset, match="safe range"):
+        objective(list(samples.images()), QVector.unit(5, 0), s=s)
+
+
+@pytest.mark.parametrize("s, p", _SCALE_CASES + [(2.0, 1.5)])
+@pytest.mark.parametrize("exponent", [-510, -500, 500, 503])
+def test_fit_is_invariant_to_power_of_two_scale(s, p, exponent):
+    # Inside the safe range, up to near both of its ends, the fit runs the
+    # same steps and returns the same bases; the objectives scale by
+    # 2^(exponent s).  At s = 2 and 2^-510 the objective is near 1e-306,
+    # where a guard of 1e-300 on the relative change would stop the
+    # ascent at once.
+    params = FitParams(s=s, p=p, k1=3, k2=3)
+    ref = fit(_scaled_pure_samples(1.0), params)
+    got = fit(_scaled_pure_samples(2.0 ** exponent), params)
+    steps = [(t.iterations, t.stop_reason) for t in got.report.all_traces()]
+    assert steps == [(t.iterations, t.stop_reason) for t in ref.report.all_traces()]
+    assert np.max(np.abs(got.U.data - ref.U.data)) <= 1e-13
+    assert np.max(np.abs(got.V.data - ref.V.data)) <= 1e-13
+    factor = 2.0 ** (exponent * s)
+    assert got.d_right / factor == pytest.approx(ref.d_right, rel=1e-13)
+    assert got.d_left / factor == pytest.approx(ref.d_left, rel=1e-13)
+
+
+def test_safe_scale_narrows_with_s():
+    # at s = 3 the objective sums cubes, which overflow from 2^500 on
+    params = FitParams(s=3.0, p=2.0, k1=2, k2=2)
+    with pytest.raises(InvalidDataset, match="safe range"):
+        fit(_scaled_pure_samples(2.0 ** 500), params)
+    ref, got = fit(_scaled_pure_samples(1.0), params), fit(_scaled_pure_samples(2.0 ** 300), params)
+    assert [t.iterations for t in got.report.all_traces()] == \
+        [t.iterations for t in ref.report.all_traces()]
+    assert got.d_right / 2.0 ** 900 == pytest.approx(ref.d_right, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, math.inf])
+@pytest.mark.parametrize("exponent", [-600, 600])
+def test_sphere_step_is_invariant_to_power_of_two_scale(p, exponent):
+    # squares of the scaled ascent vector under- or overflow; the step
+    # rescales it exactly, without a warning
+    rng = np.random.default_rng(62)
+    y = QVector(rng.standard_normal((4, 5)))
+    ref = QVector(np.abs(rng.standard_normal((4, 5))))
+    scaled = QVector(np.ldexp(y.data, exponent))
+    want = lp_update(y, p, current=ref, initial=ref)
+    assert np.array_equal(lp_update(scaled, p, current=ref, initial=ref).data, want.data)
 
 
 # -- determinism across BLAS thread counts -------------------------------
