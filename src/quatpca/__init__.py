@@ -39,7 +39,6 @@ from .solver import (
     lp_update,
     mm_update,
     objective,
-    solve_direction,
 )
 from .weighting import (
     MANNER_PRECEDENCE,
@@ -75,7 +74,7 @@ __all__ = [
     "qmul", "vabs", "vsign", "lp_norm", "real_scale", "real_repr",
     "mgs_orthonormalize", "hermitian_topk_eig",
     "FitParams", "BasisPair", "FitReport", "DirectionTrace",
-    "objective", "lp_update", "mm_update", "solve_direction", "fit",
+    "objective", "lp_update", "mm_update", "fit",
     "covariance_baseline", "deflated_residuals",
     "MANNER_PRECEDENCE", "Manner", "Transform", "WeightingScheme",
     "SelectionConfig", "project", "project_stack",

@@ -284,15 +284,16 @@ def cmd_select_weighting(args, out):
 def cmd_recognize(args, out):
     cfg, basis, _, train, test = _setup(args, fitting=False)
     scheme = WeightingScheme(cfg.manner, cfg.transform)
+    sweep = None if args.sweep is None else _sweep_size(args, basis)
+    if len(test) == 0:
+        raise InvalidDataset("the test split is empty")
 
-    if args.sweep is not None:
-        accuracies = sweep_accuracies(train, test, basis, scheme, _sweep_size(args, basis))
+    if sweep is not None:
+        accuracies = sweep_accuracies(train, test, basis, scheme, sweep)
         rows = [(k, f"{a:.6f}") for k, a in enumerate(accuracies, start=1)]
         _emit_csv(args.csv, "sweep", ["k", "accuracy"], rows, out)
         return 0
 
-    if len(test) == 0:
-        raise InvalidDataset("the test split is empty")
     gallery = build_gallery(train, basis, scheme)
     confusion = Counter(zip(test.labels(), predict(test, gallery)))
     hits = sum(count for (true, predicted), count in confusion.items() if true == predicted)
@@ -320,6 +321,9 @@ def cmd_reconstruct(args, out):
     print(f"reconstruct: manner={scheme.manner.value} transform={scheme.transform.value} "
           f"k1={basis.k1} k2={basis.k2}", file=out)
     print(f"ratio: {ratio:.6f} over {len(train)} training samples", file=out)
+    if args.csv:
+        _emit_csv(args.csv, "ratio", ["k1", "k2", "ratio"],
+                  [(basis.k1, basis.k2, f"{ratio:.6f}")], out)
     if args.export:
         from .dataset import export_image
 

@@ -37,7 +37,7 @@ HERMITIAN_RTOL = 1e-10
 _DUPLICATE_TOL = 1e-5
 
 
-def mgs_orthonormalize(vnew, basis, degenerate_tol=DEGENERATE_TOL):
+def mgs_orthonormalize(vnew, basis):
     """Orthonormalize ``vnew`` against an orthonormal ``basis``.
 
     Gram-Schmidt with the right-scalar update v <- v - W (W^* v), where
@@ -45,7 +45,7 @@ def mgs_orthonormalize(vnew, basis, degenerate_tol=DEGENERATE_TOL):
     v <- v - Wr (Wr^T v) with Wr = real_repr(W).  The update is applied
     twice for numerical safety, then v is normalized to unit L2 norm.
     Raises DegenerateDirection when the residual norm falls below
-    ``degenerate_tol``.
+    DEGENERATE_TOL.
     """
     basis = list(basis)
     for u in basis:
@@ -57,9 +57,9 @@ def mgs_orthonormalize(vnew, basis, degenerate_tol=DEGENERATE_TOL):
         for _ in range(2):
             v = v - Wr @ (Wr.T @ v)
     r = float(np.linalg.norm(v))
-    if r < degenerate_tol:
+    if r < DEGENERATE_TOL:
         raise DegenerateDirection(
-            f"residual norm {r:.3e} below {degenerate_tol:.1e}; direction already spanned")
+            f"residual norm {r:.3e} below {DEGENERATE_TOL:.1e}; direction already spanned")
     return QVector.from_real(v / r)
 
 
@@ -77,7 +77,7 @@ def _canonical_phase(w):
     return w / np.linalg.norm(w)
 
 
-def hermitian_topk_eig(G, k, hermitian_rtol=HERMITIAN_RTOL):
+def hermitian_topk_eig(G, k):
     """Top-k eigenpairs of a Hermitian quaternion matrix, descending.
 
     Works on the symmetric real representation: each quaternion
@@ -100,7 +100,7 @@ def hermitian_topk_eig(G, k, hermitian_rtol=HERMITIAN_RTOL):
     if not 1 <= k <= n:
         raise InvalidParameter(f"k must satisfy 1 <= k <= {n}, got {k}")
     scale = G.fro_norm()
-    if (G - G.H).fro_norm() > hermitian_rtol * scale:
+    if (G - G.H).fro_norm() > HERMITIAN_RTOL * scale:
         raise InvalidParameter("matrix is not Hermitian within tolerance")
 
     R = G.real_repr()

@@ -4,15 +4,16 @@ At s = p = 2 the model is two-dimensional quaternion PCA: the fixed
 point of the ascent with deflation is the top-k eigenbasis of each side's
 Gram matrix, so :func:`fit` takes it directly from one Hermitian
 eigensolve per side (``hermitian_topk_eig`` on the real representation),
-with no iterations; ``tol``, ``max_iter``, ``init`` and ``seed`` do not
-apply there.  :func:`covariance_baseline` runs the same eigen path on the
-Gram matrix divided by the sample count.
+with no iterations; ``tol`` and ``max_iter`` do not apply there.
+:func:`covariance_baseline` runs the same eigen path on the Gram matrix
+divided by the sample count.
 
 For every other (s, p), each projection direction maximizes
 f(w) = sum_i ||F_i w||_s^s over the unit Lp sphere through a
-minorize-maximize iteration: linearize f at the current iterate, then
-apply the closed-form maximizer of the linear form over the sphere (four
-regimes: 0 < p < 1, p = 1, 1 < p < inf, p = inf).  Accepted directions
+minorize-maximize iteration from the all-ones pure-real vector scaled to
+unit Lp norm: linearize f at the current iterate, then apply the
+closed-form maximizer of the linear form over the sphere (four regimes:
+0 < p < 1, p = 1, 1 < p < inf, p = inf).  Accepted directions
 are orthonormalized and the problem is deflated, T <- T (I - WW^*), so
 that later directions explore the remaining subspace only.  Left
 directions solve the mirrored problem max sum_i ||u^* F_i||_s^s, which
@@ -41,8 +42,8 @@ every earlier one, and T (I - WW^*) has the objective f(Rp w) and the
 ascent vector Rp y(Rp w): two 4n x 4n real matrix-vector products per
 evaluation.  A step that lowers the objective (possible for 0 < p < 1)
 is rejected and ends the direction on the previous iterate.
-:func:`solve_direction` and :func:`mm_update` run this ascent for any
-(s, p), s = p = 2 included.
+:func:`mm_update` takes one step of this ascent for any (s, p), s = p = 2
+included.
 
 Data whose largest magnitude would overflow or underflow the sums of
 powers above are rejected up front (see ``_require_scale``).  Inside that
@@ -72,7 +73,6 @@ __all__ = [
     "objective",
     "lp_update",
     "mm_update",
-    "solve_direction",
     "fit",
     "covariance_baseline",
     "deflated_residuals",
@@ -129,12 +129,8 @@ class FitParams:
 
     ``s`` is the deviation exponent (s >= 1, finite); ``p`` the sphere
     exponent (p > 0 or math.inf); ``k1``/``k2`` the number of left/right
-    directions.  ``init`` selects the starting iterate: "ones" is the
-    deterministic all-ones pure-real vector, "random" draws from a
-    PRNG seeded with ``seed`` (an integer >= 0).  The 0 < p < 1
-    regime reweights by the moduli of the starting iterate.  ``tol``,
-    ``max_iter``, ``init`` and ``seed`` steer the ascent only: an
-    s = p = 2 fit is an exact eigensolve and reads none of them (they are
+    directions.  ``tol`` and ``max_iter`` steer the ascent only: an
+    s = p = 2 fit is an exact eigensolve and reads neither (they are
     still validated).
     """
 
@@ -144,8 +140,6 @@ class FitParams:
     k2: int
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    init: str = "ones"
-    seed: int = 0
 
     def __post_init__(self):
         # A numpy float passes the rules; the fit computes with its Python
@@ -161,9 +155,7 @@ class FitParams:
             problems.append(f"k1 must not exceed the image row count ({self.k1} > {m})")
         if n is not None and isinstance(self.k2, Integral) and self.k2 > n:
             problems.append(f"k2 must not exceed the image column count ({self.k2} > {n})")
-        problems += [_violation(name, getattr(self, name)) for name in ("tol", "max_iter", "seed")]
-        if self.init not in ("ones", "random"):
-            problems.append(f"init must be 'ones' or 'random', got {self.init!r}")
+        problems += [_violation(name, getattr(self, name)) for name in ("tol", "max_iter")]
         return [problem for problem in problems if problem]
 
     def validate(self, m=None, n=None):
@@ -486,13 +478,13 @@ def _ascent_terms(samples, w, s, side="right"):
     return _StackObjective(H, s).evaluate(w.data)
 
 
-def lp_update(y, p, current=None, initial=None):
+def lp_update(y, p, current=None):
     """Closed-form sphere step for the linearized objective.
 
     Given the ascent vector y, returns the next iterate on the unit Lp
     sphere:
 
-    * 0 < p < 1:  y <- |initial| (.) |current|^(1-p) (.) y, then Lp-normalize;
+    * 0 < p < 1:  y <- |current|^(1-p) (.) y, then Lp-normalize;
     * p = 1:      all mass on the entry of largest |y_t| (smallest index
                   on ties), with that entry's sign;
     * 1 < p < inf: y <- |y|^(q-1) (.) sign(y) with q = p/(p-1), then
@@ -502,20 +494,17 @@ def lp_update(y, p, current=None, initial=None):
     Raises DegenerateDirection when y (or the reweighted vector) is zero.
     """
     _check("p", p)
-    mods = []
-    for v in (current, initial):
-        if v is not None and v.n != y.n:
-            raise ShapeError(f"iterate length {v.n} does not match ascent vector length {y.n}")
-        mods.append(None if v is None else v.abs())
-    return QVector(_sphere_step(y.data, p, *mods)[0])
+    if current is not None and current.n != y.n:
+        raise ShapeError(f"iterate length {current.n} does not match ascent vector length {y.n}")
+    return QVector(_sphere_step(y.data, p, None if current is None else current.abs())[0])
 
 
-def _sphere_step(y, p, cur_mods, init_mods):
+def _sphere_step(y, p, cur_mods):
     """:func:`lp_update` on (4, n) planes; returns (next iterate, its moduli).
 
-    ``cur_mods`` and ``init_mods`` are the moduli of the current and the
-    starting iterate; only 0 < p < 1 reads them.  Every modulus here is
-    derived from the one modulus array of y.
+    ``cur_mods`` are the moduli of the current iterate; only 0 < p < 1
+    reads them.  Every other modulus here is derived from the one modulus
+    array of y.
     """
     with np.errstate(over="ignore"):
         mods = np.sqrt(np.add.reduce(y * y))
@@ -544,9 +533,9 @@ def _sphere_step(y, p, cur_mods, init_mods):
     # The final normalization cancels any positive rescaling of y, so
     # divide by the top modulus first to keep the power maps in range.
     if p < 1:
-        if cur_mods is None or init_mods is None:
-            raise InvalidParameter("the 0 < p < 1 update needs current and initial iterates")
-        scale = init_mods * cur_mods ** (1.0 - p) / top
+        if cur_mods is None:
+            raise InvalidParameter("the 0 < p < 1 update needs the current iterate")
+        scale = cur_mods ** (1.0 - p) / top
     else:
         q = p / (p - 1.0)
         az = mods / top
@@ -558,34 +547,30 @@ def _sphere_step(y, p, cur_mods, init_mods):
     return y * (scale / nz), z_mods / nz
 
 
-def mm_update(w, samples, s, p, w0=None):
-    """One ascent step from iterate w; ``w0`` is the starting iterate."""
+def mm_update(w, samples, s, p):
+    """One ascent step from iterate w."""
     y = QVector(_ascent_terms(samples, w, s)[1])
-    return lp_update(y, p, current=w, initial=w0 if w0 is not None else w)
+    return lp_update(y, p, current=w)
 
 
-def _initial_iterate(n, params, rng):
-    if params.init == "random":
-        data = rng.standard_normal((4, n))
-    else:
-        data = np.zeros((4, n))
-        data[0] = 1.0
+def _initial_iterate(n, p):
+    data = np.zeros((4, n))
+    data[0] = 1.0
     w = QVector(data)
-    return w / lp_norm(w, params.p)
+    return w / lp_norm(w, p)
 
 
-def _ascend(obj, n, params, orthogonal_to, side, index, rng):
+def _ascend(obj, n, params, orthogonal_to, side, index):
     """Run the ascent loop on one side's objective; returns (v, f, trace)."""
     p = params.p
-    w0 = _initial_iterate(n, params, rng)
+    w0 = _initial_iterate(n, p)
     w, w_mods = w0.data, w0.abs()
-    w0_mods = w_mods
     f, y = obj.evaluate(w)
     f_hist = [f]
     pnorm_hist = [_moduli_lp_norm(w_mods, p)]
     reason = "iteration cap"
     for iterations in range(1, params.max_iter + 1):
-        w_new, mods_new = _sphere_step(y, p, w_mods, w0_mods)
+        w_new, mods_new = _sphere_step(y, p, w_mods)
         f_new, y_new = obj.evaluate(w_new)
         delta = abs(f_new - f) / (abs(f) + _TINY)
         # A step that lowers the objective is never taken: the direction
@@ -617,29 +602,11 @@ def _ascend(obj, n, params, orthogonal_to, side, index, rng):
     return v, f_dir, trace
 
 
-def solve_direction(samples, params, orthogonal_to=()):
-    """One right-projection direction for the given samples.
-
-    Returns (v, f): the unit direction orthonormalized against
-    ``orthogonal_to`` and its objective sum_i ||F_i v||_s^s on the
-    samples as given.  Callers handle deflation and the left side by
-    transforming the samples.
-    """
-    params.validate()
-    S, peak = _sample_stack(samples)
-    _require_scale(S, peak, params.s)
-    H = _wide(S)
-    rng = np.random.default_rng(params.seed)
-    v, f, _ = _ascend(_objective_for(H, params.s), H.shape[1], params,
-                      tuple(orthogonal_to), "right", 0, rng)
-    return v, f
-
-
-def _fit_side(obj, n, count, params, side, rng):
+def _fit_side(obj, n, count, params, side):
     vectors, values, traces = [], [], []
     for t in range(count):
         try:
-            v, f, trace = _ascend(obj, n, params, vectors, side, t, rng)
+            v, f, trace = _ascend(obj, n, params, vectors, side, t)
         except DegenerateDirection as exc:
             raise DegenerateDirection(
                 f"{side} direction {t}: {exc}", index=t) from exc
@@ -702,11 +669,10 @@ def fit(samples, params):
         V, d_right, right_traces = _eigen_side(S, params.k2, "right")
         U, d_left, left_traces = _eigen_side(S, params.k1, "left")
     else:
-        rng = np.random.default_rng(params.seed)
         V, d_right, right_traces = _fit_side(_objective_for(_wide(S), params.s), n,
-                                             params.k2, params, "right", rng)
+                                             params.k2, params, "right")
         U, d_left, left_traces = _fit_side(_objective_for(_wide(S, "left"), params.s), m,
-                                           params.k1, params, "left", rng)
+                                           params.k1, params, "left")
 
     mean = getattr(samples, "mean", None)
     if mean is None:

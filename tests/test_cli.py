@@ -354,6 +354,18 @@ def test_reconstruct_ratio_and_export(workspace, capsys):
     assert len(rebuilt) == 12
 
 
+def test_reconstruct_csv_without_sweep(workspace, capsys):
+    fit_workspace(capsys, workspace)
+    argv = ["reconstruct", "--config", str(workspace["cfg"]), "--basis", str(workspace["basis"])]
+    _, plain, _ = run(capsys, argv)
+    csv_path = workspace["tmp"] / "ratio.csv"
+    rc, out, err = run(capsys, argv + ["--csv", str(csv_path)])
+    assert (rc, err) == (0, "")
+    assert out == plain + f"ratio: written to {csv_path}\n"
+    ratio = plain.split("ratio: ")[1].split()[0]
+    assert csv_path.read_text().splitlines() == ["k1,k2,ratio", f"2,2,{ratio}"]
+
+
 def test_reconstruct_sweep_csv(workspace, capsys):
     fit_workspace(capsys, workspace)
     csv_path = workspace["tmp"] / "sweep.csv"
@@ -394,12 +406,14 @@ def test_sweep_size_outside_the_basis(workspace, capsys, command, K):
         2, "", f"error: --sweep: must satisfy 1 <= sweep <= min(k1, k2) = 2, got {K}\n")
 
 
-def test_recognize_sweep_on_empty_test_split(workspace, capsys):
+@pytest.mark.parametrize("sweep", [False, True])
+def test_recognize_sweep_on_empty_test_split(workspace, capsys, sweep):
     cfg = workspace["tmp"] / "all-train.cfg"
     cfg.write_text(workspace["cfg"].read_text().replace("[0.75, 0, 0.25]", "[1, 0, 0]"))
     assert run(capsys, ["fit", "--config", str(cfg), "--basis", str(workspace["basis"])])[0] == 0
-    assert run(capsys, sweep_argv("recognize", cfg, workspace, 2)) == (
-        1, "", "error: cannot evaluate on an empty sample set\n")
+    argv = (sweep_argv("recognize", cfg, workspace, 2) if sweep else
+            ["recognize", "--config", str(cfg), "--basis", str(workspace["basis"])])
+    assert run(capsys, argv) == (1, "", "error: the test split is empty\n")
 
 
 @pytest.mark.parametrize("command, part, index", [("recognize", 2, 1), ("reconstruct", 0, 2),

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from quatpca import (
     objective,
     project,
     real_repr,
-    solve_direction,
 )
 from quatpca.quaternion import plane_conj_transpose, plane_matmul
 from quatpca.solver import _GramObjective, _StackObjective, _gram, _live_planes, _wide
@@ -56,17 +54,11 @@ def entries(*qs):
 
 
 def test_fitparams_collects_all_violations():
-    bad = FitParams(s=0.5, p=0.0, k1=0, k2=9, tol=-1.0, max_iter=0, init="nope")
+    bad = FitParams(s=0.5, p=0.0, k1=0, k2=9, tol=-1.0, max_iter=0)
     problems = bad.violations(4, 3)
     assert len(problems) >= 6
     with pytest.raises(InvalidParameter):
         bad.validate(4, 3)
-
-
-def test_fitparams_lists_a_negative_seed():
-    assert FitParams(s=2.0, p=2.0, k1=1, k2=1, seed=-1).violations() == [
-        "seed must be a nonnegative integer, got -1"]
-    FitParams(s=2.0, p=2.0, k1=1, k2=1, seed=np.int64(3)).validate()
 
 
 # Per rule: a numpy scalar inside the range, and a value that is no number.
@@ -77,9 +69,9 @@ _NUMPY_LEGAL = {"s": np.float32(1.5), "p": np.float32(0.5), "k1": np.int64(2),
 
 def _rule_problems(name, value):
     """What the public validator of ``name`` reports for ``value``."""
-    if name == "repeats":
+    if name in ("repeats", "seed"):
         try:
-            SelectionConfig(repeats=value).validate()
+            SelectionConfig(**{name: value}).validate()
         except InvalidParameter as exc:
             return [str(exc)]
         return []
@@ -201,17 +193,29 @@ def test_lp_update_mid_p_matches_direct_formula():
 def test_lp_update_low_p_reweights_by_history():
     y = entries(1.0, 1.0)
     current = entries(0.9, Quaternion(0.1))
-    initial = entries(0.5, 0.5)
-    w = lp_update(y, 0.5, current=current, initial=initial)
+    w = lp_update(y, 0.5, current=current)
     assert lp_norm(w, 0.5) == pytest.approx(1.0)
     # the small current entry is damped by |current|^(1-p)
     assert w.abs()[0] > w.abs()[1]
 
 
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("c", [1 / 576, 3.7, 2.0 ** -40, 1e6])
+def test_lp_update_low_p_ignores_the_scale_of_the_iterate(p, c):
+    # A uniform reweighting (such as the moduli n^(-1/p) of the all-ones
+    # start) cancels in the final normalization.
+    rng = np.random.default_rng(63)
+    y = QVector(rng.standard_normal((4, 9)))
+    w = QVector(rng.standard_normal((4, 9)))
+    want = lp_update(y, p, current=w).data
+    got = lp_update(y, p, current=w * c).data
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+
+
 def test_lp_update_low_p_masks_zero_entries():
     y = entries(1.0, 1.0)
     current = entries(1.0, 0.0)
-    w = lp_update(y, 0.5, current=current, initial=entries(1.0, 1.0))
+    w = lp_update(y, 0.5, current=current)
     assert w.entry(1) == Quaternion(0.0)
     assert lp_norm(w, 0.5) == pytest.approx(1.0)
 
@@ -220,7 +224,7 @@ def test_lp_update_unit_norm_across_regimes(rng):
     y = QVector(rng.standard_normal((4, 6)))
     ref = QVector(rng.standard_normal((4, 6)))
     for p in (0.5, 1.0, 1.5, 2.0, 3.0, math.inf):
-        w = lp_update(y, p, current=ref, initial=ref)
+        w = lp_update(y, p, current=ref)
         assert lp_norm(w, p) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -260,35 +264,15 @@ def test_mm_update_never_decreases_objective(rng):
     for s, p in ((1.0, 0.5), (1.5, 1.0), (2.0, 2.0), (3.0, math.inf)):
         start = QVector(rng.standard_normal((4, 5)))
         w = start / lp_norm(start, p)
-        w0 = w
         for _ in range(12):
             before = objective(ss, w, s=s)
-            w = mm_update(w, ss, s=s, p=p, w0=w0)
+            w = mm_update(w, ss, s=s, p=p)
             after = objective(ss, w, s=s)
             assert after >= before - 1e-10 * max(1.0, abs(before))
             assert lp_norm(w, p) == pytest.approx(1.0, abs=1e-10)
 
 
-# -- single direction ---------------------------------------------------
-
-
-def test_solve_direction_finds_dominant_axis(diag_samples):
-    v, f = solve_direction(diag_samples, TIGHT)
-    assert f == pytest.approx(18.0, rel=1e-9)
-    assert v.abs()[0] == pytest.approx(1.0, abs=1e-6)
-    assert v.abs()[1] < 1e-6
-
-
-def test_solve_direction_on_deflated_stack(diag_samples):
-    e0 = QVector.unit(2, 0)
-    deflated = []
-    for F in diag_samples.images():
-        killed = QMatrix.from_columns([F @ e0, QVector.zeros(3)])
-        deflated.append(F - killed)
-    v, f = solve_direction(deflated, TIGHT, orthogonal_to=(e0,))
-    assert f == pytest.approx(2.0, rel=1e-9)
-    assert abs(e0.inner(v)) < 1e-10
-    assert v.abs()[1] == pytest.approx(1.0, abs=1e-8)
+# -- whole fit ----------------------------------------------------------
 
 
 def test_fit_frozen_diagonal(diag_samples):
@@ -329,23 +313,6 @@ def test_fit_checks_dimensions(diag_samples):
         fit(diag_samples, FitParams(s=2.0, p=2.0, k1=1, k2=3))
 
 
-def test_fit_random_init_reproducible(diag_samples):
-    # p = 1.5 runs the ascent; the s = p = 2 eigensolve reads neither init nor seed.
-    params = FitParams(s=2.0, p=1.5, k1=2, k2=2, tol=1e-12,
-                       init="random", seed=11)
-    b1 = fit(diag_samples, params)
-    b2 = fit(diag_samples, params)
-    assert np.array_equal(b1.V.data, b2.V.data)
-    assert np.array_equal(b1.U.data, b2.U.data)
-    assert b1.report.all_traces() == b2.report.all_traces()
-    assert b1.d_right == pytest.approx([18.0, 2.0], rel=1e-8)
-    ones = fit(diag_samples, replace(params, init="ones"))
-    assert b1.report.right[0].objective_history[0] != ones.report.right[0].objective_history[0]
-
-
-def test_fit_rejects_unknown_init(diag_samples):
-    with pytest.raises(InvalidParameter):
-        fit(diag_samples, FitParams(s=2.0, p=2.0, k1=1, k2=1, init="spiral"))
 
 
 def test_fit_degenerate_direction_carries_index():
@@ -663,8 +630,9 @@ def test_zero_samples_have_no_ascent_direction(side, s):
     api_samples = mats if side == "right" else [F.H for F in mats]
     with pytest.raises(DegenerateDirection, match="ascent vector is zero"):
         mm_update(QVector.unit(api_samples[0].n, 0), api_samples, s=s, p=1.5)
+    zeros = center(SampleSet.build([(str(t), F) for t, F in enumerate(api_samples)]))
     with pytest.raises(DegenerateDirection, match="ascent vector is zero"):
-        solve_direction(api_samples, FitParams(s=s, p=1.5, k1=1, k2=1))
+        fit(zeros, FitParams(s=s, p=1.5, k1=1, k2=1))
 
 
 def test_gram_deflation_matches_oracle():
@@ -688,10 +656,10 @@ def _stack_oracle_side(mats, count, params):
     n = current[0].n
     for _ in range(count):
         w = QVector.from_entries([1.0] * n)
-        w = w0 = w / lp_norm(w, params.p)
+        w = w / lp_norm(w, params.p)
         f = objective(current, w, s=params.s)
         for steps in range(1, params.max_iter + 1):
-            w_new = mm_update(w, current, s=params.s, p=params.p, w0=w0)
+            w_new = mm_update(w, current, s=params.s, p=params.p)
             f_new = objective(current, w_new, s=params.s)
             delta = abs(f_new - f) / abs(f)
             lowered = f_new < f
@@ -766,9 +734,8 @@ def test_quadratic_fit_traces_name_the_eigensolve(diag_samples):
         assert trace.converged and trace.iterations == 0
         assert trace.objective_history == [trace.final_objective] == [d]
         assert trace.pnorm_history == pytest.approx([1.0], abs=1e-14)
-    # tol, max_iter, init and seed do not enter the eigensolve
-    other = fit(diag_samples, FitParams(s=2.0, p=2.0, k1=2, k2=2, tol=0.5, max_iter=1,
-                                        init="random", seed=9))
+    # tol and max_iter do not enter the eigensolve
+    other = fit(diag_samples, FitParams(s=2.0, p=2.0, k1=2, k2=2, tol=0.5, max_iter=1))
     assert np.array_equal(other.V.data, basis.V.data)
     assert np.array_equal(other.U.data, basis.U.data)
 
@@ -862,8 +829,8 @@ def test_sphere_step_is_invariant_to_power_of_two_scale(p, exponent):
     y = QVector(rng.standard_normal((4, 5)))
     ref = QVector(np.abs(rng.standard_normal((4, 5))))
     scaled = QVector(np.ldexp(y.data, exponent))
-    want = lp_update(y, p, current=ref, initial=ref)
-    assert np.array_equal(lp_update(scaled, p, current=ref, initial=ref).data, want.data)
+    want = lp_update(y, p, current=ref)
+    assert np.array_equal(lp_update(scaled, p, current=ref).data, want.data)
 
 
 # -- determinism across BLAS thread counts -------------------------------
