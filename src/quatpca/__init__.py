@@ -52,7 +52,7 @@ from .weighting import (
     score_weightings,
     select_weighting,
 )
-from .recognition import Gallery, build_gallery, classify, evaluate, predict, sweep_accuracies
+from .recognition import Gallery, build_gallery, evaluate, predict, sweep_accuracies
 from .reconstruction import reconstruct, reconstruct_samples, reconstruction_ratio, sweep_ratios
 from .dataset import (
     Sample,
@@ -79,7 +79,7 @@ __all__ = [
     "MANNER_PRECEDENCE", "Manner", "Transform", "WeightingScheme",
     "SelectionConfig", "project", "project_stack",
     "score_weightings", "best_manner", "select_weighting",
-    "Gallery", "build_gallery", "classify", "predict", "evaluate", "sweep_accuracies",
+    "Gallery", "build_gallery", "predict", "evaluate", "sweep_accuracies",
     "reconstruct", "reconstruct_samples", "reconstruction_ratio", "sweep_ratios",
     "Sample", "SampleSet", "load_dataset", "center", "split",
     "save_basis", "load_basis", "export_image",

@@ -44,6 +44,7 @@ from .weighting import (
     SelectionConfig,
     Transform,
     WeightingScheme,
+    _sweep_violation,
     best_manner,
     score_weightings,
 )
@@ -219,10 +220,9 @@ def _sweep_size(args, basis):
 
     Runs once the basis and the whole dataset are loaded, before any projection.
     """
-    top = min(basis.k1, basis.k2)
-    if not 1 <= args.sweep <= top:
-        raise ConfigError(
-            [f"--sweep: must satisfy 1 <= sweep <= min(k1, k2) = {top}, got {args.sweep}"])
+    problem = _sweep_violation(basis, args.sweep)
+    if problem:
+        raise ConfigError([f"--sweep: {problem}"])
     return args.sweep
 
 
@@ -308,17 +308,16 @@ def cmd_recognize(args, out):
 
 def cmd_reconstruct(args, out):
     cfg, basis, _, train, _ = _setup(args, fitting=False)
-    scheme = WeightingScheme(cfg.manner, cfg.transform)
 
     if args.sweep is not None:
-        ratios = sweep_ratios(train, basis, scheme, _sweep_size(args, basis))
+        ratios = sweep_ratios(train, basis, _sweep_size(args, basis))
         rows = [(k, k, f"{r:.6f}") for k, r in enumerate(ratios, start=1)]
         _emit_csv(args.csv, "sweep", ["k1", "k2", "ratio"], rows, out)
         return 0
 
-    recs = reconstruct_samples(train, basis, scheme)
+    recs = reconstruct_samples(train, basis)
     ratio = reconstruction_ratio(train, recs)
-    print(f"reconstruct: manner={scheme.manner.value} transform={scheme.transform.value} "
+    print(f"reconstruct: manner={cfg.manner.value} transform={cfg.transform.value} "
           f"k1={basis.k1} k2={basis.k2}", file=out)
     print(f"ratio: {ratio:.6f} over {len(train)} training samples", file=out)
     if args.csv:
@@ -331,9 +330,7 @@ def cmd_reconstruct(args, out):
         with _writing(outdir, "export directory"):
             outdir.mkdir(parents=True, exist_ok=True)
         for idx, (sample, rec) in enumerate(zip(train.samples, recs)):
-            suffix = Path(sample.source).suffix.lower() if sample.source else ".ppm"
-            if suffix not in (".ppm", ".png"):
-                suffix = ".ppm"
+            suffix = Path(sample.source).suffix.lower()
             export_image(rec, outdir / f"{sample.label}_{idx:04d}{suffix}")
         print(f"export: {len(recs)} images written to {outdir}", file=out)
     return 0

@@ -34,17 +34,16 @@ from .quaternion import QMatrix
 from .solver import BasisPair
 from .weighting import (
     WeightingScheme,
+    _check_sweep,
     _checked_stack,
     _gamma,
     _project,
     _side_weights,
-    _truncations,
     centered_stack,
-    project,
     project_stack,
 )
 
-__all__ = ["Gallery", "build_gallery", "classify", "predict", "evaluate", "sweep_accuracies"]
+__all__ = ["Gallery", "build_gallery", "predict", "evaluate", "sweep_accuracies"]
 
 # Largest rows x N block of screened squared distances, in float64 entries
 # (512 KiB, so the block and its temporaries stay in cache).
@@ -119,12 +118,6 @@ def _nearest(probes, gallery):
     return index, dist
 
 
-def _gallery_planes(gallery):
-    if len(gallery) == 0:
-        raise InvalidDataset("cannot classify against an empty gallery")
-    return np.stack([f.data for f in gallery.features])
-
-
 def build_gallery(train, basis, scheme):
     """Project every training sample; the set must match the fit's mean."""
     if len(train) == 0:
@@ -135,23 +128,16 @@ def build_gallery(train, basis, scheme):
     return Gallery(labels=labels, features=features, basis=basis, scheme=scheme)
 
 
-def classify(probe, gallery):
-    """Label and distance of the nearest gallery feature.
-
-    The probe must already be centered by the training mean.  Distance
-    ties resolve to the smallest gallery index.
-    """
-    G = _gallery_planes(gallery)
-    P = project(probe, gallery.basis, gallery.scheme)
-    index, dist = _nearest(P.data[None], G)
-    return gallery.labels[index[0]], float(dist[0])
-
-
 def predict(test, gallery):
-    """Predicted label of every test sample, in sample order."""
+    """Predicted label of every test sample, in sample order.
+
+    Distance ties resolve to the smallest gallery index.
+    """
     if len(test) == 0:
         raise InvalidDataset("cannot predict on an empty sample set")
-    G = _gallery_planes(gallery)
+    if len(gallery) == 0:
+        raise InvalidDataset("cannot classify against an empty gallery")
+    G = np.stack([f.data for f in gallery.features])
     basis = gallery.basis
     probes = project_stack(centered_stack(test, basis), basis, gallery.scheme, test.samples)
     index, _ = _nearest(probes, G)
@@ -177,18 +163,18 @@ def sweep_accuracies(train, test, basis, scheme, K):
     weight that first fails at k names the smallest objective of the
     leading k.
     """
-    prefixes = _truncations(basis, K)
+    _check_sweep(basis, K)
     # Checks run in the per-k order: all of k = 1's, then each larger k's weights.
     if len(train) == 0:
         raise InvalidDataset("cannot build a gallery from an empty sample set")
     X = _checked_stack(centered_stack(train, basis), basis, train.samples)
-    weights = [_side_weights(prefixes[0], scheme)]
+    left, right = _side_weights(basis, scheme, 1)
     if len(test) == 0:
         raise InvalidDataset("cannot evaluate on an empty sample set")
     Y = _checked_stack(centered_stack(test, basis), basis, test.samples)
-    weights += [_side_weights(b, scheme) for b in prefixes[1:]]
-    left, right = weights[-1]
-    A, B = prefixes[-1].U.data * left, prefixes[-1].V.data * right
+    for k in range(2, K + 1):
+        left, right = _side_weights(basis, scheme, k)
+    A, B = basis.U.data[..., :K] * left, basis.V.data[..., :K] * right
     G, Q = _project(X, A, B), _project(Y, A, B)
     labels = train.labels()
     accuracies = []

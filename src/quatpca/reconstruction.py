@@ -1,12 +1,16 @@
 """Image reconstruction from projected features.
 
-Inverts the weighted projection P = (U f(Wl))^* F (V f(Wr)) by undoing
-the weights on exactly the sides the scheme weighted:
+:func:`reconstruct` inverts one weighted projection
+P = (U f(Wl))^* F (V f(Wr)) by undoing the weights on exactly the sides
+the scheme weighted:
 
     F_rec = U f(Wl)^(-1) P f(Wr)^(-1) V^* + mean
 
 which reduces to U U^* F V V^* + mean, the orthogonal bi-projection of
 the centered image.  With complete bases (k1 = m, k2 = n) this is exact.
+Because the weights cancel, the set functions :func:`reconstruct_samples`
+and :func:`sweep_ratios` take no scheme: they project unweighted and
+rebuild with the plain U and V.
 
 Because that bi-projection is an orthogonal projector, the residual of
 a centered image X is ||X||^2 - ||U^* X V||^2 (Pythagoras), so
@@ -24,11 +28,11 @@ from .quaternion import QMatrix, plane_conj_transpose, plane_matmul
 from .weighting import (
     Manner,
     WeightingScheme,
+    _check_sweep,
     _checked_stack,
     _gamma,
     _project,
     _side_weights,
-    _truncations,
     centered_stack,
     project_stack,
 )
@@ -40,12 +44,6 @@ def _inverse(w):
     if np.any(w == 0.0):
         raise InvalidWeight("zero weight cannot be inverted for reconstruction")
     return 1.0 / w
-
-
-def _rebuild_bases(basis, scheme):
-    """Planes of U and V with the inverse of the scheme's weights folded in."""
-    left, right = (_inverse(w) for w in _side_weights(basis, scheme))
-    return basis.U.data * left, basis.V.data * right
 
 
 def _rebuild(P, A, B, mean):
@@ -101,15 +99,17 @@ def reconstruct(P, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
     if P.shape != (basis.k1, basis.k2):
         raise ShapeError(
             f"feature shape {P.shape} does not match basis sizes ({basis.k1}, {basis.k2})")
-    return QMatrix(_rebuild(P.data[None], *_rebuild_bases(basis, scheme), basis.mean)[0])
+    left, right = (_inverse(w) for w in _side_weights(basis, scheme))
+    return QMatrix(_rebuild(P.data[None], basis.U.data * left, basis.V.data * right,
+                            basis.mean)[0])
 
 
-def reconstruct_samples(samples, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
-    """Project and rebuild every sample of a raw (uncentered) set."""
+def reconstruct_samples(samples, basis):
+    """Project and rebuild every sample of a raw (uncentered) set, as U U^* X V V^* + mean."""
     if len(samples) == 0:
         return []
-    P = project_stack(centered_stack(samples, basis), basis, scheme, samples.samples)
-    return [QMatrix(R) for R in _rebuild(P, *_rebuild_bases(basis, scheme), basis.mean)]
+    P = project_stack(centered_stack(samples, basis), basis, samples=samples.samples)
+    return [QMatrix(R) for R in _rebuild(P, basis.U.data, basis.V.data, basis.mean)]
 
 
 def reconstruction_ratio(originals, reconstructions):
@@ -139,35 +139,30 @@ def reconstruction_ratio(originals, reconstructions):
     return float(np.mean(1.0 - err / nf))
 
 
-def sweep_ratios(samples, basis, scheme, K):
+def sweep_ratios(samples, basis, K):
     """Reconstruction ratio at k1 = k2 = 1..K, one projection of the set at K.
 
     Each entry is ``reconstruction_ratio(samples, reconstruct_samples(
-    samples, b, scheme))`` with ``b = basis.truncated(k, k)``, up to
-    round-off.  The inverse weights cancel the projection's, and the
-    orthonormal bases make the bi-projection an orthogonal projector, so
-    the residual of image i at k is read from feature norms,
+    samples, b))`` with ``b = basis.truncated(k, k)``, up to round-off.
+    The orthonormal bases make the bi-projection an orthogonal projector,
+    so the residual of image i at k is read from feature norms,
 
         ||F_i - F_i_rec||^2 = ||X_i||^2 - ||P_i[:k, :k]||^2   (X_i = F_i - mean),
 
     with P the unweighted features at K.  Where round-off could swamp that
     difference (see ``_RESOLUTION``), the image's residual at that k comes
     from its rebuilt reconstruction instead.  The errors are the ones the
-    per-k calls would raise for k = 1, 2, ... in turn; the set must be raw.
+    per-k calls would raise, in the same order; the set must be raw.
     """
-    prefixes = _truncations(basis, K)
+    _check_sweep(basis, K)
     if len(samples) == 0:
         raise InvalidDataset("need at least one sample to compute a ratio")
-    # Checks run in the per-k order: all of k = 1's, then each larger k's weights.
     F = np.stack([s.image.data for s in samples.samples])
     X = _checked_stack(F - basis.mean.data, basis, samples.samples)
-    _rebuild_bases(prefixes[0], scheme)
     _require_raw(samples)
     nf = np.sqrt(np.einsum("iakl,iakl->i", F, F))
     if np.any(nf == 0.0):
         raise InvalidDataset("zero-norm original has no relative error")
-    for b in prefixes[1:]:
-        _rebuild_bases(b, scheme)
     U, V = basis.U.data, basis.V.data
     P = _project(X, U[..., :K], V[..., :K])
     x2 = np.einsum("iakl,iakl->i", X, X)

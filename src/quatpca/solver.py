@@ -560,10 +560,9 @@ def _initial_iterate(n, p):
     return w / lp_norm(w, p)
 
 
-def _ascend(obj, n, params, orthogonal_to, side, index):
-    """Run the ascent loop on one side's objective; returns (v, f, trace)."""
+def _ascend(obj, w0, params, orthogonal_to, side, index):
+    """Run the ascent loop from w0 on one side's objective; returns (v, f, trace)."""
     p = params.p
-    w0 = _initial_iterate(n, p)
     w, w_mods = w0.data, w0.abs()
     f, y = obj.evaluate(w)
     f_hist = [f]
@@ -604,9 +603,10 @@ def _ascend(obj, n, params, orthogonal_to, side, index):
 
 def _fit_side(obj, n, count, params, side):
     vectors, values, traces = [], [], []
+    w0 = _initial_iterate(n, params.p)
     for t in range(count):
         try:
-            v, f, trace = _ascend(obj, n, params, vectors, side, t)
+            v, f, trace = _ascend(obj, w0, params, vectors, side, t)
         except DegenerateDirection as exc:
             raise DegenerateDirection(
                 f"{side} direction {t}: {exc}", index=t) from exc

@@ -92,17 +92,18 @@ def _transform_values(d, transform):
     raise InvalidParameter(f"unknown transform {transform!r}")
 
 
-def _side_weights(basis, scheme):
+def _side_weights(basis, scheme, k=None):
     """Transformed (left, right) weights, ones for a side the manner leaves alone.
 
-    Weights are built only for the sides the manner actually uses, so an
-    unweighted projection never trips transform validity checks.  A
-    weight of one leaves every product it enters bit for bit unchanged.
+    Given k, only the weights of each side's leading k directions (a
+    sweep's prefix).  Weights are built only for the sides the manner
+    actually uses, so an unweighted projection never trips transform
+    validity checks.  A weight of one leaves every product it
+    enters bit for bit unchanged.
     """
-    left = (_transform_values(basis.d_left, scheme.transform) if scheme.weights_left
-            else np.ones(basis.k1))
-    right = (_transform_values(basis.d_right, scheme.transform) if scheme.weights_right
-             else np.ones(basis.k2))
+    dl, dr = basis.d_left[:k], basis.d_right[:k]
+    left = _transform_values(dl, scheme.transform) if scheme.weights_left else np.ones_like(dl)
+    right = _transform_values(dr, scheme.transform) if scheme.weights_right else np.ones_like(dr)
     return left, right
 
 
@@ -120,12 +121,17 @@ def _gamma(n):
     return nu / (1.0 - nu)
 
 
-def _truncations(basis, K):
-    """``basis.truncated(k, k)`` for k = 1..K: the nested prefixes a sweep reports."""
+def _sweep_violation(basis, K):
+    """The rule K breaks as a sweep size, k1 = k2 = 1..K within the basis; None when legal."""
     top = min(basis.k1, basis.k2)
-    if not 1 <= K <= top:
-        raise InvalidParameter(f"sweep size must satisfy 1 <= K <= min(k1, k2) = {top}, got {K}")
-    return [basis.truncated(k, k) for k in range(1, K + 1)]
+    return None if 1 <= K <= top else f"must satisfy 1 <= sweep <= min(k1, k2) = {top}, got {K}"
+
+
+def _check_sweep(basis, K):
+    """Raise InvalidParameter when K is not a sweep size of the basis."""
+    problem = _sweep_violation(basis, K)
+    if problem:
+        raise InvalidParameter(f"sweep size {problem}")
 
 
 def _checked_stack(X, basis, samples=None):

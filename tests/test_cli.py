@@ -26,6 +26,7 @@ from quatpca import (
     WeightingScheme,
     build_gallery,
     evaluate,
+    export_image,
     load_basis,
     load_dataset,
     reconstruct_samples,
@@ -354,6 +355,26 @@ def test_reconstruct_ratio_and_export(workspace, capsys):
     assert len(rebuilt) == 12
 
 
+def test_reconstruct_export_keeps_each_source_suffix(workspace, capsys):
+    # One class stored as PNG, the other as PPM: each reconstruction is
+    # written in the format its training image was read from.
+    for sample in load_dataset(workspace["root"]).samples:
+        if sample.label == "ana":
+            source = Path(sample.source)
+            export_image(sample.image, source.with_suffix(".png"))
+            source.unlink()
+    fit_workspace(capsys, workspace)
+    outdir = workspace["tmp"] / "recs"
+    rc, _, err = run(capsys, ["reconstruct", "--config", str(workspace["cfg"]),
+                              "--basis", str(workspace["basis"]), "--export", str(outdir)])
+    assert (rc, err) == (0, "")
+    suffixes = {}
+    for f in outdir.iterdir():
+        suffixes.setdefault(f.name.split("_")[0], set()).add(f.suffix)
+    assert suffixes == {"ana": {".png"}, "ben": {".ppm"}}
+    assert len(load_dataset(_as_tree(outdir))) == 12
+
+
 def test_reconstruct_csv_without_sweep(workspace, capsys):
     fit_workspace(capsys, workspace)
     argv = ["reconstruct", "--config", str(workspace["cfg"]), "--basis", str(workspace["basis"])]
@@ -440,12 +461,26 @@ def test_inverse_log_sweep_names_the_first_failing_prefix(workspace, capsys):
     basis = load_basis(workspace["basis"])
     save_basis(replace(basis, d_right=np.array([5.0, 1.0, 0.5])), workspace["basis"])
     message = "error: inverse-log weighting needs every objective value above 1, got {}\n"
-    for command in ("recognize", "reconstruct"):
-        # k = 2 fails first, so the error names min(d[:2]), not min(d) = 0.5
-        assert run(capsys, sweep_argv(command, cfg, workspace, 3)) == (
-            1, "", message.format("1.0") + _HINT)
+    # k = 2 fails first, so the error names min(d[:2]), not min(d) = 0.5
+    assert run(capsys, sweep_argv("recognize", cfg, workspace, 3)) == (
+        1, "", message.format("1.0") + _HINT)
     assert run(capsys, ["recognize", "--config", str(cfg), "--basis", str(workspace["basis"])]) == (
         1, "", message.format("0.5") + _HINT)
+
+    # Reconstruction undoes the weights, so it neither reads nor rejects them:
+    # both of its paths give what they give with weighting.manner = unweighted.
+    plain = sweep_config(workspace, "plain.cfg", extra="weighting.manner = unweighted\n")
+    got = {}
+    for name, config in (("invlog", cfg), ("plain", plain)):
+        path = workspace["tmp"] / f"{name}.csv"
+        assert run(capsys, sweep_argv("reconstruct", config, workspace, 3) + ["--csv", str(path)]) == (
+            0, f"sweep: written to {path}\n", "")
+        rc, out, err = run(capsys, ["reconstruct", "--config", str(config),
+                                    "--basis", str(workspace["basis"])])
+        assert (rc, err) == (0, "")
+        got[name] = path.read_bytes(), out.splitlines()[1]
+    assert got["invlog"] == got["plain"]
+    assert got["plain"][1].startswith("ratio: ")
 
 
 def _csv_text(header, rows):
@@ -470,7 +505,7 @@ def test_sweep_csvs_match_the_per_k_path(workspace, capsys):
     for k in range(1, 4):
         b = basis.truncated(k, k)
         accuracy.append((k, f"{evaluate(test, build_gallery(train, b, scheme)):.6f}"))
-        ratio.append((k, k, f"{reconstruction_ratio(train, reconstruct_samples(train, b, scheme)):.6f}"))
+        ratio.append((k, k, f"{reconstruction_ratio(train, reconstruct_samples(train, b)):.6f}"))
     assert paths["recognize"].read_bytes() == _csv_text(["k", "accuracy"], accuracy).encode()
     assert paths["reconstruct"].read_bytes() == _csv_text(["k1", "k2", "ratio"], ratio).encode()
 

@@ -1,10 +1,12 @@
-"""README's "Library use" example runs against the installed API."""
+"""README's "Library use" example runs against the installed API, and its usage lines match the CLI."""
 
+import argparse
 import re
 from pathlib import Path
 
 import numpy as np
 
+from quatpca.cli import _build_parser
 from conftest import write_image_tree
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -28,3 +30,22 @@ def test_library_use_example_runs(tmp_path, monkeypatch, rng):
     exec(compile(library_use_block(), str(README), "exec"), namespace)
     assert 0.0 <= namespace["accuracy"] <= 1.0
     assert len(namespace["labels"]) == 3
+
+
+def typical_session_options():
+    """{command: options} of each ``quatpca <command> ...`` line of README's "Typical session"."""
+    section = README.read_text().split("Typical session:", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    usage = {}
+    for line in block.splitlines():
+        _, command, *words = line.split()
+        usage[command] = {w.lstrip("[") for w in words if w.lstrip("[").startswith("-")}
+    return usage
+
+
+def test_typical_session_lists_every_option_of_every_command():
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {opt for a in sub._actions if not isinstance(a, argparse._HelpAction)
+                      for opt in a.option_strings}
+               for name, sub in commands.choices.items()}
+    assert typical_session_options() == options

@@ -19,7 +19,6 @@ from quatpca import (
     WeightingScheme,
     build_gallery,
     center,
-    classify,
     evaluate,
     fit,
     predict,
@@ -69,38 +68,13 @@ def test_gallery_centers_raw_samples(rng):
         assert a.allclose(b, tol=1e-10)
 
 
-def test_classify_recovers_member(fitted_split):
-    ctrain, _, basis = fitted_split
-    gallery = build_gallery(ctrain, basis, WeightingScheme(Manner.UNWEIGHTED))
-    probe = ctrain.samples[3]
-    label, dist = classify(probe.image, gallery)
-    assert label == probe.label
-    assert dist == pytest.approx(0.0, abs=1e-10)
-
-
-def test_classify_tie_takes_first_gallery_entry(rng):
-    from quatpca import Gallery, project
-
-    mats = [random_qmatrix(rng, 4, 3) for _ in range(4)]
-    ctrain = center(SampleSet.build([(str(t), F) for t, F in enumerate(mats)]))
-    basis = fit(ctrain, FitParams(s=2.0, p=2.0, k1=1, k2=1))
-    scheme = WeightingScheme(Manner.UNWEIGHTED)
-    probe = ctrain.samples[0].image
-    P = project(probe, basis, scheme)
-    gallery = Gallery(labels=("first", "second"), features=(P, P),
-                      basis=basis, scheme=scheme)
-    label, dist = classify(probe, gallery)
-    assert label == "first"
-    assert dist == pytest.approx(0.0, abs=1e-12)
-
-
-def test_classify_rejects_empty_gallery(fitted_split, rng):
+def test_predict_rejects_empty_gallery(fitted_split, rng):
     ctrain, _, basis = fitted_split
     gallery = build_gallery(ctrain, basis, WeightingScheme(Manner.UNWEIGHTED))
     empty = type(gallery)(labels=(), features=(), basis=basis,
                           scheme=gallery.scheme)
-    with pytest.raises(InvalidDataset):
-        classify(ctrain.samples[0].image, empty)
+    with pytest.raises(InvalidDataset, match="empty gallery"):
+        predict(ctrain, empty)
 
 
 def test_evaluate_perfect_on_disjoint_support(fitted_split):

@@ -24,7 +24,7 @@ from quatpca import (
     score_weightings,
     select_weighting,
 )
-from quatpca.reconstruction import _rebuild, _rebuild_bases
+from quatpca.reconstruction import _rebuild
 from quatpca.weighting import centered_stack
 from conftest import planted_samples, random_qmatrix, separable_classes
 
@@ -255,12 +255,13 @@ def test_sliced_features_equal_truncated_basis_features(rng, manner, transform):
     basis = fit(samples, FitParams(s=2.0, p=2.0, k1=5, k2=5))
     scheme = WeightingScheme(manner, transform)
     X = centered_stack(samples, basis)
-    P = project_stack(X, basis, scheme)
+    P, plain = project_stack(X, basis, scheme), project_stack(X, basis)
     for k in range(1, 6):
         b = basis.truncated(k, k)
         truncated = project_stack(X, b, scheme)
         np.testing.assert_allclose(P[:, :, :k, :k], truncated,
                                    rtol=0, atol=1e-13 * np.abs(truncated).max())
-        rebuilt = _rebuild(P[:, :, :k, :k], *_rebuild_bases(b, scheme), b.mean)
-        expected = np.stack([R.data for R in reconstruct_samples(samples, b, scheme)])
+        # Set reconstruction is unweighted: the sweep rebuilds the sliced plain features.
+        rebuilt = _rebuild(plain[:, :, :k, :k], basis.U.data[..., :k], basis.V.data[..., :k], b.mean)
+        expected = np.stack([R.data for R in reconstruct_samples(samples, b)])
         np.testing.assert_allclose(rebuilt, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
