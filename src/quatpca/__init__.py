@@ -21,7 +21,6 @@ from .quaternion import (
     Quaternion,
     QVector,
     lp_norm,
-    qmul,
     real_repr,
     real_scale,
     vabs,
@@ -71,7 +70,7 @@ __all__ = [
     "QuatPcaError", "ShapeError", "InvalidParameter", "DegenerateDirection",
     "InvalidWeight", "InvalidDataset", "IoError", "FormatError", "ConfigError",
     "Quaternion", "QVector", "QMatrix",
-    "qmul", "vabs", "vsign", "lp_norm", "real_scale", "real_repr",
+    "vabs", "vsign", "lp_norm", "real_scale", "real_repr",
     "mgs_orthonormalize", "hermitian_topk_eig",
     "FitParams", "BasisPair", "FitReport", "DirectionTrace",
     "objective", "lp_update", "mm_update", "fit",

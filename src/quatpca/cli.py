@@ -1,7 +1,8 @@
 """Command-line pipeline: fit, select-weighting, recognize, reconstruct.
 
 All commands read one plain-text configuration file of dotted
-``key = value`` lines (``#`` starts a comment):
+``key = value`` lines.  A ``#`` at the start of a line or after
+whitespace starts a comment; one inside a value, as in ``./a#b``, does not:
 
     dataset.root = ./faces
     dataset.split = [0.8, 0.1, 0.1]
@@ -27,18 +28,20 @@ import contextlib
 import csv
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .dataset import _split_fractions, center, load_basis, load_dataset, save_basis, split
-from .errors import (ConfigError, InvalidDataset, InvalidParameter, InvalidWeight, IoError,
+from .dataset import (_split_fractions, center, export_image, load_basis, load_dataset,
+                      save_basis, split)
+from .errors import (_RULES, ConfigError, InvalidDataset, InvalidParameter, InvalidWeight, IoError,
                      QuatPcaError, ShapeError)
 from .recognition import build_gallery, predict, sweep_accuracies
 from .reconstruction import reconstruct_samples, reconstruction_ratio, sweep_ratios
-from .solver import _RULES, DEFAULT_MAX_ITER, DEFAULT_TOL, FitParams, fit
+from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, FitParams, fit
 from .weighting import (
     Manner,
     SelectionConfig,
@@ -100,7 +103,7 @@ def _parse_choice(kind, raw):
 
 
 # Each key's RunConfig field and the reader that converts its text.  A
-# field with a range rule in the solver's table is then checked against
+# field with a range rule in the table of ``errors`` is then checked against
 # that rule, so the CLI and the library report the same text.
 _KEY_PARSERS = {
     "dataset.root": ("root", str),
@@ -129,8 +132,8 @@ def parse_config(path):
     problems = []
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             problems.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
@@ -324,8 +327,6 @@ def cmd_reconstruct(args, out):
         _emit_csv(args.csv, "ratio", ["k1", "k2", "ratio"],
                   [(basis.k1, basis.k2, f"{ratio:.6f}")], out)
     if args.export:
-        from .dataset import export_image
-
         outdir = Path(args.export)
         with _writing(outdir, "export directory"):
             outdir.mkdir(parents=True, exist_ok=True)

@@ -33,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidDataset, InvalidParameter, IoError
+from .errors import FormatError, InvalidDataset, InvalidParameter, IoError, _check
 from .quaternion import QMatrix
-from .solver import BasisPair, FitParams, _check
+from .solver import BasisPair, FitParams
 
 __all__ = [
     "Sample",

@@ -33,13 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, ShapeError
+from .errors import InvalidParameter, ShapeError, _check
 
 __all__ = [
     "Quaternion",
     "QVector",
     "QMatrix",
-    "qmul",
     "vabs",
     "vsign",
     "lp_norm",
@@ -161,11 +160,6 @@ def _as_quaternion(x):
     if isinstance(x, (int, float, np.floating, np.integer)):
         return Quaternion(float(x))
     raise TypeError(f"cannot interpret {type(x).__name__} as a quaternion")
-
-
-def qmul(a, b):
-    """Hamilton product of two quaternions."""
-    return _as_quaternion(a) * _as_quaternion(b)
 
 
 class _Planes:
@@ -321,9 +315,6 @@ class QVector(_Planes):
 
     norm = _Planes._norm
 
-    def lp_norm(self, p):
-        return lp_norm(self, p)
-
     def __repr__(self):
         return f"QVector(n={self.n})"
 
@@ -344,9 +335,6 @@ def lp_norm(w, p):
     Requires p > 0.  For p >= 1 this is a norm; for 0 < p < 1 it is the
     same expression without the triangle inequality.
     """
-    # Imported here because the solver, which keeps the rule, sits above this module.
-    from .solver import _check
-
     _check("p", p)
     return _moduli_lp_norm(w.abs(), p)
 
@@ -442,31 +430,20 @@ class QMatrix(_Planes):
 
     # -- arithmetic ---------------------------------------------------
 
-    def conj_transpose(self):
-        return QMatrix(plane_conj_transpose(self._data))
-
     @property
     def H(self):
-        return self.conj_transpose()
+        return QMatrix(plane_conj_transpose(self._data))
 
-    def matvec(self, w):
-        if not isinstance(w, QVector):
-            raise TypeError(f"expected QVector, got {type(w).__name__}")
-        if w.n != self.n:
-            raise ShapeError(f"matvec shapes do not match: {self.m}x{self.n} times length {w.n}")
-        return QVector(plane_matmul(self._data, w.data[:, :, None])[:, :, 0])
-
-    def matmul(self, other):
+    def __matmul__(self, other):
+        if isinstance(other, QVector):
+            if other.n != self.n:
+                raise ShapeError(f"matvec shapes do not match: {self.m}x{self.n} times length {other.n}")
+            return QVector(plane_matmul(self._data, other.data[:, :, None])[:, :, 0])
         if not isinstance(other, QMatrix):
             raise TypeError(f"expected QMatrix, got {type(other).__name__}")
         if other.m != self.n:
             raise ShapeError(f"matmul shapes do not match: {self.m}x{self.n} times {other.m}x{other.n}")
         return QMatrix(plane_matmul(self._data, other._data))
-
-    def __matmul__(self, other):
-        if isinstance(other, QVector):
-            return self.matvec(other)
-        return self.matmul(other)
 
     def scale_columns(self, weights):
         """Right multiplication by a real diagonal matrix."""

@@ -56,11 +56,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DegenerateDirection, InvalidDataset, InvalidParameter, ShapeError
+from .errors import (DegenerateDirection, InvalidDataset, InvalidParameter, ShapeError, _check,
+                     _violation)
 from .qlinalg import hermitian_topk_eig, mgs_orthonormalize
 from .quaternion import (_CONJ, QMatrix, QVector, _moduli_lp_norm, _real_repr, lp_norm,
                          plane_conj_transpose, plane_matmul)
@@ -88,39 +89,6 @@ DEFAULT_MAX_ITER = 500
 _TINY = math.ulp(0.0)
 # Moduli from this one up have normal squares.
 _ROOT_NORMAL = math.sqrt(sys.float_info.min)
-
-
-# The legal range of each hyperparameter as (test, rule).  Every check in
-# the package, the CLI's included, reads it here and reports a value that
-# fails as "<name> <rule>, got <value>".  The numbers ABCs admit numpy
-# scalars, which np.random.default_rng and the solver accept too.
-_COUNT = (lambda v: isinstance(v, Integral) and v >= 1, "must be a positive integer")
-_RULES = {
-    "s": (lambda v: isinstance(v, Real) and 1 <= v < math.inf,
-          "must satisfy 1 <= s < inf"),
-    "p": (lambda v: isinstance(v, Real) and (v == math.inf or v > 0),
-          "must satisfy p > 0 or p = inf"),
-    "k1": _COUNT,
-    "k2": _COUNT,
-    "tol": (lambda v: isinstance(v, Real) and v > 0, "must be positive"),
-    "max_iter": _COUNT,
-    "repeats": _COUNT,
-    "seed": (lambda v: isinstance(v, Integral) and v >= 0,
-             "must be a nonnegative integer"),
-}
-
-
-def _violation(name, value):
-    """The message for ``value`` breaking the rule of ``name``; None when legal."""
-    legal, rule = _RULES[name]
-    return None if legal(value) else f"{name} {rule}, got {value}"
-
-
-def _check(name, value):
-    """Raise InvalidParameter when ``value`` breaks the rule of ``name``."""
-    problem = _violation(name, value)
-    if problem:
-        raise InvalidParameter(problem)
 
 
 @dataclass(frozen=True)
@@ -460,19 +428,21 @@ def _objective_for(H, s):
 # -- public operations ------------------------------------------------
 
 
-def objective(samples, w, side="right", s=2.0):
-    """f(w) = sum_i ||F_i w||_s^s (right) or sum_i ||w^* F_i||_s^s (left)."""
-    if side not in ("right", "left"):
-        raise InvalidParameter(f"side must be 'right' or 'left', got {side!r}")
-    return _ascent_terms(samples, w, s, side)[0]
+def objective(samples, w, s=2.0):
+    """f(w) = sum_i ||F_i w||_s^s.
+
+    The left objective sum_i ||u^* F_i||_s^s is this one on the
+    conjugate-transposed samples: ``objective([F.H for F in images], u, s)``.
+    """
+    return _ascent_terms(samples, w, s)[0]
 
 
-def _ascent_terms(samples, w, s, side="right"):
+def _ascent_terms(samples, w, s):
     """(f(w), ascent vector) on the samples as given, for any s."""
     _check("s", s)
     S, peak = _sample_stack(samples)
     _require_scale(S, peak, s)
-    H = _wide(S, side)
+    H = _wide(S)
     if w.n != H.shape[1]:
         raise ShapeError(f"vector length {w.n} does not match sample width {H.shape[1]}")
     return _StackObjective(H, s).evaluate(w.data)
@@ -674,12 +644,9 @@ def fit(samples, params):
         U, d_left, left_traces = _fit_side(_objective_for(_wide(S, "left"), params.s), m,
                                            params.k1, params, "left")
 
-    mean = getattr(samples, "mean", None)
-    if mean is None:
-        mean = QMatrix.zeros(m, n)
     report = FitReport(right=right_traces, left=left_traces)
     return BasisPair(U=U, V=V, d_left=d_left, d_right=d_right,
-                     params=params, mean=mean, report=report)
+                     params=params, mean=samples.mean, report=report)
 
 
 def covariance_baseline(samples, k):

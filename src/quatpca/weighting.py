@@ -26,9 +26,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidDataset, InvalidParameter, InvalidWeight, ShapeError
+from .dataset import center, split
+from .errors import InvalidDataset, InvalidParameter, InvalidWeight, ShapeError, _check
 from .quaternion import QMatrix, plane_conj_transpose, plane_matmul
-from .solver import _check, _require_finite, fit
+from .solver import _require_finite, fit
 
 __all__ = [
     "Manner",
@@ -196,8 +197,10 @@ def score_weightings(train, params, protocol=SelectionConfig()):
     unweighted; a manner scales both by its side weights, D (U^* F V) E,
     before the nearest-neighbor search.
     """
-    # Imported here because dataset and recognition sit above this module.
-    from .dataset import center, split
+    # Imported here because recognition imports this module (for
+    # project_stack).  A module-level import would need the 1-NN search
+    # moved here, or score_weightings, which bench/run.py's tracer wraps
+    # in this module, moved out.
     from .recognition import _nearest
 
     protocol.validate()
@@ -226,11 +229,11 @@ def score_weightings(train, params, protocol=SelectionConfig()):
 
 def best_manner(scores):
     """Argmax over manners with the fixed tie precedence."""
-    best = max(scores.values())
-    for manner in MANNER_PRECEDENCE:
-        if manner in scores and scores[manner] == best:
-            return manner
-    raise InvalidParameter("scores cover none of the known manners")
+    known = [manner for manner in MANNER_PRECEDENCE if manner in scores]
+    if not known:
+        raise InvalidParameter("scores cover none of the known manners")
+    # max keeps the first of equal scores, so ties follow the precedence.
+    return max(known, key=scores.get)
 
 
 def select_weighting(train, params, protocol=SelectionConfig()):

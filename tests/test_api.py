@@ -1,6 +1,8 @@
-"""Every exported name resolves, so a stale export fails the suite; numpy is the only dependency."""
+"""Every exported name resolves, so a stale export fails the suite; numpy is the only
+dependency, and the package's own imports point down."""
 
 import ast
+import graphlib
 import importlib
 import pkgutil
 import sys
@@ -40,3 +42,32 @@ def test_runtime_imports_are_numpy_or_stdlib():
                         if name.split(".")[0] != "numpy"
                         and name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def relative_imports():
+    """The package's relative imports: {(module, imported)} at module level, and
+    {(module.function, imported)} inside functions."""
+    top, inner = set(), set()
+    for path in sorted(Path(quatpca.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, f"{path.stem}.{fn.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node in owner:
+                    inner.add((owner[node], node.module))
+                else:
+                    top.add((path.stem, node.module))
+    return top, inner
+
+
+def test_imports_point_down():
+    top, inner = relative_imports()
+    graph = {}
+    for module, imported in top:
+        graph.setdefault(module, set()).add(imported)
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+    assert inner == {("weighting.score_weightings", "recognition")}

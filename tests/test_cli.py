@@ -115,6 +115,12 @@ selection.repeats = 5
     assert parsed.repeats == 5
 
 
+def test_trailing_comment_ends_a_value_but_an_inner_hash_stays(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dataset.root = ./a#b  # note\n")
+    assert parse_config(cfg).root == "./a#b"
+
+
 def test_parse_config_collects_every_problem(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("""model.p = 0

@@ -1,6 +1,7 @@
 """Quaternion scalar/vector/matrix algebra and the real representation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,7 +15,6 @@ from quatpca import (
     QVector,
     ShapeError,
     lp_norm,
-    qmul,
     real_repr,
     real_scale,
     vabs,
@@ -54,7 +54,7 @@ def test_unit_multiplication_table():
         R = real_repr(QMatrix(units[a][:, None, None]))
         for b in range(4):
             expected = _unit(_UNIT_PRODUCTS[a][b])
-            q = qmul(Quaternion.from_components(units[a]), Quaternion.from_components(units[b]))
+            q = Quaternion.from_components(units[a]) * Quaternion.from_components(units[b])
             assert np.array_equal(q.components, expected), (a, b)
             planes = plane_matmul(units[a][:, None, None], units[b][:, None, None])
             assert np.array_equal(planes[:, 0, 0], expected), (a, b)
@@ -191,7 +191,7 @@ def test_lp_norm_values():
     assert lp_norm(v, 2) == pytest.approx(5.0)
     assert lp_norm(v, math.inf) == pytest.approx(4.0)
     assert lp_norm(v, 0.5) == pytest.approx((3.0 ** 0.5 + 4.0 ** 0.5) ** 2)
-    assert v.lp_norm(2) == v.norm()
+    assert lp_norm(v, 2) == v.norm()
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0])
@@ -315,7 +315,16 @@ def test_shape_errors(rng):
     with pytest.raises(ShapeError):
         A @ random_qmatrix(rng, 3, 2)
     with pytest.raises(TypeError):
-        A.matvec(np.zeros(4))
+        A @ np.zeros(4)
+
+
+def test_column_checks_name_the_problem(rng):
+    with pytest.raises(ShapeError, match="^need at least one column$"):
+        QMatrix.from_columns([])
+    with pytest.raises(ShapeError, match="^columns have mixed lengths$"):
+        QMatrix.from_columns([QVector.zeros(3), QVector.zeros(2)])
+    with pytest.raises(ShapeError, match=re.escape("weights shape (2,) does not match column count 3")):
+        random_qmatrix(rng, 3, 3).scale_columns([1.0, 2.0])
 
 
 def test_fro_norm_hand_value():

@@ -1,4 +1,5 @@
-"""README's "Library use" example runs against the installed API, and its usage lines match the CLI."""
+"""README's "Library use" example runs against the installed API, its usage lines match
+the CLI, and its config example parses."""
 
 import argparse
 import re
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from quatpca.cli import _build_parser
+from quatpca import Manner, Transform
+from quatpca.cli import RunConfig, _build_parser, parse_config
 from conftest import write_image_tree
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -49,3 +51,12 @@ def test_typical_session_lists_every_option_of_every_command():
                       for opt in a.option_strings}
                for name, sub in commands.choices.items()}
     assert typical_session_options() == options
+
+
+def test_config_block_parses_to_its_documented_values(tmp_path):
+    (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    assert parse_config(cfg) == RunConfig(
+        root="./faces", split=(0.8, 0.1, 0.1), seed=7, s=2.0, p=2.0, k1=4, k2=4, tol=1e-4,
+        max_iter=500, manner=Manner.UNWEIGHTED, transform=Transform.IDENTITY, repeats=3)

@@ -77,6 +77,19 @@ def test_predict_rejects_empty_gallery(fitted_split, rng):
         predict(ctrain, empty)
 
 
+def test_predict_rejects_empty_test(fitted_split):
+    ctrain, test, basis = fitted_split
+    gallery = build_gallery(ctrain, basis, WeightingScheme(Manner.UNWEIGHTED))
+    with pytest.raises(InvalidDataset, match="^cannot predict on an empty sample set$"):
+        predict(test.subset([]), gallery)
+
+
+def test_sweep_accuracies_reject_an_empty_train_set(fitted_split):
+    ctrain, test, basis = fitted_split
+    with pytest.raises(InvalidDataset, match="^cannot build a gallery from an empty sample set$"):
+        sweep_accuracies(ctrain.subset([]), test, basis, WeightingScheme(Manner.UNWEIGHTED), 2)
+
+
 def test_evaluate_perfect_on_disjoint_support(fitted_split):
     ctrain, test, basis = fitted_split
     for manner in MANNER_PRECEDENCE:

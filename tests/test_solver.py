@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,13 +122,12 @@ def test_objective_hand_values(diag_samples):
     assert objective(diag_samples, e0, s=1.0) == pytest.approx(6.0)
     assert objective(diag_samples, e0, s=3.0) == pytest.approx(54.0)
     left = QVector.unit(3, 0)
-    assert objective(diag_samples, left, side="left", s=2.0) == pytest.approx(18.0)
+    images = [F.H for F in diag_samples.images()]
+    assert objective(images, left, s=2.0) == pytest.approx(18.0)
 
 
 def test_objective_validation(diag_samples):
     e0 = QVector.unit(2, 0)
-    with pytest.raises(InvalidParameter):
-        objective(diag_samples, e0, side="up")
     with pytest.raises(InvalidParameter):
         objective(diag_samples, e0, s=0.5)
     with pytest.raises(InvalidParameter):
@@ -235,6 +235,13 @@ def test_lp_update_rejects_zero_and_bad_p():
         lp_update(entries(1.0), 0.0)
     with pytest.raises(InvalidParameter):
         lp_update(entries(1.0), -2.0)
+
+
+def test_lp_update_checks_the_current_iterate():
+    with pytest.raises(ShapeError, match="^iterate length 2 does not match ascent vector length 3$"):
+        lp_update(QVector.unit(3, 0), 2.0, current=QVector.unit(2, 0))
+    with pytest.raises(InvalidParameter, match="^the 0 < p < 1 update needs the current iterate$"):
+        lp_update(QVector.unit(3, 0), 0.5)
 
 
 def test_lp_update_overflow_safe():
@@ -376,6 +383,14 @@ def test_truncated_bounds(diag_samples):
         basis.truncated(1, 3)
 
 
+def test_basis_pair_checks_shapes(diag_samples):
+    basis = fit(diag_samples, TIGHT)
+    with pytest.raises(ShapeError, match=re.escape("d_left length (3,) does not match U columns 2")):
+        replace(basis, d_left=np.ones(3))
+    with pytest.raises(ShapeError, match=re.escape("mean shape (2, 3) does not match bases 3x2")):
+        replace(basis, mean=QMatrix.zeros(2, 3))
+
+
 # -- covariance baseline and planted spectra ----------------------------
 
 
@@ -386,6 +401,15 @@ def test_covariance_baseline_hand_values(diag_samples):
     assert W.entry(1, 1).isclose(Quaternion(1.0), tol=1e-10)
     with pytest.raises(InvalidParameter):
         covariance_baseline(diag_samples, 3)
+
+
+def test_covariance_baseline_checks_its_samples(rng):
+    with pytest.raises(InvalidDataset, match="^need at least one sample$"):
+        covariance_baseline([], 1)
+    with pytest.raises(TypeError, match="^expected QMatrix samples, got ndarray$"):
+        covariance_baseline([np.zeros((4, 3, 2))], 1)
+    with pytest.raises(ShapeError, match=re.escape("samples have mixed shapes: (3, 2) vs (2, 2)")):
+        covariance_baseline([random_qmatrix(rng, 3, 2), random_qmatrix(rng, 2, 2)], 1)
 
 
 def test_fit_matches_planted_subspace(rng):
@@ -524,7 +548,7 @@ def test_stack_kernel_matches_per_sample_oracle(side, s):
     rng = np.random.default_rng(32)
     for w in (QVector(rng.standard_normal((4, n))), QVector.unit(n, 0)):
         f_ref, y_ref = _oracle_terms(mats, w, s, side)
-        assert objective(mats, w, side=side, s=s) == pytest.approx(f_ref, rel=1e-12)
+        assert objective(api_samples, w, s=s) == pytest.approx(f_ref, rel=1e-12)
         # at p = 2 the step is the ascent vector normalized to unit length
         step = mm_update(w, api_samples, s=s, p=2.0)
         assert np.max(np.abs(step.to_real() - y_ref / np.linalg.norm(y_ref))) <= 1e-12

@@ -93,6 +93,12 @@ def test_inverse_log_rejects_small_objectives(low_energy_basis, diag_samples):
                 WeightingScheme(Manner.WEIGHTED_RIGHT, Transform.INVERSE_LOG))
 
 
+def test_transform_must_be_a_transform(diag_basis, diag_samples):
+    X = np.stack([F.data for F in diag_samples.images()])
+    with pytest.raises(InvalidParameter, match="^unknown transform 'inverse-log'$"):
+        project_stack(X, diag_basis, WeightingScheme(Manner.WEIGHTED_LEFT, "inverse-log"))
+
+
 def test_unweighted_never_validates_transform(low_energy_basis, diag_samples):
     scheme = WeightingScheme(Manner.UNWEIGHTED, Transform.INVERSE_LOG)
     F = diag_samples.images()[0] / 6.0
@@ -134,6 +140,16 @@ def test_best_manner_tie_precedence():
     assert best_manner(even) == Manner.UNWEIGHTED
     assert best_manner({Manner.WEIGHTED_BOTH: 0.8,
                         Manner.WEIGHTED_LEFT: 0.8}) == Manner.WEIGHTED_LEFT
+
+
+@pytest.mark.parametrize("scores", [{}, {"bogus": 1.0}])
+def test_best_manner_rejects_scores_without_a_known_manner(scores):
+    with pytest.raises(InvalidParameter, match="^scores cover none of the known manners$"):
+        best_manner(scores)
+
+
+def test_best_manner_ignores_unknown_keys():
+    assert best_manner({"bogus": 2.0, Manner.WEIGHTED_LEFT: 1.0}) == Manner.WEIGHTED_LEFT
 
 
 def test_selection_config_validation():
