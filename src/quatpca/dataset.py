@@ -4,10 +4,13 @@ A dataset is a directory of class subdirectories holding 8-bit RGB
 images (PNG or binary PPM).  A pixel with channels (r, g, b) becomes the
 pure quaternion (r i + g j + b k) / 255, so an h x w image is an h x w
 pure quaternion matrix.  Sample order is deterministic: sorted by label,
-then by file name.  :func:`load_dataset` decodes every file straight into
-one C-contiguous, read-only (N, 4, m, n) float64 array, and each sample's
+then by file name.  :func:`load_dataset` decodes every file into one
+C-contiguous, read-only (N, 4, m, n) float64 array, and each sample's
 image is a view of its row; :func:`center` likewise returns views of one
-centred array.
+centred array.  Decoding is batched: PPMs with the canonical header
+"P6\n<n> <m>\n255\n" of the first file's size are read in one call
+each and converted together; every other file takes the per-file
+decoder, with its errors unchanged.
 
 PNG is read and written by a small zlib codec.  It reads 8-bit,
 non-interlaced gray, RGB, gray+alpha and RGBA images with any of the
@@ -124,9 +127,23 @@ _PPM_HEADER = re.compile(
     rb"P6" + rb"(?:\s|#[^\n]*\n)*(\d+)\s" * 2 + rb"(?:\s|#[^\n]*\n)*(\d+)(\s|\Z)")
 
 
-def _read_ppm(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _read_file(path, size=0):
+    """The bytes of ``path``, read by one call when there are at most ``size``."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = os.read(fd, size + 1)
+        if len(data) > size:  # longer than asked for: read on to the end
+            parts = [data]
+            while parts[-1]:
+                parts.append(os.read(fd, 1 << 16))
+            data = b"".join(parts)
+        return data
+    finally:
+        os.close(fd)
+
+
+def _parse_ppm(path, data):
+    """Decode the bytes ``data`` of the PPM file ``path``."""
     if not data.startswith(b"P6"):
         raise IoError(f"{path}: not a binary PPM (P6) file")
     header = _PPM_HEADER.match(data)
@@ -257,11 +274,14 @@ def _suffix(name):
     return name[dot:].lower() if 0 < dot < len(name) - 1 else ""
 
 
-def _read_image(path):
-    """Decode one PPM or PNG file to an (h, w, 3) uint8 raster."""
+def _read_image(path, data=None):
+    """Decode one PPM or PNG file to an (h, w, 3) uint8 raster.
+
+    ``data`` is the content of a PPM file that has been read already.
+    """
     try:
         if _suffix(os.path.basename(path)) == ".ppm":
-            return _read_ppm(path)
+            return _parse_ppm(path, _read_file(path) if data is None else data)
         return _read_png(path)
     except IoError:
         raise
@@ -275,6 +295,15 @@ def load_dataset(root):
     The files are listed first and then decoded in sample order into one
     C-contiguous (N, 4, m, n) array with a zero real plane.  The array is
     read-only and every sample's image is a view of its row.
+
+    The first file, decoded by the per-file reader, fixes the size m x n
+    and the canonical header ``P6\\n<n> <m>\\n255\\n``.  A later PPM that
+    is exactly that header and an m x n raster is kept as read.  Every
+    other file (a PNG, a commented or otherwise different header, another
+    length, an unreadable file) goes through the per-file reader, a PPM
+    with the bytes already read, so its errors are the per-file ones.
+    The rasters are gathered in one uint8 array and converted by one
+    divide, as each would be on its own.
     """
     rootp = Path(root)
     if not rootp.is_dir():
@@ -293,15 +322,29 @@ def load_dataset(root):
     if not listed:
         raise InvalidDataset(f"{rootp}: no images found")
 
-    stack = None
-    for i, (_, path) in enumerate(listed):
-        rgb = _read_image(path)
-        if stack is None:
-            stack = np.zeros((len(listed), 4, *rgb.shape[:2]))
-        elif rgb.shape[:2] != stack.shape[2:]:
-            raise InvalidDataset(
-                f"{path}: image dimensions {rgb.shape[:2]} differ from {stack.shape[2:]}")
-        np.divide(rgb.transpose(2, 0, 1), 255.0, out=stack[i, 1:])
+    first = _read_image(listed[0][1])
+    h, w = first.shape[:2]
+    header, raster = b"P6\n%d %d\n255\n" % (w, h), h * w * 3
+    size = len(header) + raster
+    raw = np.empty((len(listed), h, w, 3), dtype=np.uint8)
+    raw[0] = first
+    flat = memoryview(raw).cast("B")
+    for i, (_, path) in enumerate(listed[1:], start=1):
+        data = None
+        if _suffix(path) == ".ppm":
+            try:
+                data = _read_file(path, size)
+            except OSError:
+                pass  # _read_image tries again and reports the error
+            if data is not None and len(data) == size and data.startswith(header):
+                flat[i * raster:(i + 1) * raster] = memoryview(data)[len(header):]
+                continue
+        rgb = _read_image(path, data)
+        if rgb.shape[:2] != (h, w):
+            raise InvalidDataset(f"{path}: image dimensions {rgb.shape[:2]} differ from {(h, w)}")
+        raw[i] = rgb
+    stack = np.zeros((len(listed), 4, h, w))
+    np.divide(raw.transpose(0, 3, 1, 2), 255.0, out=stack[:, 1:])
     stack.flags.writeable = False
     samples = tuple(Sample(label, QMatrix._view(image), path)
                     for (label, path), image in zip(listed, stack))

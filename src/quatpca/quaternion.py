@@ -88,8 +88,14 @@ def plane_matmul(A, B):
 
 
 def plane_conj_transpose(A):
-    """Conjugate transpose of every matrix in a (..., 4, m, n) plane array."""
-    return np.swapaxes(A, -1, -2) * _CONJ[:, None, None]
+    """Conjugate transpose of every matrix in a (..., 4, m, n) plane array, C-ordered.
+
+    Transposing into a copy and then signing it in place beats one
+    multiply into a C-ordered output, whose strided writes cost twice as much.
+    """
+    out = np.swapaxes(A, -1, -2).astype(np.float64, order="C")
+    np.multiply(out, _CONJ[:, None, None], out=out)
+    return out
 
 
 @dataclass(frozen=True)

@@ -268,8 +268,28 @@ def _require_scale(S, peak, s):
             f"rescale the data")
 
 
+def _stacked(arrays):
+    """The equal-shaped arrays as one array, as ``np.stack`` builds it.
+
+    When they are, in order, all the rows of one C-contiguous array (the
+    images of ``load_dataset`` and ``center`` are), that array comes back
+    as a read-only view instead of a copy.
+    """
+    base = arrays[0].base if arrays else None
+    if (isinstance(base, np.ndarray) and base.flags.c_contiguous
+            and base.shape == (len(arrays), *arrays[0].shape)):
+        start, layout = base.__array_interface__["data"][0], (base.dtype, base.strides[1:])
+        if all(a.base is base and (a.dtype, a.strides) == layout
+               and a.__array_interface__["data"][0] == start + i * a.nbytes
+               for i, a in enumerate(arrays)):
+            view = base.view()
+            view.flags.writeable = False
+            return view
+    return np.stack(arrays)
+
+
 def _sample_stack(samples):
-    """(stack, peak): the samples as one (l, 4, m, n) array, and its largest magnitude.
+    """(stack, peak): the samples as one (l, 4, m, n) array (see _stacked), and its largest magnitude.
 
     Accepts a SampleSet or QMatrix list.  Raises InvalidDataset, naming
     the first offending sample, when any entry is NaN or infinite.
@@ -283,7 +303,7 @@ def _sample_stack(samples):
             raise TypeError(f"expected QMatrix samples, got {type(f).__name__}")
         if f.shape != mats[0].shape:
             raise ShapeError(f"samples have mixed shapes: {mats[0].shape} vs {f.shape}")
-    S = np.stack([f.data for f in mats])
+    S = _stacked([f.data for f in mats])
     return S, _require_finite(S, items)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .dataset import center, split
 from .errors import InvalidDataset, InvalidParameter, InvalidWeight, ShapeError, _check
 from .quaternion import QMatrix, plane_conj_transpose, plane_matmul
-from .solver import _require_finite, fit
+from .solver import _require_finite, _stacked, fit
 
 __all__ = [
     "Manner",
@@ -109,10 +109,15 @@ def _side_weights(basis, scheme, k=None):
 
 
 def centered_stack(samples, basis):
-    """Images of a sample set as one (N, 4, m, n) array, centered by the fit's mean."""
-    X = np.stack([s.image.data for s in samples.samples])
-    if not samples.centered:
-        X -= basis.mean.data
+    """Images of a sample set as one (N, 4, m, n) array, centered by the fit's mean.
+
+    A set that is already centred may come back as a read-only view of its images.
+    """
+    images = [s.image.data for s in samples.samples]
+    if samples.centered:
+        return _stacked(images)
+    X = np.stack(images)
+    X -= basis.mean.data
     return X
 
 

@@ -3,10 +3,13 @@
 import math
 import re
 import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quatpca.dataset
 from quatpca import (
@@ -141,17 +144,117 @@ def test_load_stops_at_the_failing_file(tmp_path, rng, monkeypatch, bad, error):
     failing = tmp_path / "b" / "img01.ppm"
     failing.write_bytes(bad)
     reads = []
-    read = quatpca.dataset._read_image
+    for name in ("_read_file", "_read_image"):  # the file read and the per-file decoder
+        read = getattr(quatpca.dataset, name)
 
-    def read_image(path):
-        reads.append(path)
-        return read(path)
+        def spy(path, *args, read=read):
+            reads.append(str(path))
+            return read(path, *args)
 
-    monkeypatch.setattr(quatpca.dataset, "_read_image", read_image)
+        monkeypatch.setattr(quatpca.dataset, name, spy)
     with pytest.raises(error, match=re.escape(str(failing))):
         load_dataset(tmp_path)
-    assert str(reads[-1]) == str(failing)
-    assert len(reads) == 5  # a/img00..02, b/img00, b/img01
+    files = list(dict.fromkeys(reads))  # each file once, in the order first read
+    assert files[-1] == str(failing)
+    assert len(files) == 5  # a/img00..02, b/img00, b/img01
+
+
+def _per_file_decode(path):
+    return quatpca.dataset._read_image(path).astype(np.float64).transpose(2, 0, 1) / 255.0
+
+
+@pytest.mark.parametrize("first", ["canonical", "commented", "png"])
+def test_batch_load_matches_per_file_decode_whatever_comes_first(tmp_path, rng, first):
+    # The first file fixes the canonical header; later canonical PPMs,
+    # upper-case suffix included, take the sized read.
+    d = tmp_path / "c"
+    d.mkdir()
+    rgb = random_rgb(rng, 3, 5)
+    if first == "png":
+        export_image(QMatrix(np.concatenate([np.zeros((1, 3, 5)), rgb.transpose(2, 0, 1) / 255.0])),
+                     d / "a.png")
+    else:
+        header = b"P6 # size\n5\n# rows\n 3 255\t" if first == "commented" else b"P6\n5 3\n255\n"
+        (d / "a.ppm").write_bytes(header + rgb.tobytes())
+    for name in ("b.ppm", "c.PPM", "d.ppm"):
+        (d / name).write_bytes(ppm_bytes(random_rgb(rng, 3, 5)))
+    ss = load_dataset(tmp_path)
+    assert [s.source.split("/")[-1] for s in ss.samples] == [
+        "a.png" if first == "png" else "a.ppm", "b.ppm", "c.PPM", "d.ppm"]
+    for sample in ss.samples:
+        assert not np.any(sample.image.data[0])
+        assert np.array_equal(sample.image.data[1:], _per_file_decode(sample.source))
+
+
+def test_batch_load_reads_every_ppm_once(tmp_path, rng, monkeypatch):
+    # A later PPM that is not canonical is decoded from the bytes already read.
+    d = tmp_path / "c"
+    d.mkdir()
+    for name in ("a.ppm", "b.ppm", "c.ppm"):
+        (d / name).write_bytes(b"P6\n# made by hand\n5 3\n255\n" + random_rgb(rng, 3, 5).tobytes())
+    (d / "d.ppm").write_bytes(ppm_bytes(random_rgb(rng, 3, 5)))
+    reads = []
+    read = quatpca.dataset._read_file
+
+    def spy(path, *args):
+        reads.append(path)
+        return read(path, *args)
+
+    monkeypatch.setattr(quatpca.dataset, "_read_file", spy)
+    ss = load_dataset(tmp_path)
+    assert reads == [s.source for s in ss.samples]
+    for sample in ss.samples:
+        assert np.array_equal(sample.image.data[1:], _per_file_decode(sample.source))
+
+
+def test_batch_load_reports_an_unreadable_file_as_the_per_file_reader(tmp_path, rng,
+                                                                     monkeypatch):
+    arrays = {label: [random_rgb(rng, 3, 4) for _ in range(2)] for label in ("a", "b")}
+    write_image_tree(tmp_path, arrays)
+    failing = str(tmp_path / "b" / "img00.ppm")
+    read = quatpca.dataset._read_file
+
+    def denied(path, *args):
+        if path == failing:
+            raise PermissionError(13, "Permission denied", path)
+        return read(path, *args)
+
+    monkeypatch.setattr(quatpca.dataset, "_read_file", denied)
+    text = f"{failing}: cannot read image ([Errno 13] Permission denied: '{failing}')"
+    with pytest.raises(IoError, match=f"^{re.escape(text)}$"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("payload, error, text", [
+    (ppm_bytes(np.zeros((3, 4, 3), dtype=np.uint8)) + b"\0", IoError,
+     "raster has 37 bytes, expected 36"),
+    (ppm_bytes(np.zeros((3, 4, 3), dtype=np.uint8))[:-1], IoError,
+     "raster has 35 bytes, expected 36"),
+    (ppm_bytes(np.zeros((4, 3, 3), dtype=np.uint8)), InvalidDataset,
+     "image dimensions (4, 3) differ from (3, 4)"),
+], ids=["trailing-byte", "truncated", "other-size"])
+def test_batch_load_keeps_the_per_file_error_text(tmp_path, rng, payload, error, text):
+    arrays = {label: [random_rgb(rng, 3, 4) for _ in range(2)] for label in ("a", "b")}
+    write_image_tree(tmp_path, arrays)
+    failing = tmp_path / "b" / "img00.ppm"
+    failing.write_bytes(payload)
+    with pytest.raises(error, match=f"^{re.escape(f'{failing}: {text}')}$"):
+        load_dataset(tmp_path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(1, 4),
+       st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_batch_load_equals_per_file_decode_on_canonical_trees(counts, h, w, seed):
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_image_tree(Path(tmp), {f"k{c}": [random_rgb(rng, h, w) for _ in range(count)]
+                                     for c, count in enumerate(counts)})
+        ss = load_dataset(tmp)
+        assert len(ss) == sum(counts)
+        for sample in ss.samples:
+            assert not np.any(sample.image.data[0])
+            assert np.array_equal(sample.image.data[1:], _per_file_decode(sample.source))
 
 
 def test_png_round_trip(tmp_path, rng):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import quatpca.weighting
 from quatpca import (
     FitParams,
     InvalidDataset,
@@ -24,6 +25,7 @@ from quatpca import (
     score_weightings,
     select_weighting,
 )
+from quatpca.quaternion import plane_conj_transpose, plane_matmul
 from quatpca.reconstruction import _rebuild
 from quatpca.weighting import centered_stack
 from conftest import planted_samples, random_qmatrix, separable_classes
@@ -119,6 +121,27 @@ def test_weighted_projection_scales_unweighted_one(diag_basis, diag_samples):
     assert np.allclose(both.data,
                        base.scale_columns(wr).data * wl[None, :, None],
                        atol=1e-10)
+
+
+def test_projection_reshapes_its_operands_without_copies(monkeypatch, rng):
+    # Both right operands of plane_matmul, the stack X and Y = (A^* X_i)^*,
+    # are C-ordered, so its reshape of them is a view.  The features keep
+    # the bytes of the two-sided formula.
+    ss, _ = planted_samples(rng, 6, 5, values=(3.0, 2.0, 1.0), pairs=3)
+    basis = fit(ss, FitParams(s=2.0, p=2.0, k1=3, k2=2))
+    X = centered_stack(ss, basis)
+    views = []
+
+    def spy(A, B):
+        views.append(np.shares_memory(B.reshape(*B.shape[:-3], -1, B.shape[-1]), B))
+        return plane_matmul(A, B)
+
+    monkeypatch.setattr(quatpca.weighting, "plane_matmul", spy)
+    P = project_stack(X, basis)
+    assert views == [True, True]
+    U, V = basis.U.data, basis.V.data
+    Y = plane_conj_transpose(plane_matmul(plane_conj_transpose(U), X))
+    assert np.array_equal(P, plane_conj_transpose(plane_matmul(plane_conj_transpose(V), Y)))
 
 
 def test_project_shape_check(diag_basis, rng):
