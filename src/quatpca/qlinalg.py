@@ -51,16 +51,19 @@ def mgs_orthonormalize(vnew, basis):
     for u in basis:
         if u.n != vnew.n:
             raise ShapeError(f"basis vector length {u.n} does not match {vnew.n}")
-    v = vnew.to_real()
-    if basis:
-        Wr = QMatrix.from_columns(basis).real_repr()
-        for _ in range(2):
-            v = v - Wr @ (Wr.T @ v)
+    Wr = QMatrix.from_columns(basis).real_repr() if basis else np.empty((4 * vnew.n, 0))
+    return QVector.from_real(_orthonormalize(vnew.to_real(), Wr))
+
+
+def _orthonormalize(v, Wr):
+    """:func:`mgs_orthonormalize` of the real layout v against the real representation Wr."""
+    for _ in range(2):
+        v = v - Wr @ (Wr.T @ v)
     r = float(np.linalg.norm(v))
     if r < DEGENERATE_TOL:
         raise DegenerateDirection(
             f"residual norm {r:.3e} below {DEGENERATE_TOL:.1e}; direction already spanned")
-    return QVector.from_real(v / r)
+    return v / r
 
 
 def _canonical_phase(w):

@@ -32,6 +32,7 @@ from .weighting import (
     _checked_stack,
     _gamma,
     _project,
+    _require_shape,
     _side_weights,
     centered_stack,
     project_stack,
@@ -158,6 +159,7 @@ def sweep_ratios(samples, basis, K):
     if len(samples) == 0:
         raise InvalidDataset("need at least one sample to compute a ratio")
     F = np.stack([s.image.data for s in samples.samples])
+    _require_shape(F.shape, basis)
     X = _checked_stack(F - basis.mean.data, basis, samples.samples)
     _require_raw(samples)
     nf = np.sqrt(np.einsum("iakl,iakl->i", F, F))

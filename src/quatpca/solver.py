@@ -35,13 +35,14 @@ and the ascent vector T^* (|P|^(s-2) (.) P) from it.  Each of the two
 products is one 2-D GEMM: the Hamilton table of ``quaternion``, as
 4 x 16 real coefficients, is folded into the iterate before the first
 and applied to the 4 x (k n) result of the second, so nothing is mixed
-over the L columns.  Both paths deflate through the real representation
-Rp of I - WW^*: G <- (I - WW^*) G (I - WW^*) is R <- Rp R Rp, while H
-is never rewritten.  The projectors are nested, so the latest one covers
-every earlier one, and T (I - WW^*) has the objective f(Rp w) and the
-ascent vector Rp y(Rp w): two 4n x 4n real matrix-vector products per
-evaluation.  A step that lowers the objective (possible for 0 < p < 1)
-is rejected and ends the direction on the previous iterate.
+over the L columns.  Neither objective is ever rewritten: direction t
+runs on the deflated stack T P, P = I - WW^* for the t accepted
+directions W, whose objective is f(P w) and ascent vector P y(P w).
+The ascent builds the real representation of P once per direction as
+I - Wr Wr^T from the same Wr = real_repr(W) that Gram-Schmidt projects
+with, so each evaluation adds two 4n x 4n real matrix-vector products.
+A step that lowers the objective (possible for 0 < p < 1) is rejected
+and ends the direction on the previous iterate.
 :func:`mm_update` takes one step of this ascent for any (s, p), s = p = 2
 included.
 
@@ -62,7 +63,7 @@ import numpy as np
 
 from .errors import (DegenerateDirection, InvalidDataset, InvalidParameter, ShapeError, _check,
                      _violation)
-from .qlinalg import hermitian_topk_eig, mgs_orthonormalize
+from .qlinalg import _orthonormalize, hermitian_topk_eig
 from .quaternion import (_CONJ, QMatrix, QVector, _moduli_lp_norm, _real_repr, lp_norm,
                          plane_conj_transpose, plane_matmul)
 
@@ -352,13 +353,6 @@ def _gram(H):
     return (_HAMILTON_CONJ_B[:, cols] @ blocks).reshape(4, n, n)
 
 
-def _projector(W):
-    """Planes of I - W W^* for a QMatrix W with orthonormal columns (W W^* is _gram(W))."""
-    P = -_gram(W.data)
-    P[0] += np.eye(W.m)
-    return P
-
-
 # The Hamilton table as (4, 16) real coefficients, read off the real
 # representations of the units e_c: plane o of a b is sum_{c,d}
 # _HAMILTON[o, 4c + d] a_c b_d, and conjugating a (b) signs the c (d) axis.
@@ -383,11 +377,6 @@ class _GramObjective:
         y = self.R @ wr
         return float(wr @ y), y.reshape(w.shape)
 
-    def deflate(self, P):
-        # G <- P G P, as real GEMMs with the real representation of P.
-        Rp = _real_repr(P)
-        self.R = Rp @ self.R @ Rp
-
 
 class _StackObjective:
     """General s: f(w) = ||T w||_s^s, ascent vector T^* (|P|^(s-2) (.) P).
@@ -403,18 +392,16 @@ class _StackObjective:
       order, on n columns only.
 
     The weights |P|^(s-2) and the objective come from the squared
-    moduli alone.  H never changes.  Deflation keeps only Rp, the real
-    representation of the latest projector I - WW^*, which covers every
-    earlier one because the projectors are nested: the deflated stack
-    has f(Rp w) and the ascent vector Rp y(Rp w), two 4n x 4n
-    matrix-vector products.
+    moduli alone.  H never changes: the ascent takes the deflated stack
+    T P as f(P w) and P y(P w), with P built from the real images of the
+    accepted directions (_deflated_evaluate).
     """
 
     def __init__(self, H, s):
         Hk, keep = _live_planes(H)
         k, n = len(keep), H.shape[1]
         cols = [4 * c + d for c in keep for d in range(4)]
-        self.H, self.power, self.Rp = Hk, (s - 2.0) / 2.0, None
+        self.H, self.power = Hk, (s - 2.0) / 2.0
         self.Hf = Hk.reshape(k * n, -1)
         # fold[o, c, d] multiplies w_d H_c into plane o of P; table[o, k e + c]
         # takes plane c of H against plane e of Q.
@@ -422,8 +409,6 @@ class _StackObjective:
         self.table = _HAMILTON[:, cols].reshape(4, k, 4).transpose(0, 2, 1).reshape(4, 4 * k)
 
     def evaluate(self, w):
-        if self.Rp is not None:
-            w = (self.Rp @ w.reshape(-1)).reshape(w.shape)
         P = (self.fold @ w).reshape(4, -1) @ self.Hf
         sq = np.einsum("ij,ij->j", P, P)
         # Zero guard: a zero modulus (P_i = 0) gets the finite weight of the
@@ -432,17 +417,17 @@ class _StackObjective:
         # einsum, not a BLAS dot, whose sum depends on the thread count
         f = float(np.einsum("i,i->", fac, sq))
         P *= fac
-        y = self.table @ (P @ self.Hf.T).reshape(-1, w.shape[1])
-        if self.Rp is not None:
-            y = (self.Rp @ y.reshape(-1)).reshape(y.shape)
-        return f, y
-
-    def deflate(self, P):
-        self.Rp = _real_repr(P)
+        return f, self.table @ (P @ self.Hf.T).reshape(-1, w.shape[1])
 
 
 def _objective_for(H, s):
     return _GramObjective(H) if s == 2 else _StackObjective(H, s)
+
+
+def _deflated_evaluate(obj, P, w):
+    """(f(P w), P y(P w)): obj on the stack T P, with P real_repr(I - WW^*)."""
+    f, y = obj.evaluate((P @ w.reshape(-1)).reshape(w.shape))
+    return f, (P @ y.reshape(-1)).reshape(y.shape)
 
 
 # -- public operations ------------------------------------------------
@@ -550,17 +535,18 @@ def _initial_iterate(n, p):
     return w / lp_norm(w, p)
 
 
-def _ascend(obj, w0, params, orthogonal_to, side, index):
-    """Run the ascent loop from w0 on one side's objective; returns (v, f, trace)."""
+def _ascend(obj, Wr, w0, params, side, index):
+    """Run the ascent from w0 on T P, P = I - WW^* for Wr = real_repr(W); returns (v, f, trace)."""
+    P = np.eye(len(Wr)) - Wr @ Wr.T
     p = params.p
     w, w_mods = w0.data, w0.abs()
-    f, y = obj.evaluate(w)
+    f, y = _deflated_evaluate(obj, P, w)
     f_hist = [f]
     pnorm_hist = [_moduli_lp_norm(w_mods, p)]
     reason = "iteration cap"
     for iterations in range(1, params.max_iter + 1):
         w_new, mods_new = _sphere_step(y, p, w_mods)
-        f_new, y_new = obj.evaluate(w_new)
+        f_new, y_new = _deflated_evaluate(obj, P, w_new)
         delta = abs(f_new - f) / (abs(f) + _TINY)
         # A step that lowers the objective is never taken: the direction
         # ends on the previous iterate, by the tolerance rule when the
@@ -576,8 +562,8 @@ def _ascend(obj, w0, params, orthogonal_to, side, index):
         if lowered:
             reason = "rejected step"
             break
-    v = mgs_orthonormalize(QVector(w), orthogonal_to)
-    f_dir = obj.evaluate(v.data)[0]
+    v = _orthonormalize(w.reshape(-1), Wr).reshape(w.shape)
+    f_dir = _deflated_evaluate(obj, P, v)[0]
     trace = DirectionTrace(
         side=side,
         index=index,
@@ -592,20 +578,17 @@ def _ascend(obj, w0, params, orthogonal_to, side, index):
 
 
 def _fit_side(obj, n, count, params, side):
-    vectors, values, traces = [], [], []
+    W, values, traces = np.empty((4, n, count)), np.empty(count), []
     w0 = _initial_iterate(n, params.p)
     for t in range(count):
         try:
-            v, f, trace = _ascend(obj, w0, params, vectors, side, t)
+            W[:, :, t], values[t], trace = _ascend(obj, _real_repr(W[:, :, :t]), w0, params,
+                                                   side, t)
         except DegenerateDirection as exc:
             raise DegenerateDirection(
                 f"{side} direction {t}: {exc}", index=t) from exc
-        vectors.append(v)
-        values.append(f)
         traces.append(trace)
-        if t + 1 < count:
-            obj.deflate(_projector(QMatrix.from_columns(vectors)))
-    return QMatrix.from_columns(vectors), np.array(values), traces
+    return QMatrix(W), values, traces
 
 
 def _eigenbasis(G, k):
@@ -684,8 +667,11 @@ def covariance_baseline(samples, k):
 
 
 def deflated_residuals(samples, basis):
-    """Left- and right-deflated samples (I - UU^*) F_i and F_i (I - VV^*) = (P F_i^*)^*."""
+    """Left- and right-deflated samples F_i - U (U^* F_i) and F_i - (F_i V) V^*.
+
+    The right ones are (F_i^* - V (V^* F_i^*))^*: a basis is the left operand of every product.
+    """
     S, _ = _sample_stack(samples)
-    right = plane_matmul(_projector(basis.V), plane_conj_transpose(S))
-    return ([QMatrix(L) for L in plane_matmul(_projector(basis.U), S)],
-            [QMatrix(R) for R in plane_conj_transpose(right)])
+    lefts, rights = (X - plane_matmul(W.data, plane_matmul(plane_conj_transpose(W.data), X))
+                     for W, X in ((basis.U, S), (basis.V, plane_conj_transpose(S))))
+    return [QMatrix(L) for L in lefts], [QMatrix(R).H for R in rights]

@@ -111,13 +111,16 @@ def _side_weights(basis, scheme, k=None):
 def centered_stack(samples, basis):
     """Images of a sample set as one (N, 4, m, n) array, centered by the fit's mean.
 
-    A set that is already centred may come back as a read-only view of its images.
+    A set centred by another mean is shifted by the difference of the two.
+    A set centred by the fit's own mean may come back as a read-only view
+    of its images.  Raises ShapeError when the images do not fit the basis.
     """
+    _require_shape((len(samples), 4, *samples.shape), basis)
     images = [s.image.data for s in samples.samples]
-    if samples.centered:
+    if samples.centered and samples.mean is basis.mean:
         return _stacked(images)
     X = np.stack(images)
-    X -= basis.mean.data
+    X -= basis.mean.data - samples.mean.data if samples.centered else basis.mean.data
     return X
 
 
@@ -140,12 +143,16 @@ def _check_sweep(basis, K):
         raise InvalidParameter(f"sweep size {problem}")
 
 
+def _require_shape(shape, basis):
+    """Raise ShapeError unless ``shape`` is that of an (N, 4, m, n) stack that fits the basis."""
+    if len(shape) != 4 or shape[1] != 4 or tuple(shape[2:]) != (basis.m, basis.n):
+        raise ShapeError(f"image shape {tuple(shape[2:])} does not match basis {basis.m}x{basis.n}")
+
+
 def _checked_stack(X, basis, samples=None):
     """X as float64, after the shape and non-finite checks of :func:`project_stack`."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 4 or X.shape[1] != 4 or X.shape[2:] != (basis.m, basis.n):
-        raise ShapeError(
-            f"image shape {X.shape[2:]} does not match basis {basis.m}x{basis.n}")
+    _require_shape(X.shape, basis)
     _require_finite(X, samples)
     return X
 

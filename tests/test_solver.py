@@ -6,10 +6,12 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quatpca
 from quatpca import (
     DegenerateDirection,
     FitParams,
@@ -36,8 +38,8 @@ from quatpca import (
     reconstruction_ratio,
 )
 from quatpca.quaternion import plane_conj_transpose, plane_matmul
-from quatpca.solver import (_GramObjective, _StackObjective, _gram, _live_planes, _stacked,
-                            _wide)
+from quatpca.solver import (_deflated_evaluate, _GramObjective, _StackObjective, _gram,
+                            _live_planes, _stacked, _wide)
 from conftest import (
     max_principal_angle,
     planted_samples,
@@ -624,24 +626,27 @@ def test_stack_kernel_matches_per_sample_oracle(side, s):
 
 
 def _random_projector(width, seed):
-    """Planes of I - WW^* for a random W with two orthonormal columns."""
+    """Real representation of I - WW^* for a random W with two orthonormal columns."""
     W = random_orthonormal_columns(np.random.default_rng(seed), width, 2)
-    RP = np.eye(4 * width) - real_repr(W) @ real_repr(W).T
-    return RP[:, :width].reshape(4, width, width)
+    return np.eye(4 * width) - real_repr(W) @ real_repr(W).T
 
 
-def _deflated(mats, P, side):
-    """The samples whose stack is T P: F_i P on the right, P F_i on the left."""
+def _deflated(mats, RP, side):
+    """The samples whose stack is T P, P the planes of RP: F_i P on the right, P F_i on the left."""
+    P = RP[:, :len(RP) // 4].reshape(4, len(RP) // 4, -1)
     return [QMatrix(plane_matmul(F.data, P) if side == "right" else plane_matmul(P, F.data))
             for F in mats]
 
 
-def _assert_stack_matches_oracle(obj, mats, s, side, seed):
-    """obj.evaluate agrees with the per-sample oracle on mats at a random and a unit w."""
+def _assert_stack_matches_oracle(obj, mats, s, side, seed, RP=None):
+    """obj agrees with the per-sample oracle on mats at a random and a unit w.
+
+    Given RP, the evaluation is the one deflated by that projector.
+    """
     width = mats[0].n if side == "right" else mats[0].m
     for w in (QVector(np.random.default_rng(seed).standard_normal((4, width))),
               QVector.unit(width, 0)):
-        f, y = obj.evaluate(w.data)
+        f, y = obj.evaluate(w.data) if RP is None else _deflated_evaluate(obj, RP, w.data)
         f_ref, y_ref = _oracle_terms(mats, w, s, side)
         assert f == pytest.approx(f_ref, rel=1e-12)
         assert np.max(np.abs(y.reshape(-1) - y_ref)) <= 1e-12
@@ -650,10 +655,9 @@ def _assert_stack_matches_oracle(obj, mats, s, side, seed):
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_stack_deflation_matches_per_sample_oracle(side):
     mats = _samples_with_zero_lines(33)
-    P = _random_projector(mats[0].n if side == "right" else mats[0].m, 34)
+    RP = _random_projector(mats[0].n if side == "right" else mats[0].m, 34)
     obj = _StackObjective(_wide(np.stack([F.data for F in mats]), side), 1.0)
-    obj.deflate(P)
-    _assert_stack_matches_oracle(obj, _deflated(mats, P, side), 1.0, side, 35)
+    _assert_stack_matches_oracle(obj, _deflated(mats, RP, side), 1.0, side, 35, RP)
 
 
 def _pure_samples(seed):
@@ -682,12 +686,11 @@ def test_stack_planes_match_per_sample_oracle(side, s, make, planes):
     # and all-zero samples keep one plane; either way the deflated
     # objective fills the dropped planes of the iterate.
     mats = make(41)
-    P = _random_projector(mats[0].n if side == "right" else mats[0].m, 42)
+    RP = _random_projector(mats[0].n if side == "right" else mats[0].m, 42)
     obj = _StackObjective(_wide(np.stack([F.data for F in mats]), side), s)
     assert obj.H.shape[0] == planes
     _assert_stack_matches_oracle(obj, mats, s, side, 43)
-    obj.deflate(P)
-    _assert_stack_matches_oracle(obj, _deflated(mats, P, side), s, side, 44)
+    _assert_stack_matches_oracle(obj, _deflated(mats, RP, side), s, side, 44, RP)
 
 
 def _pure_with_zero_lines(seed):
@@ -711,9 +714,8 @@ def test_stack_evaluation_with_zero_moduli_matches_oracle(side, s, make):
     obj = _StackObjective(_wide(np.stack([F.data for F in mats]), side), s)
     assert obj.H.shape[0] == (3 if make is _pure_with_zero_lines else 4)
     _assert_stack_matches_oracle(obj, mats, s, side, 47)
-    P = _random_projector(width, 48)
-    obj.deflate(P)
-    _assert_stack_matches_oracle(obj, _deflated(mats, P, side), s, side, 47)
+    RP = _random_projector(width, 48)
+    _assert_stack_matches_oracle(obj, _deflated(mats, RP, side), s, side, 47, RP)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -730,13 +732,16 @@ def test_zero_samples_have_no_ascent_direction(side, s):
 
 def test_gram_deflation_matches_oracle():
     mats = _samples_with_zero_lines(35)
-    P = _random_projector(mats[0].n, 36)
+    RP = _random_projector(mats[0].n, 36)
+    P = RP[:, :mats[0].n].reshape(4, mats[0].n, -1)
     H = _wide(np.stack([F.data for F in mats]))
     obj = _GramObjective(H)
-    obj.deflate(P)
+    # The deflated ascent vectors of the unit vectors are the columns of P G P.
+    deflated = np.column_stack([_deflated_evaluate(obj, RP, e.reshape(4, -1))[1].reshape(-1)
+                                for e in np.eye(len(RP))])
     G = _gram(H)
     oracle = real_repr(QMatrix(plane_matmul(plane_matmul(P, G), P)))
-    assert np.max(np.abs(obj.R - oracle)) <= 1e-12 * max(1.0, np.abs(oracle).max())
+    assert np.max(np.abs(deflated - oracle)) <= 1e-12 * max(1.0, np.abs(oracle).max())
 
 
 # -- Gram path against the stack path ------------------------------------
@@ -778,10 +783,11 @@ def _gap_sets():
 
 
 @pytest.mark.parametrize("data", ["planted", "small-gap"])
+@pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, math.inf])
-def test_gram_fit_matches_stack_oracle(data, p):
+def test_gram_fit_matches_stack_oracle(data, s, p):
     ss = _gap_sets()[data]
-    params = FitParams(s=2.0, p=p, k1=3, k2=3)
+    params = FitParams(s=s, p=p, k1=3, k2=3)
     basis = fit(ss, params)
     mats = list(ss.images())
     V, d_right, right_iters = _stack_oracle_side(mats, 3, params)
@@ -952,9 +958,11 @@ def _thread_digests(p, *samples):
 
     ``samples`` may be ("pure",) for samples with a zero real plane.
     """
+    src = str(Path(quatpca.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, p, *samples], env=env,
                              capture_output=True, text=True, check=True)
         digests.append(out.stdout.split())

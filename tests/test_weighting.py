@@ -1,6 +1,7 @@
 """Weighting manners, transforms, and the data-driven selection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,17 +14,24 @@ from quatpca import (
     InvalidWeight,
     MANNER_PRECEDENCE,
     Manner,
+    QMatrix,
+    SampleSet,
     SelectionConfig,
     ShapeError,
     Transform,
     WeightingScheme,
     best_manner,
+    build_gallery,
+    center,
     fit,
+    predict,
     project,
     project_stack,
     reconstruct_samples,
     score_weightings,
     select_weighting,
+    sweep_accuracies,
+    sweep_ratios,
 )
 from quatpca.quaternion import plane_conj_transpose, plane_matmul
 from quatpca.reconstruction import _rebuild
@@ -304,3 +312,45 @@ def test_sliced_features_equal_truncated_basis_features(rng, manner, transform):
         rebuilt = _rebuild(plain[:, :, :k, :k], basis.U.data[..., :k], basis.V.data[..., :k], b.mean)
         expected = np.stack([R.data for R in reconstruct_samples(samples, b)])
         np.testing.assert_allclose(rebuilt, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+# -- sample sets against the basis --------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (1, 5), (6, 1), (1, 1)])
+@pytest.mark.parametrize("call", ["build_gallery", "predict", "reconstruct_samples",
+                                  "sweep_accuracies", "sweep_ratios"])
+def test_set_functions_reject_images_that_do_not_fit_the_basis(rng, call, shape):
+    # The shape is checked before the set is centred, so no mean broadcasts.
+    train = SampleSet.build((str(t % 2), random_qmatrix(rng, 6, 5)) for t in range(8))
+    basis = fit(center(train), FitParams(s=2.0, p=2.0, k1=2, k2=2))
+    wrong = SampleSet.build((str(t % 2), random_qmatrix(rng, *shape)) for t in range(4))
+    scheme = WeightingScheme(Manner.UNWEIGHTED)
+    calls = {
+        "build_gallery": lambda: build_gallery(wrong, basis, scheme),
+        "predict": lambda: predict(wrong, build_gallery(train, basis, scheme)),
+        "reconstruct_samples": lambda: reconstruct_samples(wrong, basis),
+        "sweep_accuracies": lambda: sweep_accuracies(train, wrong, basis, scheme, 2),
+        "sweep_ratios": lambda: sweep_ratios(wrong, basis, 2),
+    }
+    message = re.escape(f"image shape {shape} does not match basis 6x5")
+    with pytest.raises(ShapeError, match=message):
+        calls[call]()
+
+
+def test_a_set_centred_by_another_mean_is_recentred_by_the_fits(rng):
+    # Six classes to train on and one of them to test on, so the test
+    # set's own mean lies far from the training mean.
+    bases = [random_qmatrix(rng, 8, 6, pure=True).data for _ in range(6)]
+    noisy = [(str(c), bases[c] + 0.3 * random_qmatrix(rng, 8, 6, pure=True).data)
+             for c in range(6) for _ in range(6)]
+    train = SampleSet.build((label, QMatrix(F)) for label, F in noisy[::2])
+    test = SampleSet.build((label, QMatrix(F)) for label, F in noisy[1:6:2])
+    basis = fit(center(train), FitParams(s=2.0, p=2.0, k1=3, k2=3))
+    scheme = WeightingScheme(Manner.UNWEIGHTED)
+    gallery = build_gallery(train, basis, scheme)
+    assert predict(center(test), gallery) == predict(test, gallery)
+    assert (sweep_accuracies(train, center(test), basis, scheme, 3)
+            == sweep_accuracies(train, test, basis, scheme, 3))
+    for a, b in zip(reconstruct_samples(center(test), basis), reconstruct_samples(test, basis)):
+        assert np.max(np.abs(a.data - b.data)) <= 1e-12
