@@ -26,8 +26,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
+import locale
 import math
+import os
 import re
 import sys
 from collections import Counter
@@ -35,8 +38,8 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .dataset import (_split_fractions, center, export_image, load_basis, load_dataset,
-                      save_basis, split)
+from .dataset import (_split_fractions, _suffix, _write_file, center, export_image, load_basis,
+                      load_dataset, save_basis, split)
 from .errors import (_RULES, ConfigError, InvalidDataset, InvalidParameter, InvalidWeight, IoError,
                      QuatPcaError, ShapeError)
 from .recognition import build_gallery, predict, sweep_accuracies
@@ -204,18 +207,21 @@ def _writing(path, what):
         raise IoError(f"{path}: cannot write {what} ({exc})") from exc
 
 
+def _write_text(path, what, text):
+    """Write ``text`` to ``path`` in the encoding ``open(path, "w")`` would use."""
+    with _writing(path, what):
+        _write_file(path, text.encode(locale.getpreferredencoding(False)))
+
+
 def _emit_csv(path, what, header, rows, out):
     """Write the rows to ``path`` (and say so), or print them when no path is given."""
+    sink = io.StringIO() if path else out
+    writer = csv.writer(sink)
+    writer.writerow(header)
+    writer.writerows(rows)
     if path:
-        with _writing(path, "CSV"), open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write_text(path, "CSV", sink.getvalue())
         print(f"{what}: written to {path}", file=out)
-    else:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _sweep_size(args, basis):
@@ -254,8 +260,7 @@ def cmd_fit(args, out):
     text = "\n".join(lines)
     print(text, file=out)
     if args.report:
-        with _writing(args.report, "report"):
-            Path(args.report).write_text(text + "\n")
+        _write_text(args.report, "report", text + "\n")
     return 0
 
 
@@ -277,9 +282,7 @@ def cmd_select_weighting(args, out):
         "repeats": protocol.repeats,
         "seed": protocol.seed,
     }
-    with _writing(args.manifest, "manifest"), open(args.manifest, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_text(args.manifest, "manifest", json.dumps(manifest, indent=2) + "\n")
     print(f"manifest: written to {args.manifest}", file=out)
     return 0
 
@@ -331,8 +334,8 @@ def cmd_reconstruct(args, out):
         with _writing(outdir, "export directory"):
             outdir.mkdir(parents=True, exist_ok=True)
         for idx, (sample, rec) in enumerate(zip(train.samples, recs)):
-            suffix = Path(sample.source).suffix.lower()
-            export_image(rec, outdir / f"{sample.label}_{idx:04d}{suffix}")
+            suffix = _suffix(os.path.basename(sample.source))
+            export_image(rec, os.path.join(outdir, f"{sample.label}_{idx:04d}{suffix}"))
         print(f"export: {len(recs)} images written to {outdir}", file=out)
     return 0
 

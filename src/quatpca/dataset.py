@@ -18,6 +18,11 @@ five row filters; gray is replicated to three channels and alpha is
 ignored.  Palette, 16-bit and interlaced files are rejected with
 IoError.  Exported PNGs are 8-bit RGB with every row unfiltered.
 
+Every file the package writes (images, bases, and the command line's
+reports, manifests and CSVs) is rewritten in place by one writer and
+then cut to its new length, instead of being truncated first; see
+``_write_file``.
+
 Fitted bases serialize to a little-endian binary format (magic "BQP1"):
 header u32 version, u32 m n k1 k2, f64 s p (p = +inf allowed), followed
 by row-major float64 planes of U (4), V (4), d_left, d_right and the
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import stat
 import struct
 import zlib
 from dataclasses import dataclass
@@ -142,6 +148,31 @@ def _read_file(path, size=0):
         os.close(fd)
 
 
+def _write_file(path, data):
+    """Make the bytes ``data`` the whole content of ``path``, rewriting it in place.
+
+    Every file the package writes goes through here.  The file is opened
+    without O_TRUNC and written from offset 0, and a regular file that
+    was longer is then cut to the bytes written.  Truncating to zero
+    first, as ``open(path, "w")`` does, makes ext4 (``auto_da_alloc``)
+    allocate and flush the rewritten file when it is closed.  A device or
+    a pipe, such as /dev/null or /dev/stdout, is written and never
+    truncated, because it cannot be.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view, written = memoryview(data), 0
+        try:
+            while written < len(view):
+                written += os.write(fd, view[written:])
+        finally:
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode) and info.st_size > written:
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 def _parse_ppm(path, data):
     """Decode the bytes ``data`` of the PPM file ``path``."""
     if not data.startswith(b"P6"):
@@ -165,7 +196,7 @@ def _parse_ppm(path, data):
 def _write_ppm(path, rgb):
     h, w, _ = rgb.shape
     header = b"P6\n%d %d\n255\n" % (w, h)
-    path.write_bytes(header + rgb.tobytes())
+    _write_file(path, header + rgb.tobytes())
 
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
@@ -261,7 +292,8 @@ def _write_png(path, rgb):
     h, w, _ = rgb.shape
     rows = np.zeros((h, 1 + 3 * w), dtype=np.uint8)  # filter byte 0 on every row
     rows[:, 1:] = rgb.reshape(h, 3 * w)
-    path.write_bytes(
+    _write_file(
+        path,
         _PNG_SIGNATURE
         + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
         + _png_chunk(b"IDAT", zlib.compress(rows.tobytes()))
@@ -362,18 +394,14 @@ def export_image(image, path):
     """
     planes = np.clip(image.data[1:], 0.0, 1.0)
     rgb = np.rint(planes * 255.0).astype(np.uint8).transpose(1, 2, 0)
-    pathp = Path(path)
+    suffix = _suffix(os.path.basename(path))
+    if suffix not in _IMAGE_SUFFIXES:
+        pathp = Path(path)
+        raise IoError(f"{pathp}: unsupported image suffix {pathp.suffix!r}")
     try:
-        if pathp.suffix.lower() == ".ppm":
-            _write_ppm(pathp, rgb)
-        elif pathp.suffix.lower() == ".png":
-            _write_png(pathp, rgb)
-        else:
-            raise IoError(f"{pathp}: unsupported image suffix {pathp.suffix!r}")
-    except IoError:
-        raise
+        (_write_ppm if suffix == ".ppm" else _write_png)(path, rgb)
     except Exception as exc:
-        raise IoError(f"{pathp}: cannot write image ({exc})") from exc
+        raise IoError(f"{Path(path)}: cannot write image ({exc})") from exc
 
 
 def center(sample_set):
@@ -464,7 +492,7 @@ def save_basis(basis, path):
     for block in (basis.U.data, basis.V.data, basis.d_left, basis.d_right, basis.mean.data):
         blob.append(np.asarray(block, dtype="<f8").tobytes())
     try:
-        Path(path).write_bytes(b"".join(blob))
+        _write_file(path, b"".join(blob))
     except OSError as exc:
         raise IoError(f"{path}: cannot write basis ({exc})") from exc
 

@@ -106,11 +106,16 @@ def reconstruct(P, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
 
 
 def reconstruct_samples(samples, basis):
-    """Project and rebuild every sample of a raw (uncentered) set, as U U^* X V V^* + mean."""
+    """Project and rebuild every sample of a raw (uncentered) set, as U U^* X V V^* + mean.
+
+    The images are read-only views of one rebuilt (N, 4, m, n) array.
+    """
     if len(samples) == 0:
         return []
     P = project_stack(centered_stack(samples, basis), basis, samples=samples.samples)
-    return [QMatrix(R) for R in _rebuild(P, basis.U.data, basis.V.data, basis.mean)]
+    R = _rebuild(P, basis.U.data, basis.V.data, basis.mean)
+    R.flags.writeable = False
+    return [QMatrix._view(image) for image in R]
 
 
 def reconstruction_ratio(originals, reconstructions):

@@ -153,7 +153,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not results:
         return
     terminalreporter.section("acceptance criteria")
-    for cid in sorted(results):
+    for cid in sorted(results, key=lambda cid: int(cid[1:])):
         desc, ok = results[cid]
         terminalreporter.write_line(f"{cid} {desc}: {'PASS' if ok else 'FAIL'}")
 

@@ -31,6 +31,7 @@ from quatpca import (
     load_basis,
     lp_update,
     mm_update,
+    real_repr,
     real_scale,
     reconstruct_samples,
     reconstruction_ratio,
@@ -248,3 +249,47 @@ def test_a9_sign_abs_algebra_and_branches():
         stepinf = mm_update(w, ss, s=2.0, p=math.inf)
         assert stepinf.entry(0).isclose(Quaternion(1.0))
         assert stepinf.entry(1).isclose(Quaternion(1.0))
+
+
+def planted_with_outliers(seed, outliers):
+    """80 pure-quaternion 16 x 16 images of right rank 3, plus noise, some replaced by outliers.
+
+    Each image is C diag(0.9, 0.6, 0.45) V0^T with C pure and N(0, 1) and V0 a real
+    16 x 3 matrix with orthonormal columns, plus pure N(0, 0.05^2) noise, so it is a
+    pure quaternion matrix, as a colour image is.  ``outliers`` images (every 20th)
+    are replaced by dense pure N(0, 2^2) ones.  Returns the centred set and V0.
+    """
+    rng = np.random.default_rng(seed)
+    n, d = 16, np.array([0.9, 0.6, 0.45])
+    V0 = np.zeros((4, n, 3))
+    V0[0] = np.linalg.qr(rng.standard_normal((n, 3)))[0]
+    images = []
+    for _ in range(80):
+        C = rng.standard_normal((4, n, 3))
+        C[0] = 0.0
+        X = (C * d) @ V0[0].T + 0.05 * rng.standard_normal((4, n, n))
+        X[0] = 0.0
+        images.append(X)
+    for i in range(outliers):
+        images[20 * i] = 2.0 * rng.standard_normal((4, n, n))
+        images[20 * i][0] = 0.0
+    return center(SampleSet.build([("c", QMatrix(X)) for X in images])), QMatrix(V0)
+
+
+def projector_distance(V, V0):
+    """Spectral norm of the difference of the orthogonal projectors onto span V and span V0."""
+    A, B = real_repr(V), real_repr(V0)
+    return float(np.linalg.norm(A @ A.T - B @ B.T, 2))
+
+
+def test_a10_low_s_resists_gross_outliers():
+    with criterion("A10", "s < 2 resists gross outliers"):
+        for seed in (0, 1, 2):
+            errors = {}
+            for outliers in (0, 4):
+                ss, V0 = planted_with_outliers(seed, outliers)
+                for s in (1.0, 2.0):
+                    basis = fit(ss, FitParams(s=s, p=2.0, k1=3, k2=3))
+                    errors[s, outliers] = projector_distance(basis.V, V0)
+            assert errors[1.0, 0] <= 0.05 and errors[2.0, 0] <= 0.05, (seed, errors)
+            assert errors[1.0, 4] <= 0.5 * errors[2.0, 4], (seed, errors)

@@ -71,3 +71,52 @@ def test_imports_point_down():
         graph.setdefault(module, set()).add(imported)
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
     assert inner == {("weighting.score_weightings", "recognition")}
+
+
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def _writes(call):
+    """Whether ``call`` can write a file.
+
+    That is pathlib's ``write_bytes`` and ``write_text``, numpy's ``tofile``,
+    ``os.write``, ``os.ftruncate`` and ``os.truncate``, ``os.open`` with a
+    flag that opens for writing, and ``open`` (built-in, ``io.open`` or
+    ``Path.open``) in a mode that writes or one that is not a literal.
+    """
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        name, owner = func.attr, getattr(func.value, "id", None)
+    else:
+        name, owner = getattr(func, "id", None), None
+    if name in ("write_bytes", "write_text", "tofile"):
+        return True
+    if owner == "os" and name in ("write", "ftruncate", "truncate"):
+        return True
+    if owner == "os" and name == "open":
+        flags = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "flags"]
+        return any(getattr(node, "attr", getattr(node, "id", None)) in _WRITE_FLAGS
+                   for flag in flags for node in ast.walk(flag))
+    if name != "open":
+        return False
+    at = 0 if isinstance(func, ast.Attribute) and owner != "io" else 1  # Path.open(mode)
+    modes = call.args[at:at + 1] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return any(not isinstance(mode, ast.Constant) or set(mode.value) & set("wax+")
+               for mode in modes)
+
+
+def test_every_file_is_written_by_the_one_writer():
+    # dataset._write_file rewrites a file in place and cuts it to length;
+    # a write_bytes, write_text or open(..., "w") elsewhere would bring
+    # back the truncate-and-rewrite it replaces.
+    writers = set()
+    for path in sorted(Path(quatpca.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, f"{path.stem}.{fn.name}")
+        writers |= {owner.get(node, path.stem) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and _writes(node)}
+    assert writers == {"dataset._write_file"}

@@ -594,6 +594,33 @@ def test_unwritable_output_path_is_an_error(workspace, capsys, command, flag):
     assert err.startswith(f"error: {target}: cannot write")
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("fit", "--report"),
+    ("select-weighting", "--manifest"),
+    ("recognize", "--csv"),
+])
+def test_outputs_overwrite_a_longer_file_to_the_same_bytes(workspace, capsys, command, flag):
+    fit_workspace(capsys, workspace)
+    argv = [command, "--config", str(workspace["cfg"])]
+    if command != "select-weighting":
+        argv += ["--basis", str(workspace["basis"])]
+    fresh, stale = workspace["tmp"] / "fresh.out", workspace["tmp"] / "stale.out"
+    assert run(capsys, argv + [flag, str(fresh)])[0] == 0
+    expected = fresh.read_bytes()
+    stale.write_bytes(b"\xff" * (2 * len(expected) + 100))
+    assert run(capsys, argv + [flag, str(stale)])[0] == 0
+    assert stale.read_bytes() == expected
+
+
+def test_csv_to_a_device_is_written_and_not_truncated(workspace, capsys):
+    # ftruncate fails on a character device with EINVAL.
+    fit_workspace(capsys, workspace)
+    rc, out, err = run(capsys, ["recognize", "--config", str(workspace["cfg"]),
+                                "--basis", str(workspace["basis"]), "--csv", os.devnull])
+    assert (rc, err) == (0, "")
+    assert out.endswith(f"confusion: written to {os.devnull}\n")
+
+
 # -- argparse surface ---------------------------------------------------
 
 

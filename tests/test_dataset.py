@@ -689,3 +689,31 @@ def test_load_rejects_non_finite_payload(fitted, tmp_path, name, value):
 def test_load_missing_file(tmp_path):
     with pytest.raises(IoError):
         load_basis(tmp_path / "nope.bqp")
+
+
+# -- writing ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["out.ppm", "out.png", "basis.bqp"])
+def test_outputs_overwrite_a_longer_file_to_the_same_bytes(fitted, tmp_path, rng, name):
+    # Outputs are rewritten in place and then cut to their length, so a
+    # writer that forgot the cut would leave the junk's tail behind.
+    image = QMatrix(rng.random((4, 5, 4)))
+
+    def write(path):
+        if path.suffix == ".bqp":
+            save_basis(fitted, path)
+        else:
+            export_image(image, path)
+
+    fresh, stale = tmp_path / "fresh" / name, tmp_path / "stale" / name
+    fresh.parent.mkdir()
+    stale.parent.mkdir()
+    write(fresh)
+    expected = fresh.read_bytes()
+    stale.write_bytes(b"\xff" * (2 * len(expected) + 100))
+    write(stale)
+    assert stale.read_bytes() == expected
+    write(stale)  # same length: nothing to cut
+    assert stale.read_bytes() == expected
+
