@@ -19,9 +19,9 @@ ignored.  Palette, 16-bit and interlaced files are rejected with
 IoError.  Exported PNGs are 8-bit RGB with every row unfiltered.
 
 Every file the package writes (images, bases, and the command line's
-reports, manifests and CSVs) is rewritten in place by one writer and
-then cut to its new length, instead of being truncated first; see
-``_write_file``.
+reports, manifests and CSVs) goes through one writer, ``_write_file``.
+It rewrites a file in place and then cuts it to its new length, instead
+of truncating it first; only a basis is truncated first.
 
 Fitted bases serialize to a little-endian binary format (magic "BQP1"):
 header u32 version, u32 m n k1 k2, f64 s p (p = +inf allowed), followed
@@ -148,7 +148,7 @@ def _read_file(path, size=0):
         os.close(fd)
 
 
-def _write_file(path, data):
+def _write_file(path, data, truncate=False):
     """Make the bytes ``data`` the whole content of ``path``, rewriting it in place.
 
     Every file the package writes goes through here.  The file is opened
@@ -158,8 +158,13 @@ def _write_file(path, data):
     allocate and flush the rewritten file when it is closed.  A device or
     a pipe, such as /dev/null or /dev/stdout, is written and never
     truncated, because it cannot be.
+
+    ``truncate=True`` empties the file first after all, so that a write
+    the process does not live to finish leaves a short file and never new
+    bytes over old ones; ``save_basis`` uses it, since a BQP1 file has no
+    checksum to catch such a mix.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if truncate else 0), 0o666)
     try:
         view, written = memoryview(data), 0
         try:
@@ -492,7 +497,7 @@ def save_basis(basis, path):
     for block in (basis.U.data, basis.V.data, basis.d_left, basis.d_right, basis.mean.data):
         blob.append(np.asarray(block, dtype="<f8").tobytes())
     try:
-        _write_file(path, b"".join(blob))
+        _write_file(path, b"".join(blob), truncate=True)
     except OSError as exc:
         raise IoError(f"{path}: cannot write basis ({exc})") from exc
 

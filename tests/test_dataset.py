@@ -1,8 +1,11 @@
 """Image loading, centering, stratified splits, and basis serialization."""
 
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import zlib
 from pathlib import Path
@@ -717,3 +720,55 @@ def test_outputs_overwrite_a_longer_file_to_the_same_bytes(fitted, tmp_path, rng
     write(stale)  # same length: nothing to cut
     assert stale.read_bytes() == expected
 
+
+
+_DIE_MID_WRITE = """
+import os, sys
+import numpy as np
+from quatpca import QMatrix, export_image, load_basis, save_basis
+
+source, target = sys.argv[1:]
+basis = load_basis(source)
+real_write = os.write
+
+
+def write(fd, data):  # write half, then die: no finally runs
+    real_write(fd, bytes(data)[:len(data) // 2])
+    os._exit(3)
+
+
+os.write = write
+if target.endswith(".bqp"):
+    save_basis(basis, target)
+else:
+    export_image(QMatrix(np.ones((4, 5, 4))), target)
+"""
+
+
+@pytest.mark.parametrize("name", ["basis.bqp", "out.ppm"])
+def test_a_write_cut_short_by_process_death(fitted, tmp_path, name):
+    # A basis is truncated before it is written, so a process that dies
+    # mid-write leaves a short file that load_basis rejects.  An image is
+    # rewritten in place, so over an old image of the same size it leaves
+    # new bytes followed by old ones.
+    source, target = tmp_path / "source.bqp", tmp_path / name
+    save_basis(fitted, source)
+    if name.endswith(".bqp"):
+        save_basis(fitted, target)
+    else:
+        export_image(QMatrix(np.zeros((4, 5, 4))), target)
+    old = target.read_bytes()
+    src = str(Path(quatpca.__file__).resolve().parents[1])
+    died = subprocess.run([sys.executable, "-c", _DIE_MID_WRITE, str(source), str(target)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert died.returncode == 3, died.stderr
+    left = target.read_bytes()
+    if name.endswith(".bqp"):
+        assert len(left) == len(old) // 2
+        with pytest.raises(FormatError, match="truncated payload"):
+            load_basis(target)
+    else:
+        new = tmp_path / "new.ppm"
+        export_image(QMatrix(np.ones((4, 5, 4))), new)
+        half = len(old) // 2
+        assert left == new.read_bytes()[:half] + old[half:]
