@@ -24,7 +24,6 @@ listed.  Exit codes: 0 success, 2 validation failure, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -38,8 +37,8 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .dataset import (_split_fractions, _suffix, _write_file, center, export_image, load_basis,
-                      load_dataset, save_basis, split)
+from .dataset import (_read_file, _split_fractions, _suffix, _write_file, center, export_image,
+                      load_basis, load_dataset, save_basis, split)
 from .errors import (_RULES, ConfigError, InvalidDataset, InvalidParameter, InvalidWeight, IoError,
                      QuatPcaError, ShapeError)
 from .recognition import build_gallery, predict, sweep_accuracies
@@ -124,12 +123,17 @@ _KEY_PARSERS = {
 }
 
 
+# The codec of the config and of every text output: the locale encoding with
+# surrogateescape, the rule Python decodes file names by, so names round-trip.
+_CODEC = (locale.getpreferredencoding(False), "surrogateescape")
+
+
 def parse_config(path):
     """Read and validate a configuration file, listing every violation."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError([f"{path}: cannot read config ({exc})"]) from exc
+        text = _read_file(path, "config").decode(*_CODEC)
+    except IoError as exc:
+        raise ConfigError([str(exc)]) from exc
 
     cfg = RunConfig()
     problems = []
@@ -198,19 +202,9 @@ def _setup(args, fitting):
     return cfg, params, dataset, train, test
 
 
-@contextlib.contextmanager
-def _writing(path, what):
-    """Report an OSError raised while writing ``path`` as an IoError naming it."""
-    try:
-        yield
-    except OSError as exc:
-        raise IoError(f"{path}: cannot write {what} ({exc})") from exc
-
-
 def _write_text(path, what, text):
-    """Write ``text`` to ``path`` in the encoding ``open(path, "w")`` would use."""
-    with _writing(path, what):
-        _write_file(path, text.encode(locale.getpreferredencoding(False)))
+    """Write ``text`` to ``path`` in the config's codec."""
+    _write_file(path, text.encode(*_CODEC), what)
 
 
 def _emit_csv(path, what, header, rows, out):
@@ -331,8 +325,10 @@ def cmd_reconstruct(args, out):
                   [(basis.k1, basis.k2, f"{ratio:.6f}")], out)
     if args.export:
         outdir = Path(args.export)
-        with _writing(outdir, "export directory"):
+        try:
             outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"{outdir}: cannot write export directory ({exc})") from exc
         for idx, (sample, rec) in enumerate(zip(train.samples, recs)):
             suffix = _suffix(os.path.basename(sample.source))
             export_image(rec, os.path.join(outdir, f"{sample.label}_{idx:04d}{suffix}"))

@@ -18,10 +18,12 @@ five row filters; gray is replicated to three channels and alpha is
 ignored.  Palette, 16-bit and interlaced files are rejected with
 IoError.  Exported PNGs are 8-bit RGB with every row unfiltered.
 
-Every file the package writes (images, bases, and the command line's
-reports, manifests and CSVs) goes through one writer, ``_write_file``.
-It rewrites a file in place and then cuts it to its new length, instead
-of truncating it first; only a basis is truncated first.
+Every file the package reads (images, bases, the command line's config)
+goes through one reader, ``_read_file``, and every file it writes (also
+reports, manifests and CSVs) through one writer, ``_write_file``; each
+turns an OSError into an IoError naming the path.  The writer rewrites a
+file in place and then cuts it to its new length; only a basis is
+truncated first.
 
 Fitted bases serialize to a little-endian binary format (magic "BQP1"):
 header u32 version, u32 m n k1 k2, f64 s p (p = +inf allowed), followed
@@ -133,49 +135,59 @@ _PPM_HEADER = re.compile(
     rb"P6" + rb"(?:\s|#[^\n]*\n)*(\d+)\s" * 2 + rb"(?:\s|#[^\n]*\n)*(\d+)(\s|\Z)")
 
 
-def _read_file(path, size=0):
-    """The bytes of ``path``, read by one call when there are at most ``size``."""
-    fd = os.open(path, os.O_RDONLY)
+def _read_file(path, what, size=0):
+    """The bytes of ``path``, read by one call when there are at most ``size``.
+
+    Every file the package reads goes through here; an OSError becomes
+    ``IoError("<path>: cannot read <what> (<reason>)")``.
+    """
     try:
-        data = os.read(fd, size + 1)
-        if len(data) > size:  # longer than asked for: read on to the end
-            parts = [data]
-            while parts[-1]:
-                parts.append(os.read(fd, 1 << 16))
-            data = b"".join(parts)
-        return data
-    finally:
-        os.close(fd)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            data = os.read(fd, size + 1)
+            if len(data) > size:  # longer than asked for: read on to the end
+                parts = [data]
+                while parts[-1]:
+                    parts.append(os.read(fd, 1 << 16))
+                data = b"".join(parts)
+            return data
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        if exc.filename is None:  # read(2) names no file, as on a directory
+            exc.filename = os.fspath(path)
+        raise IoError(f"{path}: cannot read {what} ({exc})") from exc
 
 
-def _write_file(path, data, truncate=False):
+def _write_file(path, data, what, truncate=False):
     """Make the bytes ``data`` the whole content of ``path``, rewriting it in place.
 
-    Every file the package writes goes through here.  The file is opened
-    without O_TRUNC and written from offset 0, and a regular file that
-    was longer is then cut to the bytes written.  Truncating to zero
-    first, as ``open(path, "w")`` does, makes ext4 (``auto_da_alloc``)
-    allocate and flush the rewritten file when it is closed.  A device or
-    a pipe, such as /dev/null or /dev/stdout, is written and never
-    truncated, because it cannot be.
-
+    Every file the package writes goes through here; an OSError becomes
+    ``IoError("<path>: cannot write <what> (<reason>)")``.  The file is
+    written from offset 0 without O_TRUNC, and a regular file that was
+    longer is then cut to the bytes written: truncating to zero first, as
+    ``open(path, "w")`` does, makes ext4 (``auto_da_alloc``) flush the
+    rewritten file on close.  A device or a pipe, such as /dev/null or
+    /dev/stdout, is never truncated, because it cannot be.
     ``truncate=True`` empties the file first after all, so that a write
-    the process does not live to finish leaves a short file and never new
-    bytes over old ones; ``save_basis`` uses it, since a BQP1 file has no
-    checksum to catch such a mix.
+    the process does not live to finish leaves a short file, never new
+    bytes over old ones; ``save_basis`` uses it, as BQP1 has no checksum.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if truncate else 0), 0o666)
     try:
-        view, written = memoryview(data), 0
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if truncate else 0), 0o666)
         try:
-            while written < len(view):
-                written += os.write(fd, view[written:])
+            view, written = memoryview(data), 0
+            try:
+                while written < len(view):
+                    written += os.write(fd, view[written:])
+            finally:
+                info = os.fstat(fd)
+                if stat.S_ISREG(info.st_mode) and info.st_size > written:
+                    os.ftruncate(fd, written)
         finally:
-            info = os.fstat(fd)
-            if stat.S_ISREG(info.st_mode) and info.st_size > written:
-                os.ftruncate(fd, written)
-    finally:
-        os.close(fd)
+            os.close(fd)
+    except OSError as exc:
+        raise IoError(f"{path}: cannot write {what} ({exc})") from exc
 
 
 def _parse_ppm(path, data):
@@ -201,7 +213,7 @@ def _parse_ppm(path, data):
 def _write_ppm(path, rgb):
     h, w, _ = rgb.shape
     header = b"P6\n%d %d\n255\n" % (w, h)
-    _write_file(path, header + rgb.tobytes())
+    _write_file(path, header + rgb.tobytes(), "image")
 
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
@@ -244,9 +256,8 @@ def _png_unfilter(rows, bpp):
     return out[1:]
 
 
-def _read_png(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _parse_png(path, data):
+    """Decode the bytes ``data`` of the PNG file ``path``."""
     if not data.startswith(_PNG_SIGNATURE):
         raise IoError(f"{path}: not a PNG file (bad signature)")
     pos, header, idat = len(_PNG_SIGNATURE), None, []
@@ -297,12 +308,10 @@ def _write_png(path, rgb):
     h, w, _ = rgb.shape
     rows = np.zeros((h, 1 + 3 * w), dtype=np.uint8)  # filter byte 0 on every row
     rows[:, 1:] = rgb.reshape(h, 3 * w)
-    _write_file(
-        path,
-        _PNG_SIGNATURE
-        + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
-        + _png_chunk(b"IDAT", zlib.compress(rows.tobytes()))
-        + _png_chunk(b"IEND", b""))
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    data = _PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr) + _png_chunk(
+        b"IDAT", zlib.compress(rows.tobytes())) + _png_chunk(b"IEND", b"")
+    _write_file(path, data, "image")
 
 
 def _suffix(name):
@@ -314,16 +323,26 @@ def _suffix(name):
 def _read_image(path, data=None):
     """Decode one PPM or PNG file to an (h, w, 3) uint8 raster.
 
-    ``data`` is the content of a PPM file that has been read already.
+    ``data`` is the content of the file when it has been read already.
     """
+    if data is None:
+        data = _read_file(path, "image")
     try:
-        if _suffix(os.path.basename(path)) == ".ppm":
-            return _parse_ppm(path, _read_file(path) if data is None else data)
-        return _read_png(path)
+        parse = _parse_ppm if _suffix(os.path.basename(path)) == ".ppm" else _parse_png
+        return parse(path, data)
     except IoError:
         raise
     except Exception as exc:
         raise IoError(f"{path}: cannot read image ({exc})") from exc
+
+
+def _list(directory, keep):
+    """The sorted names of the entries of ``directory`` that ``keep`` accepts."""
+    try:
+        with os.scandir(directory) as entries:
+            return sorted(entry.name for entry in entries if keep(entry))
+    except OSError as exc:
+        raise IoError(f"{directory}: cannot read directory ({exc})") from exc
 
 
 def load_dataset(root):
@@ -337,24 +356,21 @@ def load_dataset(root):
     and the canonical header ``P6\\n<n> <m>\\n255\\n``.  A later PPM that
     is exactly that header and an m x n raster is kept as read.  Every
     other file (a PNG, a commented or otherwise different header, another
-    length, an unreadable file) goes through the per-file reader, a PPM
-    with the bytes already read, so its errors are the per-file ones.
+    length) goes through the per-file decoder, a PPM with the bytes
+    already read, so its errors are the per-file ones.
     The rasters are gathered in one uint8 array and converted by one
     divide, as each would be on its own.
     """
     rootp = Path(root)
     if not rootp.is_dir():
         raise IoError(f"{rootp}: not a readable directory")
-    with os.scandir(rootp) as entries:
-        labels = sorted(d.name for d in entries if d.is_dir())
+    labels = _list(rootp, os.DirEntry.is_dir)
     if not labels:
         raise InvalidDataset(f"{rootp}: no class subdirectories")
     listed = []
     for label in labels:
         cdir = str(rootp / label)
-        with os.scandir(cdir) as entries:
-            names = sorted(f.name for f in entries
-                           if _suffix(f.name) in _IMAGE_SUFFIXES and f.is_file())
+        names = _list(cdir, lambda f: _suffix(f.name) in _IMAGE_SUFFIXES and f.is_file())
         listed.extend((label, os.path.join(cdir, name)) for name in names)
     if not listed:
         raise InvalidDataset(f"{rootp}: no images found")
@@ -369,11 +385,8 @@ def load_dataset(root):
     for i, (_, path) in enumerate(listed[1:], start=1):
         data = None
         if _suffix(path) == ".ppm":
-            try:
-                data = _read_file(path, size)
-            except OSError:
-                pass  # _read_image tries again and reports the error
-            if data is not None and len(data) == size and data.startswith(header):
+            data = _read_file(path, "image", size)
+            if len(data) == size and data.startswith(header):
                 flat[i * raster:(i + 1) * raster] = memoryview(data)[len(header):]
                 continue
         rgb = _read_image(path, data)
@@ -401,12 +414,8 @@ def export_image(image, path):
     rgb = np.rint(planes * 255.0).astype(np.uint8).transpose(1, 2, 0)
     suffix = _suffix(os.path.basename(path))
     if suffix not in _IMAGE_SUFFIXES:
-        pathp = Path(path)
-        raise IoError(f"{pathp}: unsupported image suffix {pathp.suffix!r}")
-    try:
-        (_write_ppm if suffix == ".ppm" else _write_png)(path, rgb)
-    except Exception as exc:
-        raise IoError(f"{Path(path)}: cannot write image ({exc})") from exc
+        raise IoError(f"{Path(path)}: unsupported image suffix {Path(path).suffix!r}")
+    (_write_ppm if suffix == ".ppm" else _write_png)(path, rgb)
 
 
 def center(sample_set):
@@ -496,18 +505,12 @@ def save_basis(basis, path):
     ]
     for block in (basis.U.data, basis.V.data, basis.d_left, basis.d_right, basis.mean.data):
         blob.append(np.asarray(block, dtype="<f8").tobytes())
-    try:
-        _write_file(path, b"".join(blob), truncate=True)
-    except OSError as exc:
-        raise IoError(f"{path}: cannot write basis ({exc})") from exc
+    _write_file(path, b"".join(blob), "basis", truncate=True)
 
 
 def load_basis(path):
     """Read a BasisPair back; rejects malformed or non-finite payloads with FormatError."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"{path}: cannot read basis ({exc})") from exc
+    data = _read_file(path, "basis")
 
     header_size = 4 + struct.calcsize("<IIIII") + struct.calcsize("<dd")
     if len(data) < header_size:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import locale
 import math
 import os
 import subprocess
@@ -145,6 +146,68 @@ model.p = 2
 def test_parse_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(tmp_path / "none.cfg")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_config_with_other_line_ends_parses_as_before(workspace, newline):
+    other = workspace["tmp"] / "other.cfg"
+    other.write_bytes(workspace["cfg"].read_bytes().replace(b"\n", newline.encode()))
+    assert parse_config(other) == parse_config(workspace["cfg"])
+
+
+def test_config_byte_the_locale_cannot_decode_is_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"dataset.ro\xffot = ./faces\n")
+    key = b"dataset.ro\xffot".decode(locale.getpreferredencoding(False), "surrogateescape")
+    rc, out, err = run(capsys, ["fit", "--config", str(cfg), "--basis", str(tmp_path / "m.bqp")])
+    assert (rc, out) == (2, "")
+    assert err == f"error: line 1: unknown key {key!r}\n"
+
+
+def test_config_root_that_is_not_utf8_reaches_the_disk(tmp_path, rng, monkeypatch):
+    # The config is decoded as file names are, so these bytes name the same directory.
+    root = os.fsencode(tmp_path) + b"/data\xff"
+    write_image_tree(Path(os.fsdecode(root)),
+                     {label: [random_rgb(rng, 3, 4) for _ in range(4)] for label in "ab"})
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"dataset.root = " + root + b"\nmodel.k1 = 2\nmodel.k2 = 2\n")
+    report = tmp_path / "fit.txt"
+    # fit prints the root; how stdout encodes it is Python's choice, so give it a
+    # stream that takes any name.
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), "utf-8", "surrogateescape"))
+    rc = main(["fit", "--config", str(cfg), "--basis", str(tmp_path / "m.bqp"),
+               "--report", str(report)])
+    assert rc == 0
+    assert report.read_bytes().startswith(b"dataset: root=" + root + b" samples=8 ")
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+@pytest.mark.parametrize("flag, what, code", [("--config", "config", 2), ("--basis", "basis", 1)])
+def test_an_unreadable_input_names_its_path(workspace, capsys, flag, what, code, missing):
+    target = workspace["tmp"] / "none" if missing else workspace["tmp"]
+    reason = "[Errno 2] No such file or directory" if missing else "[Errno 21] Is a directory"
+    args = {"--config": str(workspace["cfg"]), "--basis": str(workspace["basis"]),
+            flag: str(target)}
+    rc, out, err = run(capsys, ["recognize"] + [item for pair in args.items() for item in pair])
+    assert (rc, out) == (code, "")
+    assert err == f"error: {target}: cannot read {what} ({reason}: '{target}')\n"
+
+
+def test_an_unreadable_class_directory_is_an_error_line(workspace, capsys, monkeypatch):
+    failing = str(workspace["root"] / "ben")
+    scandir = os.scandir
+
+    def denied(path):
+        if os.fspath(path) == failing:
+            raise PermissionError(13, "Permission denied", failing)
+        return scandir(path)
+
+    monkeypatch.setattr(quatpca.dataset.os, "scandir", denied)
+    rc, out, err = run(capsys, ["fit", "--config", str(workspace["cfg"]),
+                                "--basis", str(workspace["basis"])])
+    assert (rc, out) == (1, "")
+    assert err == (f"error: {failing}: cannot read directory "
+                   f"([Errno 13] Permission denied: '{failing}')\n")
 
 
 def test_split_must_sum_to_one(tmp_path):
@@ -610,6 +673,25 @@ def test_outputs_overwrite_a_longer_file_to_the_same_bytes(workspace, capsys, co
     stale.write_bytes(b"\xff" * (2 * len(expected) + 100))
     assert run(capsys, argv + [flag, str(stale)])[0] == 0
     assert stale.read_bytes() == expected
+
+
+def test_recognize_csv_keeps_a_label_that_is_not_utf8(tmp_path, rng, capsys):
+    label = b"a\xff"
+    root = tmp_path / "data"
+    write_image_tree(root, {
+        os.fsdecode(label): [class_image(rng, slice(0, 4)) for _ in range(8)],
+        "ben": [class_image(rng, slice(4, 8)) for _ in range(8)],
+    })
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset.root = {root}\ndataset.split = [0.75, 0, 0.25]\n"
+                   "model.k1 = 2\nmodel.k2 = 2\n")
+    basis, table = tmp_path / "m.bqp", tmp_path / "confusion.csv"
+    assert run(capsys, ["fit", "--config", str(cfg), "--basis", str(basis)])[0] == 0
+    rc, _, err = run(capsys, ["recognize", "--config", str(cfg), "--basis", str(basis),
+                              "--csv", str(table)])
+    assert (rc, err) == (0, "")
+    rows = table.read_bytes().splitlines()[1:]
+    assert {row.split(b",")[0] for row in rows} == {label, b"ben"}
 
 
 def test_csv_to_a_device_is_written_and_not_truncated(workspace, capsys):

@@ -215,15 +215,33 @@ def test_batch_load_reports_an_unreadable_file_as_the_per_file_reader(tmp_path, 
     arrays = {label: [random_rgb(rng, 3, 4) for _ in range(2)] for label in ("a", "b")}
     write_image_tree(tmp_path, arrays)
     failing = str(tmp_path / "b" / "img00.ppm")
-    read = quatpca.dataset._read_file
+    opened, os_open = [], os.open
 
-    def denied(path, *args):
+    def denied(path, *args, **kwargs):
+        opened.append(path)
         if path == failing:
             raise PermissionError(13, "Permission denied", path)
-        return read(path, *args)
+        return os_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(quatpca.dataset, "_read_file", denied)
+    monkeypatch.setattr(quatpca.dataset.os, "open", denied)
     text = f"{failing}: cannot read image ([Errno 13] Permission denied: '{failing}')"
+    with pytest.raises(IoError, match=f"^{re.escape(text)}$"):
+        load_dataset(tmp_path)
+    assert opened.count(failing) == 1
+
+
+def test_an_unreadable_class_directory_is_an_io_error(tmp_path, rng, monkeypatch):
+    write_image_tree(tmp_path, {label: [random_rgb(rng, 3, 4)] for label in ("a", "b")})
+    failing = str(tmp_path / "b")
+    scandir = os.scandir
+
+    def denied(path):
+        if os.fspath(path) == failing:
+            raise PermissionError(13, "Permission denied", failing)
+        return scandir(path)
+
+    monkeypatch.setattr(quatpca.dataset.os, "scandir", denied)
+    text = f"{failing}: cannot read directory ([Errno 13] Permission denied: '{failing}')"
     with pytest.raises(IoError, match=f"^{re.escape(text)}$"):
         load_dataset(tmp_path)
 
