@@ -26,7 +26,6 @@ from .quaternion import (
     vabs,
     vsign,
 )
-from .qlinalg import hermitian_topk_eig, mgs_orthonormalize
 from .solver import (
     BasisPair,
     DirectionTrace,
@@ -35,7 +34,9 @@ from .solver import (
     covariance_baseline,
     deflated_residuals,
     fit,
+    hermitian_topk_eig,
     lp_update,
+    mgs_orthonormalize,
     mm_update,
     objective,
 )

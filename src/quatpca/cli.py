@@ -367,9 +367,11 @@ def _build_parser():
     p_con.add_argument("--config", required=True)
     p_con.add_argument("--basis", required=True, help="fitted basis file")
     p_con.add_argument("--csv", help="output CSV path")
-    p_con.add_argument("--sweep", type=int,
-                       help="evaluate k1 = k2 = 1..SWEEP instead of one setting")
-    p_con.add_argument("--export", help="directory for reconstructed images")
+    # A sweep rebuilds no images, so it has none to export.
+    only = p_con.add_mutually_exclusive_group()
+    only.add_argument("--sweep", type=int,
+                      help="evaluate k1 = k2 = 1..SWEEP instead of one setting")
+    only.add_argument("--export", help="directory for reconstructed images")
     p_con.set_defaults(func=cmd_reconstruct)
     return parser
 

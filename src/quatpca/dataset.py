@@ -454,8 +454,10 @@ def split(sample_set, fractions, seed):
     ``fractions`` are three finite nonnegative numbers summing to one.
     Within each class, the validation and test parts receive
     floor(fraction * count) samples but at least one when their fraction
-    is nonzero; leftovers go to the training part (or to the largest
-    nonzero part when the training fraction is zero).  The shuffle is
+    is nonzero; the floor is taken of the product plus 1e-9, so binary
+    rounding (0.29 * 100 = 28.999999999999996) does not drop a sample.
+    Leftovers go to the training part (or to the largest nonzero part
+    when the training fraction is zero).  The shuffle is
     driven only by ``seed`` (an integer >= 0), and each part keeps
     the original sample order.
     """
@@ -473,8 +475,8 @@ def split(sample_set, fractions, seed):
             raise InvalidDataset(
                 f"class {label!r} has {count} samples but the split needs {nonzero}")
         perm = rng.permutation(count)
-        n_val = max(1, math.floor(fracs[1] * count)) if fracs[1] > 0 else 0
-        n_test = max(1, math.floor(fracs[2] * count)) if fracs[2] > 0 else 0
+        n_val = max(1, math.floor(fracs[1] * count + 1e-9)) if fracs[1] > 0 else 0
+        n_test = max(1, math.floor(fracs[2] * count + 1e-9)) if fracs[2] > 0 else 0
         n_train = count - n_val - n_test
         if fracs[0] == 0:
             # Leftovers go to the largest nonzero part instead.

@@ -3,18 +3,8 @@
 A gallery holds one feature matrix per training sample.  Probes are
 centered by the training mean, projected as one stack with the same
 basis and weighting scheme, and assigned the label of the closest
-gallery feature under the quaternion Frobenius distance.
-
-The search runs on stacked planes: the quaternion Frobenius distance is
-the Euclidean distance of the flattened (4, k1, k2) planes.  One GEMM
-screens every probe against every gallery entry with the expansion
-|q - g|^2 = |q|^2 + |g|^2 - 2 q.g.  That expansion cancels, so it only
-picks candidates: every entry within a proven round-off bound of the
-row's screened minimum is re-ranked on exact differences,
-sqrt(sum((g - q)^2)), and distance ties resolve to the smallest gallery
-index.  Indices and distances are therefore those of the exhaustive
-search on exact differences, bit for bit; a row that overflows the
-screen is searched exhaustively.
+gallery feature under the quaternion Frobenius distance, by the search
+of ``weighting._nearest``.
 
 Deflated directions nest and the weights are per direction, so the
 features at k1 = k2 = k are the leading k x k block of the features at
@@ -36,7 +26,7 @@ from .weighting import (
     WeightingScheme,
     _check_sweep,
     _checked_stack,
-    _gamma,
+    _nearest,
     _project,
     _side_weights,
     centered_stack,
@@ -44,11 +34,6 @@ from .weighting import (
 )
 
 __all__ = ["Gallery", "build_gallery", "predict", "evaluate", "sweep_accuracies"]
-
-# Largest rows x N block of screened squared distances, in float64 entries
-# (512 KiB, so the block and its temporaries stay in cache).
-_CHUNK_ENTRIES = 1 << 16
-
 
 @dataclass(frozen=True)
 class Gallery:
@@ -61,61 +46,6 @@ class Gallery:
 
     def __len__(self):
         return len(self.labels)
-
-
-def _nearest(probes, gallery):
-    """Index of and distance to the nearest gallery entry for every probe.
-
-    ``probes`` (P, ...) and ``gallery`` (N, ...) are stacked feature
-    planes.  Returns what an exhaustive search on exact differences,
-    ``sqrt(sum((g - q)^2))`` with ties to the smallest index, returns:
-    the one-GEMM screen only picks the candidates that search re-ranks.
-    """
-    G = gallery.reshape(len(gallery), -1)
-    Q = probes.reshape(len(probes), -1)
-    n, D = G.shape
-    # Round-off of the screen (u = 2^-53, S = |q|^2 + |g|^2): each norm and
-    # dot product is within gamma_D, so the computed s = |q|^2 + |g|^2 - 2 q.g
-    # is within (2 gamma_D + 3u) S of |q - g|^2.  The exact form's sum of D
-    # rounded squares is within gamma_(D+2) of |q - g|^2, and a rounded square
-    # root no larger than another bounds the ratio of their sums by
-    # ((1 + u) / (1 - u))^2, which covers sqrt-rounding merges.  So an entry j
-    # tied with the row's exact minimum screens at most (2 gamma_D + 3u) S_j +
-    # (2 gamma_D + 4 gamma_(D+2) + 11u) S_m above the screen minimum m, to
-    # first order.  12 gamma_(D+2) (S_j + S_m) covers that with room for the
-    # norms' own round-off and for rounding this comparison; the absolute
-    # term covers gradual underflow (under 2^-1075 per product).
-    tau = 12.0 * _gamma(D + 2)
-    floor = (D + 2) * np.finfo(np.float64).tiny
-    rows = max(1, _CHUNK_ENTRIES // n)
-    index = np.empty(len(Q), dtype=np.intp)
-    dist = np.empty(len(Q))
-    # Overflow makes a screen row non-finite; such rows are searched in full below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        g2 = np.einsum("ij,ij->i", G, G)
-        q2 = np.einsum("ij,ij->i", Q, Q)
-    for start in range(0, len(Q), rows):
-        block = slice(start, start + rows)
-        r = np.arange(len(Q[block]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = q2[block, None] + g2
-            screen = norms - 2.0 * (Q[block] @ G.T)
-            m = np.argmin(screen, axis=1)
-            margin = tau * norms
-            candidate = screen <= (screen[r, m] + margin[r, m] + floor)[:, None] + margin
-            candidate[r, m] = True
-            i, j = np.nonzero(candidate)
-            d = np.sqrt(np.square(G[j] - Q[start + i]).sum(-1))
-        # Per row, the smallest exact distance, then the smallest index.
-        order = np.lexsort((j, d, i))
-        first = order[np.searchsorted(i[order], r)]
-        index[block], dist[block] = j[first], d[first]
-        unscreened = ~(np.isfinite(screen).all(axis=1) & np.isfinite(dist[block]))
-        for p in start + np.flatnonzero(unscreened):
-            d = np.sqrt(np.square(G - Q[p]).sum(-1))
-            index[p] = np.argmin(d)
-            dist[p] = d[index[p]]
-    return index, dist
 
 
 def build_gallery(train, basis, scheme):

@@ -9,15 +9,24 @@ with no iterations; ``tol`` and ``max_iter`` do not apply there.
 divided by the sample count.
 
 For every other (s, p), each projection direction maximizes
-f(w) = sum_i ||F_i w||_s^s over the unit Lp sphere through a
-minorize-maximize iteration from the all-ones pure-real vector scaled to
-unit Lp norm: linearize f at the current iterate, then apply the
-closed-form maximizer of the linear form over the sphere (four regimes:
-0 < p < 1, p = 1, 1 < p < inf, p = inf).  Accepted directions
-are orthonormalized and the problem is deflated, T <- T (I - WW^*), so
-that later directions explore the remaining subspace only.  Left
-directions solve the mirrored problem max sum_i ||u^* F_i||_s^s, which
-is the same computation on conjugate-transposed samples.
+f(w) = sum_i ||F_i w||_s^s over the unit Lp sphere by an ascent from
+the all-ones pure-real vector scaled to unit Lp norm: linearize f at the
+current iterate, then apply the closed-form maximizer of the linear form
+over the sphere (four regimes: 0 < p < 1, p = 1, 1 < p < inf, p = inf).
+For p >= 1 that is a minorize-maximize (MM) iteration and never lowers
+the objective; for 0 < p < 1 it is a reweighting heuristic, guarded by
+the rejection rule below.  Accepted directions are orthonormalized and
+the problem is deflated, T <- T (I - WW^*), so that later directions
+explore the remaining subspace only.  Left directions solve the mirrored
+problem max sum_i ||u^* F_i||_s^s, which is the same computation on
+conjugate-transposed samples.
+
+Quaternion scalars multiply from the right in all projection updates so
+that right-linear combinations stay right-linear.  With Wr the real
+structure-preserving representation of an orthonormal basis W,
+real_repr(W^*) = Wr^T, so the Gram-Schmidt projection W (W^* v) is the
+real product Wr (Wr^T v) on the stacked layout of v, and the columns of
+Wr span the right-unit images w, w i, w j, w k of every basis vector.
 
 The samples of one side form one tall matrix T = [F_1; ...; F_l], so
 f(w) = ||T w||_s^s.  Only its conjugate transpose H = T^* is ever built.
@@ -41,15 +50,17 @@ directions W, whose objective is f(P w) and ascent vector P y(P w).
 The ascent builds the real representation of P once per direction as
 I - Wr Wr^T from the same Wr = real_repr(W) that Gram-Schmidt projects
 with, so each evaluation adds two 4n x 4n real matrix-vector products.
-A step that lowers the objective (possible for 0 < p < 1) is rejected
-and ends the direction on the previous iterate.
+The rejection rule: a step that lowers the objective (possible for
+0 < p < 1) is not taken, and the direction ends on the previous iterate.
 :func:`mm_update` takes one step of this ascent for any (s, p), s = p = 2
 included.
 
 Data whose largest magnitude would overflow or underflow the sums of
 powers above are rejected up front (see ``_require_scale``).  Inside that
 range a power-of-two rescaling of the data changes neither the steps
-nor the bases of the ascent.
+nor the bases of the ascent.  A p small enough that a unit-Lp iterate
+can hold an entry whose square underflows is rejected up front too (see
+``FitParams.violations``).
 """
 
 from __future__ import annotations
@@ -63,7 +74,6 @@ import numpy as np
 
 from .errors import (DegenerateDirection, InvalidDataset, InvalidParameter, ShapeError, _check,
                      _violation)
-from .qlinalg import _orthonormalize, hermitian_topk_eig
 from .quaternion import (_CONJ, QMatrix, QVector, _moduli_lp_norm, _real_repr, lp_norm,
                          plane_conj_transpose, plane_matmul)
 
@@ -78,18 +88,33 @@ __all__ = [
     "fit",
     "covariance_baseline",
     "deflated_residuals",
+    "mgs_orthonormalize",
+    "hermitian_topk_eig",
     "DEFAULT_TOL",
     "DEFAULT_MAX_ITER",
+    "DEGENERATE_TOL",
+    "HERMITIAN_RTOL",
 ]
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 500
+DEGENERATE_TOL = 1e-12
+HERMITIAN_RTOL = 1e-10
+
+# Residual mass below this marks a real eigenvector as a right-unit
+# multiple of one already extracted.  Duplicates sit at round-off level,
+# genuinely new directions carry O(1) mass.
+_DUPLICATE_TOL = 1e-5
 
 # The smallest positive double: it guards the relative-change denominator
 # when the objective is zero and gives a zero modulus a finite weight.
 _TINY = math.ulp(0.0)
 # Moduli from this one up have normal squares.
 _ROOT_NORMAL = math.sqrt(sys.float_info.min)
+# -ln of the smallest normal double.  A unit-Lp vector of length w has an
+# entry of modulus at least w^(-1/p), whose square is normal while
+# p >= 2 ln(w) / _LN_NORMAL.
+_LN_NORMAL = -math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -97,7 +122,8 @@ class FitParams:
     """Hyperparameters of one fit.
 
     ``s`` is the deviation exponent (s >= 1, finite); ``p`` the sphere
-    exponent (p > 0 or math.inf); ``k1``/``k2`` the number of left/right
+    exponent (p > 0 or math.inf, and on m x n images at least
+    2 ln(max(m, n)) / 708.4); ``k1``/``k2`` the number of left/right
     directions.  ``tol`` and ``max_iter`` steer the ascent only: an
     s = p = 2 fit is an exact eigensolve and reads neither (they are
     still validated).
@@ -124,6 +150,11 @@ class FitParams:
             problems.append(f"k1 must not exceed the image row count ({self.k1} > {m})")
         if n is not None and isinstance(self.k2, Integral) and self.k2 > n:
             problems.append(f"k2 must not exceed the image column count ({self.k2} > {n})")
+        if m is not None and n is not None and not _violation("p", self.p):
+            p_min = 2.0 * math.log(max(m, n)) / _LN_NORMAL
+            if self.p < p_min:
+                problems.append(f"p must be at least 2 ln(max(m, n)) / {_LN_NORMAL:.1f} = "
+                                f"{p_min:.3g} on {m} x {n} images, got {self.p}")
         problems += [_violation(name, getattr(self, name)) for name in ("tol", "max_iter")]
         return [problem for problem in problems if problem]
 
@@ -137,7 +168,7 @@ class FitParams:
 class DirectionTrace:
     """Per-direction diagnostics of the fit.
 
-    ``iterations`` counts the MM steps taken; the histories hold the
+    ``iterations`` counts the ascent steps taken; the histories hold the
     accepted iterates only, so a final step that lowered the objective
     is counted but not recorded.  ``stop_reason`` names the rule that
     ended the ascent, "tolerance", "iteration cap" or "rejected step", or
@@ -420,14 +451,113 @@ class _StackObjective:
         return f, self.table @ (P @ self.Hf.T).reshape(-1, w.shape[1])
 
 
-def _objective_for(H, s):
-    return _GramObjective(H) if s == 2 else _StackObjective(H, s)
-
-
 def _deflated_evaluate(obj, P, w):
     """(f(P w), P y(P w)): obj on the stack T P, with P real_repr(I - WW^*)."""
     f, y = obj.evaluate((P @ w.reshape(-1)).reshape(w.shape))
     return f, (P @ y.reshape(-1)).reshape(y.shape)
+
+
+# -- orthonormalization and eigenpairs --------------------------------
+
+
+def _project_off(v, B):
+    """(v - W (W^* v), its L2 norm) on the real layout, B = real_repr(W), done twice for round-off."""
+    for _ in range(2):
+        v = v - B @ (B.T @ v)
+    return v, float(np.linalg.norm(v))
+
+
+def mgs_orthonormalize(vnew, basis):
+    """Orthonormalize ``vnew`` against an orthonormal ``basis``.
+
+    Gram-Schmidt with the right-scalar update v <- v - W (W^* v), where
+    W holds the basis as columns (see _project_off), then v is
+    normalized to unit L2 norm.  Raises DegenerateDirection when the
+    residual norm is not above DEGENERATE_TOL times the norm of ``vnew``.
+    """
+    basis = list(basis)
+    for u in basis:
+        if u.n != vnew.n:
+            raise ShapeError(f"basis vector length {u.n} does not match {vnew.n}")
+    Wr = QMatrix.from_columns(basis).real_repr() if basis else np.empty((4 * vnew.n, 0))
+    return QVector.from_real(_orthonormalize(vnew.to_real(), Wr))
+
+
+def _orthonormalize(v, Wr):
+    """:func:`mgs_orthonormalize` of the real layout v against the real representation Wr."""
+    size = float(np.linalg.norm(v))
+    v, r = _project_off(v, Wr)
+    if not r > DEGENERATE_TOL * size:
+        raise DegenerateDirection(
+            f"residual norm {r:.3e} is not above {DEGENERATE_TOL:.1e} times the norm "
+            f"{size:.3e} before projection; direction already spanned")
+    return v / r
+
+
+def _canonical_phase(w):
+    """Fix the right unit-quaternion phase of (4, n) planes deterministically.
+
+    Right-multiplies by the conjugate sign of the first entry of
+    significant modulus, which makes that entry real and nonnegative,
+    then renormalizes.
+    """
+    mods = np.sqrt((w * w).sum(axis=0))
+    t = int(np.argmax(mods > 1e-8 * mods.max()))
+    q = w[:, t] * _CONJ / mods[t]
+    w = plane_matmul(w[:, :, None], q[:, None, None])[:, :, 0]
+    return w / np.linalg.norm(w)
+
+
+def hermitian_topk_eig(G, k):
+    """Top-k eigenpairs of a Hermitian quaternion matrix, descending.
+
+    Works on the symmetric real representation: each quaternion
+    eigenvalue appears there with multiplicity four, and the four real
+    eigenvectors of a group are the images of one quaternion eigenvector
+    under right multiplication by 1, i, j, k.  Walking the real spectrum
+    downward, each candidate is projected off the right-unit images B of
+    the vectors already accepted, by the projection of Gram-Schmidt
+    (_project_off), and is kept only when it carries mass outside their
+    span.  That yields one orthonormal quaternion eigenvector per group.
+    B grows by the four images of each accepted vector instead of being
+    rebuilt.  Phases follow the deterministic convention of
+    :func:`_canonical_phase`.
+
+    Returns a list of (eigenvalue, eigenvector) pairs.
+    """
+    m, n = G.shape
+    if m != n:
+        raise ShapeError(f"expected a square matrix, got {m}x{n}")
+    if not 1 <= k <= n:
+        raise InvalidParameter(f"k must satisfy 1 <= k <= {n}, got {k}")
+    scale = G.fro_norm()
+    if (G - G.H).fro_norm() > HERMITIAN_RTOL * scale:
+        raise InvalidParameter("matrix is not Hermitian within tolerance")
+
+    R = G.real_repr()
+    R = (R + R.T) / 2.0
+    evals, evecs = np.linalg.eigh(R)
+
+    # images[:, c, j] is the real layout of w_j e_c (e = 1, i, j, k), so
+    # images[:, :, j] is the real representation of w_j as an n x 1 matrix
+    # and images[:, :, :a] flattens to real_repr of the first a columns.
+    images = np.empty((4 * n, 4, k))
+    evals_kept, vectors = [], []
+    for idx in range(4 * n - 1, -1, -1):
+        B = np.ascontiguousarray(images[:, :, :len(vectors)]).reshape(4 * n, -1)
+        v, r = _project_off(evecs[:, idx], B)
+        if r < _DUPLICATE_TOL:
+            continue
+        w = v.reshape(4, n) / r
+        images[:, :, len(vectors)] = _real_repr(w[:, :, None])
+        evals_kept.append(float(evals[idx]))
+        vectors.append(w)
+        if len(vectors) == k:
+            break
+    if len(vectors) < k:
+        raise InvalidParameter(
+            f"could only extract {len(vectors)} of {k} eigenvectors")
+    return [(lam, QVector(_canonical_phase(w))) for lam, w in zip(evals_kept, vectors)]
 
 
 # -- public operations ------------------------------------------------
@@ -577,7 +707,15 @@ def _ascend(obj, Wr, w0, params, side, index):
     return v, f_dir, trace
 
 
-def _fit_side(obj, n, count, params, side):
+def _fit_side(H, count, params, side):
+    """One side's (basis, objectives, traces) from its H = T^*.
+
+    The eigensolve at s = p = 2, else the ascent on the Gram matrix (s = 2) or on the stack.
+    """
+    if params.s == 2 and params.p == 2:
+        return _eigen_side(_gram(H), count, side)
+    obj = _GramObjective(H) if params.s == 2 else _StackObjective(H, params.s)
+    n = H.shape[1]
     W, values, traces = np.empty((4, n, count)), np.empty(count), []
     w0 = _initial_iterate(n, params.p)
     for t in range(count):
@@ -597,14 +735,14 @@ def _eigenbasis(G, k):
     return np.array([lam for lam, _ in pairs]), QMatrix.from_columns([v for _, v in pairs])
 
 
-def _eigen_side(S, count, side):
-    """s = p = 2: one side's basis as the top eigenvectors of its Gram matrix.
+def _eigen_side(G, count, side):
+    """s = p = 2: one side's basis as the top eigenvectors of its Gram planes G.
 
     The eigenvalue of the unscaled G is the objective w^* G w, the value
     the ascent stores.  An eigenvalue within round-off of zero (relative
     to the largest) means the data span fewer than ``count`` directions.
     """
-    d, W = _eigenbasis(_gram(_wide(S, side)), count)
+    d, W = _eigenbasis(G, count)
     floor = 4 * W.m * np.finfo(float).eps * max(d[0], 0.0)
     for t, f in enumerate(d):
         if not f > floor:
@@ -638,15 +776,8 @@ def fit(samples, params):
     m, n = S.shape[2:]
     params.validate(m, n)
     _require_scale(S, peak, params.s)
-    if params.s == 2 and params.p == 2:
-        V, d_right, right_traces = _eigen_side(S, params.k2, "right")
-        U, d_left, left_traces = _eigen_side(S, params.k1, "left")
-    else:
-        V, d_right, right_traces = _fit_side(_objective_for(_wide(S), params.s), n,
-                                             params.k2, params, "right")
-        U, d_left, left_traces = _fit_side(_objective_for(_wide(S, "left"), params.s), m,
-                                           params.k1, params, "left")
-
+    V, d_right, right_traces = _fit_side(_wide(S), params.k2, params, "right")
+    U, d_left, left_traces = _fit_side(_wide(S, "left"), params.k1, params, "left")
     report = FitReport(right=right_traces, left=left_traces)
     return BasisPair(U=U, V=V, d_left=d_left, d_right=d_right,
                      params=params, mean=samples.mean, report=report)

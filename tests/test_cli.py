@@ -250,6 +250,25 @@ def test_config_range_errors_quote_the_library_rule(workspace, capsys, key, raw)
         2, "", f"error: {key}: {rule}, got {raw}\n")
 
 
+# One value per kind of reader that its reader cannot convert, and the text it reports.
+_VALUE_ERRORS = [
+    ("model.k1", "4.0", "expected an integer, got '4.0'"),
+    ("model.s", "abc", "expected a number, got 'abc'"),
+    ("model.tol", "nan", "NaN is not a valid value"),
+    ("dataset.split", "0.8, 0.1, 0.1", "expected [train, val, test], got '0.8, 0.1, 0.1'"),
+    ("weighting.manner", "heavy",
+     "must be one of unweighted, weighted-left, weighted-right, weighted-both, got 'heavy'"),
+]
+
+
+@pytest.mark.parametrize("key, raw, text", _VALUE_ERRORS)
+def test_config_value_errors_name_key_and_value(workspace, capsys, key, raw, text):
+    cfg = workspace["tmp"] / "value.cfg"
+    cfg.write_text(f"dataset.root = {workspace['root']}\n{key} = {raw}\n")
+    assert run(capsys, ["fit", "--config", str(cfg), "--basis", str(workspace["basis"])]) == (
+        2, "", f"error: {key}: {text}\n")
+
+
 _COMMANDS = ["fit", "select-weighting", "recognize", "reconstruct"]
 
 
@@ -327,6 +346,22 @@ model.k2 = 99
                               "--basis", str(workspace["basis"])])
     assert rc == 2
     assert "model:" in err and "k2" in err
+
+
+@pytest.mark.parametrize("p", ["0.005", "0.001"])
+def test_fit_rejects_p_whose_iterates_underflow_without_a_warning(workspace, p):
+    # On 8 x 6 images the bound is 2 ln 8 / 708.4 = 0.00587.  Below it the
+    # ascent read a zero residual as a spanned direction, or overflowed.
+    cfg = workspace["tmp"] / "small-p.cfg"
+    cfg.write_text(workspace["cfg"].read_text().replace("model.p = 2\n", f"model.p = {p}\n"))
+    src = str(Path(quatpca.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "quatpca", "fit", "--config",
+                          str(cfg), "--basis", str(workspace["basis"])],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", "error: model: p must be at least 2 ln(max(m, n)) / 708.4 = 0.00587 on 8 x 6 "
+        f"images, got {p}\n")
+    assert not workspace["basis"].exists()
 
 
 # -- recognize ----------------------------------------------------------
@@ -454,6 +489,18 @@ def test_reconstruct_csv_without_sweep(workspace, capsys):
     assert out == plain + f"ratio: written to {csv_path}\n"
     ratio = plain.split("ratio: ")[1].split()[0]
     assert csv_path.read_text().splitlines() == ["k1,k2,ratio", f"2,2,{ratio}"]
+
+
+def test_reconstruct_sweep_and_export_cannot_be_combined(workspace, capsys):
+    # A sweep rebuilds no images: the pair once exited 0 and exported nothing.
+    fit_workspace(capsys, workspace)
+    outdir = workspace["tmp"] / "recs"
+    with pytest.raises(SystemExit) as err:
+        main(["reconstruct", "--config", str(workspace["cfg"]), "--basis", str(workspace["basis"]),
+              "--sweep", "2", "--export", str(outdir)])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_reconstruct_sweep_csv(workspace, capsys):

@@ -515,6 +515,13 @@ def test_split_standard_fractions(rng):
         assert counts["a"] == counts["b"]
 
 
+def test_split_floors_fractions_that_round_below_their_product(rng):
+    # 0.29 * 100 is 28.999999999999996 in binary.
+    ss = build_labeled(rng, {"a": 100})
+    train, val, test = split(ss, (0.42, 0.29, 0.29), seed=0)
+    assert (len(train), len(val), len(test)) == (42, 29, 29)
+
+
 def test_split_minimum_one_for_nonzero_fraction(rng):
     ss = build_labeled(rng, {"a": 3})
     train, val, test = split(ss, (0.5, 0.25, 0.25), seed=0)

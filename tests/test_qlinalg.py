@@ -16,7 +16,7 @@ from quatpca import (
     mgs_orthonormalize,
     real_repr,
 )
-from quatpca.qlinalg import DEGENERATE_TOL
+from quatpca.solver import DEGENERATE_TOL
 from conftest import (
     max_principal_angle,
     random_orthonormal_columns,
@@ -54,6 +54,17 @@ def test_mgs_rejects_spanned_vector(rng):
     v = basis[0].rmul(Quaternion(0.1, 0.2, -0.3, 0.4)) + basis[1] * 0.5
     with pytest.raises(DegenerateDirection):
         mgs_orthonormalize(v, basis)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-100])
+def test_mgs_threshold_is_relative_to_the_input(rng, scale):
+    basis = list(random_orthonormal_columns(rng, 6, 2).columns())
+    v = random_qvector(rng, 6)
+    want = mgs_orthonormalize(v, basis)
+    assert np.max(np.abs(mgs_orthonormalize(v * scale, basis).data - want.data)) <= 1e-12
+    spanned = (basis[0].rmul(Quaternion(0.1, 0.2, -0.3, 0.4)) + basis[1] * 0.5) * scale
+    with pytest.raises(DegenerateDirection, match="already spanned"):
+        mgs_orthonormalize(spanned, basis)
 
 
 def test_mgs_rejects_zero_vector():

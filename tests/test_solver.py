@@ -116,6 +116,18 @@ def test_fitparams_dimension_bounds():
         FitParams(s=2.0, p=2.0, k1=1, k2=3).validate(3, 2)
 
 
+def test_fitparams_rejects_p_whose_iterates_underflow():
+    # A unit-Lp vector of length 24 has an entry of at least 24^(-1/p), and
+    # its square is a normal double down to p = 2 ln(24) / -ln(DBL_MIN).
+    bound = 2.0 * math.log(24) / -math.log(sys.float_info.min)
+    FitParams(s=2.0, p=bound, k1=1, k2=1).validate(24, 3)
+    FitParams(s=2.0, p=bound, k1=1, k2=1).validate(3, 24)
+    with pytest.raises(InvalidParameter, match=re.escape(
+            "p must be at least 2 ln(max(m, n)) / 708.4 = 0.00897 on 3 x 24 images, got 0.0089")):
+        FitParams(s=2.0, p=0.0089, k1=1, k2=1).validate(3, 24)
+    assert FitParams(s=2.0, p=0.0089, k1=1, k2=1).violations() == []
+
+
 # -- objective: hand values on the diagonal set -------------------------
 
 
@@ -526,6 +538,17 @@ def test_low_p_fit_reconstructs_steep_tail_data_beyond_the_mean(seed):
     ratio = reconstruction_ratio(raw, reconstruct_samples(raw, basis))
     mean_only = reconstruction_ratio(raw, [centred.mean] * len(raw))
     assert ratio >= mean_only + 0.035
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0])
+@pytest.mark.parametrize("p", [0.05, 0.02])
+def test_small_p_fit_succeeds(s, p):
+    # A unit-Lp iterate of length 12 can have an L2 norm as small as
+    # 12^(1/2 - 1/p), below 1e-12 here.  On this set an absolute residual
+    # threshold took the first direction for one already spanned.
+    basis = fit(center(_steep_tail_set(2)), FitParams(s=s, p=p, k1=4, k2=4))
+    for W in (basis.U, basis.V):
+        assert (W.H @ W).allclose(QMatrix.eye(4), tol=1e-10)
 
 
 def test_stop_reason_iteration_cap(diag_samples):
