@@ -92,13 +92,12 @@ class SampleSet:
                     f"mixed image dimensions: {sample.image.shape} vs {shape}")
 
     @classmethod
-    def build(cls, labeled_images, centered=False):
-        """Assemble a set from (label, image) pairs with a zero mean."""
+    def build(cls, labeled_images):
+        """Assemble a raw set from (label, image) pairs with a zero mean."""
         samples = tuple(Sample(label, image) for label, image in labeled_images)
         if not samples:
             raise InvalidDataset("need at least one sample")
-        m, n = samples[0].image.shape
-        return cls(samples=samples, mean=QMatrix.zeros(m, n), centered=centered)
+        return cls(samples=samples, mean=QMatrix.zeros(*samples[0].image.shape))
 
     def __len__(self):
         return len(self.samples)

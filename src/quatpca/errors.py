@@ -3,6 +3,18 @@
 import math
 from numbers import Integral, Real
 
+__all__ = [
+    "QuatPcaError",
+    "ShapeError",
+    "InvalidParameter",
+    "DegenerateDirection",
+    "InvalidWeight",
+    "InvalidDataset",
+    "IoError",
+    "FormatError",
+    "ConfigError",
+]
+
 
 class QuatPcaError(Exception):
     """Base class for every error raised by this package."""

@@ -44,8 +44,6 @@ __all__ = [
     "lp_norm",
     "real_scale",
     "real_repr",
-    "plane_matmul",
-    "plane_conj_transpose",
 ]
 
 # Component signs of the conjugate: (a0, a1, a2, a3)^* = (a0, -a1, -a2, -a3).
@@ -168,6 +166,21 @@ def _as_quaternion(x):
     raise TypeError(f"cannot interpret {type(x).__name__} as a quaternion")
 
 
+def _l2_norm(x):
+    """L2 norm of the entries of the array x, safe where their squares under- or overflow."""
+    # Memory order, as np.linalg.norm sums, so in-range values match it bit for bit.
+    x = x.ravel(order="K")
+    with np.errstate(over="ignore"):
+        total = x.dot(x)
+    if not sys.float_info.min <= total < math.inf:
+        # The squares under- or overflowed; scale by the largest entry.
+        big = np.abs(x).max(initial=0.0)
+        if 0.0 < big < math.inf:
+            y = x / big
+            return float(big * np.sqrt(y.dot(y)))
+    return float(np.sqrt(total))
+
+
 class _Planes:
     """A read-only float64 (4, ...) plane array; the base of QVector and QMatrix.
 
@@ -214,17 +227,7 @@ class _Planes:
 
     def _norm(self):
         """Root of the summed squared moduli (Frobenius, or Euclidean for a vector)."""
-        # Memory order, as np.linalg.norm sums, so in-range values match it bit for bit.
-        x = self._data.ravel(order="K")
-        with np.errstate(over="ignore"):
-            total = x.dot(x)
-        if not sys.float_info.min <= total < math.inf:
-            # The squares under- or overflowed; scale by the largest component.
-            big = np.abs(x).max(initial=0.0)
-            if 0.0 < big < math.inf:
-                y = x / big
-                return float(big * np.sqrt(y.dot(y)))
-        return float(np.sqrt(total))
+        return _l2_norm(self._data)
 
     def allclose(self, other, tol=1e-12):
         self._check_same(other)

@@ -22,16 +22,8 @@ import numpy as np
 from .errors import InvalidDataset
 from .quaternion import QMatrix
 from .solver import BasisPair
-from .weighting import (
-    WeightingScheme,
-    _check_sweep,
-    _checked_stack,
-    _nearest,
-    _project,
-    _side_weights,
-    centered_stack,
-    project_stack,
-)
+from .weighting import (WeightingScheme, _check_sweep, _nearest, _project, _side_weights, _weighted,
+                        centered_stack)
 
 __all__ = ["Gallery", "build_gallery", "predict", "evaluate", "sweep_accuracies"]
 
@@ -52,7 +44,7 @@ def build_gallery(train, basis, scheme):
     """Project every training sample; the set must match the fit's mean."""
     if len(train) == 0:
         raise InvalidDataset("cannot build a gallery from an empty sample set")
-    P = project_stack(centered_stack(train, basis), basis, scheme, train.samples)
+    P = _project(centered_stack(train, basis), *_weighted(basis, scheme))
     features = tuple(QMatrix(f) for f in P)
     labels = tuple(s.label for s in train.samples)
     return Gallery(labels=labels, features=features, basis=basis, scheme=scheme)
@@ -69,7 +61,7 @@ def predict(test, gallery):
         raise InvalidDataset("cannot classify against an empty gallery")
     G = np.stack([f.data for f in gallery.features])
     basis = gallery.basis
-    probes = project_stack(centered_stack(test, basis), basis, gallery.scheme, test.samples)
+    probes = _project(centered_stack(test, basis), *_weighted(basis, gallery.scheme))
     index, _ = _nearest(probes, G)
     return [gallery.labels[i] for i in index]
 
@@ -94,17 +86,17 @@ def sweep_accuracies(train, test, basis, scheme, K):
     leading k.
     """
     _check_sweep(basis, K)
-    # Checks run in the per-k order: all of k = 1's, then each larger k's weights.
+    # Checks run in the per-k order: k = 1's, then each larger k's weights (K's in _weighted).
     if len(train) == 0:
         raise InvalidDataset("cannot build a gallery from an empty sample set")
-    X = _checked_stack(centered_stack(train, basis), basis, train.samples)
-    left, right = _side_weights(basis, scheme, 1)
+    X = centered_stack(train, basis)
+    _side_weights(basis, scheme, 1)
     if len(test) == 0:
         raise InvalidDataset("cannot evaluate on an empty sample set")
-    Y = _checked_stack(centered_stack(test, basis), basis, test.samples)
-    for k in range(2, K + 1):
-        left, right = _side_weights(basis, scheme, k)
-    A, B = basis.U.data[..., :K] * left, basis.V.data[..., :K] * right
+    Y = centered_stack(test, basis)
+    for k in range(2, K):
+        _side_weights(basis, scheme, k)
+    A, B = _weighted(basis, scheme, K)
     G, Q = _project(X, A, B), _project(Y, A, B)
     labels = train.labels()
     accuracies = []

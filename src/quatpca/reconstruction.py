@@ -21,22 +21,15 @@ raw images with their reconstructions; a centered set is rejected.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidDataset, InvalidWeight, ShapeError
-from .quaternion import QMatrix, plane_conj_transpose, plane_matmul
-from .weighting import (
-    Manner,
-    WeightingScheme,
-    _check_sweep,
-    _checked_stack,
-    _gamma,
-    _project,
-    _require_shape,
-    _side_weights,
-    centered_stack,
-    project_stack,
-)
+from .quaternion import QMatrix, _l2_norm, plane_conj_transpose, plane_matmul
+from .solver import _ROOT_NORMAL, _require_finite
+from .weighting import (Manner, WeightingScheme, _check_sweep, _gamma, _project, _require_shape,
+                        _side_weights, centered_stack)
 
 __all__ = ["reconstruct", "reconstruct_samples", "reconstruction_ratio", "sweep_ratios"]
 
@@ -52,6 +45,16 @@ def _rebuild(P, A, B, mean):
     R = plane_matmul(A, plane_conj_transpose(plane_matmul(B, plane_conj_transpose(P))))
     R += mean.data
     return R
+
+
+def _retake_norms(norms, row):
+    """``norms`` with each entry whose squared sum left the normal range retaken as _l2_norm(row(i)).
+
+    A norm above _ROOT_NORMAL and finite had a normal squared sum, so it stays as it is.
+    """
+    for i in np.flatnonzero(~((norms > _ROOT_NORMAL) & (norms < math.inf))):
+        norms[i] = _l2_norm(row(i))
+    return norms
 
 
 def _require_raw(samples):
@@ -112,7 +115,7 @@ def reconstruct_samples(samples, basis):
     """
     if len(samples) == 0:
         return []
-    P = project_stack(centered_stack(samples, basis), basis, samples=samples.samples)
+    P = _project(centered_stack(samples, basis), basis.U.data, basis.V.data)
     R = _rebuild(P, basis.U.data, basis.V.data, basis.mean)
     R.flags.writeable = False
     return [QMatrix._view(image) for image in R]
@@ -138,10 +141,13 @@ def reconstruction_ratio(originals, reconstructions):
     shapes = {F.shape for F in mats} | {R.shape for R in reconstructions}
     if len(shapes) != 1:
         raise ShapeError(f"originals and reconstructions have mixed shapes: {sorted(shapes)}")
-    nf = np.array([np.linalg.norm(F.data) for F in mats])
+    with np.errstate(over="ignore"):  # _retake_norms redoes a norm whose squares overflowed
+        nf = _retake_norms(np.array([np.linalg.norm(F.data) for F in mats]), lambda i: mats[i].data)
+        err = _retake_norms(
+            np.array([np.linalg.norm(F.data - R.data) for F, R in zip(mats, reconstructions)]),
+            lambda i: mats[i].data - reconstructions[i].data)
     if np.any(nf == 0.0):
         raise InvalidDataset("zero-norm original has no relative error")
-    err = np.array([np.linalg.norm(F.data - R.data) for F, R in zip(mats, reconstructions)])
     return float(np.mean(1.0 - err / nf))
 
 
@@ -165,9 +171,10 @@ def sweep_ratios(samples, basis, K):
         raise InvalidDataset("need at least one sample to compute a ratio")
     F = np.stack([s.image.data for s in samples.samples])
     _require_shape(F.shape, basis)
-    X = _checked_stack(F - basis.mean.data, basis, samples.samples)
+    X = F - basis.mean.data
+    _require_finite(X, samples.samples)
     _require_raw(samples)
-    nf = np.sqrt(np.einsum("iakl,iakl->i", F, F))
+    nf = _retake_norms(np.sqrt(np.einsum("iakl,iakl->i", F, F)), F.__getitem__)
     if np.any(nf == 0.0):
         raise InvalidDataset("zero-norm original has no relative error")
     U, V = basis.U.data, basis.V.data
@@ -182,5 +189,5 @@ def sweep_ratios(samples, basis, K):
         i = np.flatnonzero(guarded[:, k - 1])
         R = _rebuild(P[i, :, :k, :k], U[..., :k], V[..., :k], basis.mean)
         R -= F[i]
-        err[i, k - 1] = np.sqrt(np.einsum("iakl,iakl->i", R, R))
+        err[i, k - 1] = _retake_norms(np.sqrt(np.einsum("iakl,iakl->i", R, R)), R.__getitem__)
     return [float(np.mean(1.0 - e / nf)) for e in err.T]

@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import (DegenerateDirection, InvalidDataset, InvalidParameter, ShapeError, _check,
                      _violation)
-from .quaternion import (_CONJ, QMatrix, QVector, _moduli_lp_norm, _real_repr, lp_norm,
+from .quaternion import (_CONJ, QMatrix, QVector, _l2_norm, _moduli_lp_norm, _real_repr, lp_norm,
                          plane_conj_transpose, plane_matmul)
 
 __all__ = [
@@ -90,10 +90,6 @@ __all__ = [
     "deflated_residuals",
     "mgs_orthonormalize",
     "hermitian_topk_eig",
-    "DEFAULT_TOL",
-    "DEFAULT_MAX_ITER",
-    "DEGENERATE_TOL",
-    "HERMITIAN_RTOL",
 ]
 
 DEFAULT_TOL = 1e-4
@@ -464,7 +460,7 @@ def _project_off(v, B):
     """(v - W (W^* v), its L2 norm) on the real layout, B = real_repr(W), done twice for round-off."""
     for _ in range(2):
         v = v - B @ (B.T @ v)
-    return v, float(np.linalg.norm(v))
+    return v, _l2_norm(v)
 
 
 def mgs_orthonormalize(vnew, basis):
@@ -485,7 +481,7 @@ def mgs_orthonormalize(vnew, basis):
 
 def _orthonormalize(v, Wr):
     """:func:`mgs_orthonormalize` of the real layout v against the real representation Wr."""
-    size = float(np.linalg.norm(v))
+    size = _l2_norm(v)
     v, r = _project_off(v, Wr)
     if not r > DEGENERATE_TOL * size:
         raise DegenerateDirection(

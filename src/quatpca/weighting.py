@@ -43,11 +43,11 @@ from .quaternion import QMatrix, plane_conj_transpose, plane_matmul
 from .solver import _require_finite, _stacked, fit
 
 __all__ = [
+    "MANNER_PRECEDENCE",
     "Manner",
     "Transform",
     "WeightingScheme",
     "SelectionConfig",
-    "centered_stack",
     "project_stack",
     "project",
     "score_weightings",
@@ -124,19 +124,28 @@ def _side_weights(basis, scheme, k=None):
     return left, right
 
 
+def _weighted(basis, scheme, k=None):
+    """Planes of both bases' leading k columns (all without k), weighted by the scheme."""
+    left, right = _side_weights(basis, scheme, k)
+    return basis.U.data[..., :k] * left, basis.V.data[..., :k] * right
+
+
 def centered_stack(samples, basis):
     """Images of a sample set as one (N, 4, m, n) array, centered by the fit's mean.
 
     A set centred by another mean is shifted by the difference of the two.
     A set centred by the fit's own mean may come back as a read-only view
-    of its images.  Raises ShapeError when the images do not fit the basis.
+    of its images.  Raises ShapeError when the images do not fit the basis
+    and InvalidDataset, naming the sample, when a centred image holds NaN or inf.
     """
     _require_shape((len(samples), 4, *samples.shape), basis)
     images = [s.image.data for s in samples.samples]
     if samples.centered and samples.mean is basis.mean:
-        return _stacked(images)
-    X = np.stack(images)
-    X -= basis.mean.data - samples.mean.data if samples.centered else basis.mean.data
+        X = _stacked(images)
+    else:
+        X = np.stack(images)
+        X -= basis.mean.data - samples.mean.data if samples.centered else basis.mean.data
+    _require_finite(X, samples.samples)
     return X
 
 
@@ -220,30 +229,23 @@ def _require_shape(shape, basis):
         raise ShapeError(f"image shape {tuple(shape[2:])} does not match basis {basis.m}x{basis.n}")
 
 
-def _checked_stack(X, basis, samples=None):
-    """X as float64, after the shape and non-finite checks of :func:`project_stack`."""
-    X = np.asarray(X, dtype=np.float64)
-    _require_shape(X.shape, basis)
-    _require_finite(X, samples)
-    return X
-
-
 def _project(X, A, B):
     """Features A^* X_i B = (B^* (A^* X_i)^*)^* of a checked stack, given the basis planes."""
     Y = plane_conj_transpose(plane_matmul(plane_conj_transpose(A), X))
     return plane_conj_transpose(plane_matmul(plane_conj_transpose(B), Y))
 
 
-def project_stack(X, basis, scheme=WeightingScheme(Manner.UNWEIGHTED), samples=None):
+def project_stack(X, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
     """Features A^* X_i B of a (N, 4, m, n) stack of centered images, as (N, 4, k1, k2).
 
     A and B are the bases with the scheme's weights folded into their
-    columns.  ``samples`` (the stack's Sample records, optional) lets a
-    non-finite image be reported by its source or label.
+    columns.  Raises ShapeError when the stack does not fit the basis and
+    InvalidDataset when an image holds NaN or inf.
     """
-    X = _checked_stack(X, basis, samples)
-    left, right = _side_weights(basis, scheme)
-    return _project(X, basis.U.data * left, basis.V.data * right)
+    X = np.asarray(X, dtype=np.float64)
+    _require_shape(X.shape, basis)
+    _require_finite(X)
+    return _project(X, *_weighted(basis, scheme))
 
 
 def project(F, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
@@ -292,7 +294,7 @@ def score_weightings(train, params, protocol=SelectionConfig()):
         inner, val, _ = split(train, fractions, seed=protocol.seed + r)
         inner_c = center(inner)
         basis = fit(inner_c, params)
-        plain = [project_stack(centered_stack(part, basis), basis, samples=part.samples)
+        plain = [_project(centered_stack(part, basis), basis.U.data, basis.V.data)
                  for part in (inner_c, val)]
         inner_labels = inner_c.labels()
         for manner in MANNER_PRECEDENCE:

@@ -28,6 +28,23 @@ def test_module_exports_resolve(module):
     assert missing == []
 
 
+def test_package_republishes_each_module_name_once():
+    # quatpca star-imports every module but the CLI, so a name in two
+    # modules' __all__ would be shadowed without an error.
+    declared = [name for module in MODULES if module != "cli"
+                for name in importlib.import_module(f"quatpca.{module}").__all__]
+    assert sorted({name for name in declared if declared.count(name) > 1}) == []
+    assert sorted(quatpca.__all__) == sorted(declared + ["__version__"])
+
+
+def test_version_is_declared_once():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert "version" not in project["project"]
+    assert project["project"]["dynamic"] == ["version"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "quatpca.__version__"}
+
+
 def test_runtime_imports_are_numpy_or_stdlib():
     foreign = []
     for path in sorted(Path(quatpca.__file__).parent.glob("*.py")):

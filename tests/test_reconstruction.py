@@ -254,3 +254,18 @@ def test_sweep_ratios_rebuild_everything_for_a_non_orthonormal_basis(raw_set, fu
     basis = replace(full_basis, U=QMatrix(full_basis.U.data * 1.01))
     np.testing.assert_allclose(sweep_ratios(raw_set, basis, 3),
                                _per_k_ratios(raw_set, basis, 3), rtol=1e-13)
+
+
+def test_ratios_of_images_whose_squares_underflow():
+    # Entries near 1e-170 have squares below the smallest double, so the
+    # norms of the originals and residuals are rescaled by their largest entry.
+    rng = np.random.default_rng(61)
+    raw = SampleSet.build([(str(t % 4), random_qmatrix(rng, 6, 5, pure=True)) for t in range(8)])
+    basis = fit(center(raw), FitParams(s=2.0, p=2.0, k1=3, k2=3))
+    tiny = SampleSet.build([(x.label, x.image * 1e-170) for x in raw.samples])
+    tiny_basis = replace(basis, mean=basis.mean * 1e-170)
+    want = reconstruction_ratio(raw, reconstruct_samples(raw, basis))
+    got = reconstruction_ratio(tiny, reconstruct_samples(tiny, tiny_basis))
+    assert got == pytest.approx(want, rel=0, abs=1e-12)
+    np.testing.assert_allclose(sweep_ratios(tiny, tiny_basis, 3), sweep_ratios(raw, basis, 3),
+                               rtol=0, atol=1e-12)

@@ -569,8 +569,8 @@ def test_fit_rejects_non_finite_sample(rng, bad):
     images = [F.data.copy() for F in ss.images()]
     images[2][1, 3, 0] = bad
     images[3][0, 0, 0] = bad
-    poisoned = SampleSet.build([(f"c{t}", QMatrix(d)) for t, d in enumerate(images)],
-                               centered=True)
+    poisoned = replace(ss, samples=tuple(replace(x, image=QMatrix(d))
+                                         for x, d in zip(ss.samples, images)))
     with pytest.raises(InvalidDataset, match=r"sample 2 \(label 'c2'\)"):
         fit(poisoned, TIGHT)
 
@@ -895,8 +895,9 @@ def _scaled_pure_samples(scale):
     rng = np.random.default_rng(61)
     mats = [random_qmatrix(rng, 6, 5, pure=True) for _ in range(8)]
     base = center(SampleSet.build([(str(t % 4), F) for t, F in enumerate(mats)]))
-    return SampleSet.build([(x.label, QMatrix(x.image.data * scale)) for x in base.samples],
-                           centered=True)
+    return replace(base, mean=QMatrix(base.mean.data * scale),
+                   samples=tuple(replace(x, image=QMatrix(x.image.data * scale))
+                                 for x in base.samples))
 
 
 @pytest.mark.parametrize("s, p", _SCALE_CASES)

@@ -131,6 +131,17 @@ def test_weighted_projection_scales_unweighted_one(diag_basis, diag_samples):
                        atol=1e-10)
 
 
+def test_centered_stack_names_a_non_finite_image(rng):
+    ss, _ = planted_samples(rng, 6, 5, values=(3.0, 2.0, 1.0), pairs=3)
+    basis = fit(ss, FitParams(s=2.0, p=2.0, k1=3, k2=2))
+    data = np.array(ss.samples[1].image.data)
+    data[2, 0, 0] = np.inf
+    broken = SampleSet.build([(s.label, QMatrix(data) if i == 1 else s.image)
+                              for i, s in enumerate(ss.samples)])
+    with pytest.raises(InvalidDataset, match=r"sample 1 \(label '.*'\) holds a non-finite"):
+        centered_stack(broken, basis)
+
+
 def test_projection_reshapes_its_operands_without_copies(monkeypatch, rng):
     # Both right operands of plane_matmul, the stack X and Y = (A^* X_i)^*,
     # are C-ordered, so its reshape of them is a view.  The features keep
