@@ -329,9 +329,9 @@ def cmd_reconstruct(args, out):
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise IoError(f"{outdir}: cannot write export directory ({exc})") from exc
-        for idx, (sample, rec) in enumerate(zip(train.samples, recs)):
-            suffix = _suffix(os.path.basename(sample.source))
-            export_image(rec, os.path.join(outdir, f"{sample.label}_{idx:04d}{suffix}"))
+        for idx, (label, source, rec) in enumerate(zip(train.row_labels, train.row_sources, recs)):
+            suffix = _suffix(os.path.basename(source))
+            export_image(rec, os.path.join(outdir, f"{label}_{idx:04d}{suffix}"))
         print(f"export: {len(recs)} images written to {outdir}", file=out)
     return 0
 

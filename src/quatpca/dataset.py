@@ -5,12 +5,12 @@ images (PNG or binary PPM).  A pixel with channels (r, g, b) becomes the
 pure quaternion (r i + g j + b k) / 255, so an h x w image is an h x w
 pure quaternion matrix.  Sample order is deterministic: sorted by label,
 then by file name.  :func:`load_dataset` decodes every file into one
-C-contiguous, read-only (N, 4, m, n) float64 array, and each sample's
-image is a view of its row; :func:`center` likewise returns views of one
-centred array.  Decoding is batched: PPMs with the canonical header
-"P6\n<n> <m>\n255\n" of the first file's size are read in one call
-each and converted together; every other file takes the per-file
-decoder, with its errors unchanged.
+C-contiguous, read-only (N, 4, m, n) float64 array; :func:`split` and
+``subset`` only index its rows, so splits share it.  Each set function
+gathers its rows once (``SampleSet._gather``); a whole centred set
+reaches the fit as its own array.  Decoding is batched: canonical PPMs
+("P6\n<n> <m>\n255\n" at the first file's size) are read in one call
+each and converted together; any other file takes the per-file decoder.
 
 PNG is read and written by a small zlib codec.  It reads 8-bit,
 non-interlaced gray, RGB, gray+alpha and RGBA images with any of the
@@ -39,7 +39,7 @@ import re
 import stat
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,55 +75,81 @@ class Sample:
 class SampleSet:
     """An ordered collection of labeled images plus the training mean.
 
-    ``centered`` marks that ``mean`` has been subtracted from every
-    image.  Images from :func:`load_dataset` are pure quaternions and
-    stay pure under centering because the mean of pure matrices is pure.
+    The images are the rows ``rows`` (all when None) of the read-only
+    (N, 4, m, n) array ``stack``; ``row_labels`` and ``row_sources`` are
+    in set order.  ``centered`` marks that ``mean`` has been subtracted
+    from every image.  Loaded images are pure quaternions and stay pure
+    under centering because the mean of pure matrices is pure.
     """
 
-    samples: tuple[Sample, ...]
+    stack: np.ndarray
+    rows: np.ndarray | None
+    row_labels: tuple[str, ...]
+    row_sources: tuple[str | None, ...]
     mean: QMatrix
     centered: bool = False
 
     def __post_init__(self):
-        shape = self.mean.shape
-        for sample in self.samples:
-            if sample.image.shape != shape:
-                raise InvalidDataset(
-                    f"mixed image dimensions: {sample.image.shape} vs {shape}")
+        self.stack.flags.writeable = False
 
     @classmethod
     def build(cls, labeled_images):
         """Assemble a raw set from (label, image) pairs with a zero mean."""
-        samples = tuple(Sample(label, image) for label, image in labeled_images)
-        if not samples:
+        pairs = list(labeled_images)
+        if not pairs:
             raise InvalidDataset("need at least one sample")
-        return cls(samples=samples, mean=QMatrix.zeros(*samples[0].image.shape))
+        labels, images = zip(*pairs)
+        for image in images:
+            if image.shape != images[0].shape:
+                raise InvalidDataset(f"mixed image dimensions: {image.shape} vs {images[0].shape}")
+        stack = np.stack([image.data for image in images])
+        return cls(stack, None, labels, (None,) * len(labels), QMatrix.zeros(*images[0].shape))
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.row_labels)
 
     @property
     def shape(self):
         return self.mean.shape
 
+    def _gather(self, mean=None):
+        """The images as one (N, 4, m, n) array, centred by ``mean`` when it is given.
+
+        A whole centred set, with ``mean`` None or its own, is its stack; else one new array."""
+        own = mean is None or (self.centered and mean is self.mean)
+        if own and self.centered and self.rows is None:
+            return self.stack
+        X = self.stack.copy() if self.rows is None else self.stack[self.rows]
+        if not own:
+            X -= mean.data - self.mean.data if self.centered else mean.data
+        return X
+
     def images(self):
-        return [s.image for s in self.samples]
+        rows = self.stack if self.rows is None else (self.stack[r] for r in self.rows)
+        return [QMatrix._view(image) for image in rows]
+
+    @property
+    def samples(self):
+        """The set as Sample records, each image a view of its row of the stack."""
+        return tuple(map(Sample, self.row_labels, self.images(), self.row_sources))
 
     def labels(self):
-        return [s.label for s in self.samples]
+        return list(self.row_labels)
 
     def classes(self):
-        return sorted({s.label for s in self.samples})
+        return sorted(set(self.row_labels))
 
     def by_class(self):
         groups: dict[str, list[int]] = {}
-        for idx, s in enumerate(self.samples):
-            groups.setdefault(s.label, []).append(idx)
+        for idx, label in enumerate(self.row_labels):
+            groups.setdefault(label, []).append(idx)
         return groups
 
     def subset(self, indices):
-        picked = tuple(self.samples[i] for i in indices)
-        return SampleSet(samples=picked, mean=self.mean, centered=self.centered)
+        picked = np.arange(len(self))[list(indices)]
+        rows = picked if self.rows is None else self.rows[picked]
+        return replace(self, rows=rows, row_labels=tuple(self.row_labels[i] for i in picked),
+                       row_sources=tuple(self.row_sources[i] for i in picked))
 
 
 # "P6", then width, height and maxval as decimal tokens; whitespace and
@@ -348,8 +374,8 @@ def load_dataset(root):
     """Load every class subdirectory of ``root`` into a SampleSet.
 
     The files are listed first and then decoded in sample order into one
-    C-contiguous (N, 4, m, n) array with a zero real plane.  The array is
-    read-only and every sample's image is a view of its row.
+    C-contiguous (N, 4, m, n) array with a zero real plane, the set's
+    read-only stack.
 
     The first file, decoded by the per-file reader, fixes the size m x n
     and the canonical header ``P6\\n<n> <m>\\n255\\n``.  A later PPM that
@@ -394,10 +420,8 @@ def load_dataset(root):
         raw[i] = rgb
     stack = np.zeros((len(listed), 4, h, w))
     np.divide(raw.transpose(0, 3, 1, 2), 255.0, out=stack[:, 1:])
-    stack.flags.writeable = False
-    samples = tuple(Sample(label, QMatrix._view(image), path)
-                    for (label, path), image in zip(listed, stack))
-    return SampleSet(samples=samples, mean=QMatrix.zeros(*stack.shape[2:]), centered=False)
+    labels, sources = zip(*listed)
+    return SampleSet(stack, None, labels, sources, QMatrix.zeros(h, w))
 
 
 def export_image(image, path):
@@ -420,19 +444,16 @@ def export_image(image, path):
 def center(sample_set):
     """Subtract the mean image from every sample; idempotent.
 
-    The centred images are read-only views of one (N, 4, m, n) array.
+    The rows are gathered once, into the new array that is centred in place.
     """
     if sample_set.centered:
         return sample_set
     if len(sample_set) == 0:
         raise InvalidDataset("cannot center an empty sample set")
-    stack = np.stack([s.image.data for s in sample_set.samples])
+    stack = sample_set._gather()
     mean = stack.mean(axis=0)
     stack -= mean
-    stack.flags.writeable = False
-    shifted = tuple(Sample(s.label, QMatrix._view(image), s.source)
-                    for s, image in zip(sample_set.samples, stack))
-    return SampleSet(samples=shifted, mean=QMatrix(mean), centered=True)
+    return replace(sample_set, stack=stack, rows=None, mean=QMatrix(mean), centered=True)
 
 
 def _split_fractions(fractions):

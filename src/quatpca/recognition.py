@@ -46,8 +46,7 @@ def build_gallery(train, basis, scheme):
         raise InvalidDataset("cannot build a gallery from an empty sample set")
     P = _project(centered_stack(train, basis), *_weighted(basis, scheme))
     features = tuple(QMatrix(f) for f in P)
-    labels = tuple(s.label for s in train.samples)
-    return Gallery(labels=labels, features=features, basis=basis, scheme=scheme)
+    return Gallery(labels=train.row_labels, features=features, basis=basis, scheme=scheme)
 
 
 def predict(test, gallery):
@@ -71,7 +70,7 @@ def evaluate(test, gallery):
     if len(test) == 0:
         raise InvalidDataset("cannot evaluate on an empty sample set")
     predicted = predict(test, gallery)
-    hits = sum(p == s.label for p, s in zip(predicted, test.samples))
+    hits = sum(p == label for p, label in zip(predicted, test.row_labels))
     return hits / len(test)
 
 
@@ -98,10 +97,9 @@ def sweep_accuracies(train, test, basis, scheme, K):
         _side_weights(basis, scheme, k)
     A, B = _weighted(basis, scheme, K)
     G, Q = _project(X, A, B), _project(Y, A, B)
-    labels = train.labels()
     accuracies = []
     for k in range(1, K + 1):
         index, _ = _nearest(Q[:, :, :k, :k], G[:, :, :k, :k])
-        hits = sum(labels[i] == s.label for i, s in zip(index, test.samples))
+        hits = sum(train.row_labels[i] == label for i, label in zip(index, test.row_labels))
         accuracies.append(hits / len(test))
     return accuracies

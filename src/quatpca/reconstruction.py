@@ -22,6 +22,7 @@ raw images with their reconstructions; a centered set is rejected.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -128,10 +129,7 @@ def reconstruction_ratio(originals, reconstructions):
     reconstruction scores 1.  A centered sample set and zero-norm
     originals are rejected.
     """
-    if hasattr(originals, "images"):
-        mats = list(originals.images())
-    else:
-        mats = list(originals)
+    mats = list(originals.images() if hasattr(originals, "images") else originals)
     if not mats:
         raise InvalidDataset("need at least one sample to compute a ratio")
     _require_raw(originals)
@@ -163,17 +161,22 @@ def sweep_ratios(samples, basis, K):
 
     with P the unweighted features at K.  Where round-off could swamp that
     difference (see ``_RESOLUTION``), the image's residual at that k comes
-    from its rebuilt reconstruction instead.  The errors are the ones the
-    per-k calls would raise, in the same order; the set must be raw.
+    from its rebuilt reconstruction instead.  When the squares of X would
+    leave the normal range, F, X and the mean are first scaled together by
+    an exact power of two, which changes no ratio.  The errors are the ones
+    the per-k calls would raise, in the same order; the set must be raw.
     """
     _check_sweep(basis, K)
     if len(samples) == 0:
         raise InvalidDataset("need at least one sample to compute a ratio")
-    F = np.stack([s.image.data for s in samples.samples])
-    _require_shape(F.shape, basis)
-    X = F - basis.mean.data
-    _require_finite(X, samples.samples)
+    _require_shape((len(samples), 4, *samples.shape), basis)
+    F, mean = samples._gather(), basis.mean
+    X = F - mean.data
+    peak = _require_finite(X, samples)
     _require_raw(samples)
+    if peak and not _ROOT_NORMAL <= peak <= math.sqrt(sys.float_info.max / X[0].size):
+        e = -math.frexp(peak)[1]
+        F, X, mean = np.ldexp(F, e), np.ldexp(X, e), QMatrix(np.ldexp(mean.data, e))
     nf = _retake_norms(np.sqrt(np.einsum("iakl,iakl->i", F, F)), F.__getitem__)
     if np.any(nf == 0.0):
         raise InvalidDataset("zero-norm original has no relative error")
@@ -187,7 +190,7 @@ def sweep_ratios(samples, basis, K):
     guarded = err2 <= _pythagoras_round_off(basis, K) / _RESOLUTION * x2[:, None]
     for k in np.flatnonzero(guarded.any(axis=0)) + 1:
         i = np.flatnonzero(guarded[:, k - 1])
-        R = _rebuild(P[i, :, :k, :k], U[..., :k], V[..., :k], basis.mean)
+        R = _rebuild(P[i, :, :k, :k], U[..., :k], V[..., :k], mean)
         R -= F[i]
         err[i, k - 1] = _retake_norms(np.sqrt(np.einsum("iakl,iakl->i", R, R)), R.__getitem__)
     return [float(np.mean(1.0 - e / nf)) for e in err.T]

@@ -261,16 +261,16 @@ def _require_finite(S, samples=None):
     """Raise InvalidDataset when an image of the (l, 4, m, n) stack S holds NaN or inf.
 
     The error names the first offending sample, by its source or label
-    when ``samples`` (the stack's Sample records) is given.  Returns the
-    largest magnitude of an entry, from the same pass: a sample's largest
-    magnitude is NaN or inf exactly when the sample holds one.
+    when ``samples`` (the SampleSet S was gathered from) is given.  Returns
+    the largest magnitude of an entry, from the same pass: a sample's
+    largest magnitude is NaN or inf exactly when the sample holds one.
     """
     flat = S.reshape(len(S), -1)
     peaks = np.maximum(flat.max(axis=1, initial=0.0), -flat.min(axis=1, initial=0.0))
     bad = np.flatnonzero(~np.isfinite(peaks))
     if bad.size:
         i = int(bad[0])
-        name = f" ({samples[i].source or f'label {samples[i].label!r}'})" if samples else ""
+        name = f" ({samples.row_sources[i] or f'label {samples.row_labels[i]!r}'})" if samples else ""
         raise InvalidDataset(f"sample {i}{name} holds a non-finite value (NaN or inf)")
     return float(peaks.max(initial=0.0))
 
@@ -296,43 +296,26 @@ def _require_scale(S, peak, s):
             f"rescale the data")
 
 
-def _stacked(arrays):
-    """The equal-shaped arrays as one array, as ``np.stack`` builds it.
-
-    When they are, in order, all the rows of one C-contiguous array (the
-    images of ``load_dataset`` and ``center`` are), that array comes back
-    as a read-only view instead of a copy.
-    """
-    base = arrays[0].base if arrays else None
-    if (isinstance(base, np.ndarray) and base.flags.c_contiguous
-            and base.shape == (len(arrays), *arrays[0].shape)):
-        start, layout = base.__array_interface__["data"][0], (base.dtype, base.strides[1:])
-        if all(a.base is base and (a.dtype, a.strides) == layout
-               and a.__array_interface__["data"][0] == start + i * a.nbytes
-               for i, a in enumerate(arrays)):
-            view = base.view()
-            view.flags.writeable = False
-            return view
-    return np.stack(arrays)
-
-
 def _sample_stack(samples):
-    """(stack, peak): the samples as one (l, 4, m, n) array (see _stacked), and its largest magnitude.
+    """(stack, peak): the samples as one (l, 4, m, n) array, and its largest magnitude.
 
-    Accepts a SampleSet or QMatrix list.  Raises InvalidDataset, naming
-    the first offending sample, when any entry is NaN or infinite.
+    Accepts a SampleSet (``SampleSet._gather``: a whole centred set is not
+    copied) or a QMatrix list.  Raises InvalidDataset, naming the first
+    offending sample, when any entry is NaN or infinite.
     """
-    items = getattr(samples, "samples", None)
-    mats = list(samples) if items is None else [s.image for s in items]
-    if not mats:
+    if hasattr(samples, "_gather"):
+        S = samples._gather()
+    else:
+        mats = list(samples)
+        for f in mats:
+            if not isinstance(f, QMatrix):
+                raise TypeError(f"expected QMatrix samples, got {type(f).__name__}")
+            if f.shape != mats[0].shape:
+                raise ShapeError(f"samples have mixed shapes: {mats[0].shape} vs {f.shape}")
+        S, samples = np.stack([f.data for f in mats]) if mats else np.empty(0), None
+    if not len(S):
         raise InvalidDataset("need at least one sample")
-    for f in mats:
-        if not isinstance(f, QMatrix):
-            raise TypeError(f"expected QMatrix samples, got {type(f).__name__}")
-        if f.shape != mats[0].shape:
-            raise ShapeError(f"samples have mixed shapes: {mats[0].shape} vs {f.shape}")
-    S = _stacked([f.data for f in mats])
-    return S, _require_finite(S, items)
+    return S, _require_finite(S, samples)
 
 
 def _wide(S, side="right"):

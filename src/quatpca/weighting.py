@@ -40,7 +40,7 @@ import numpy as np
 from .dataset import center, split
 from .errors import InvalidDataset, InvalidParameter, InvalidWeight, ShapeError, _check
 from .quaternion import QMatrix, plane_conj_transpose, plane_matmul
-from .solver import _require_finite, _stacked, fit
+from .solver import _require_finite, fit
 
 __all__ = [
     "MANNER_PRECEDENCE",
@@ -134,18 +134,13 @@ def centered_stack(samples, basis):
     """Images of a sample set as one (N, 4, m, n) array, centered by the fit's mean.
 
     A set centred by another mean is shifted by the difference of the two.
-    A set centred by the fit's own mean may come back as a read-only view
-    of its images.  Raises ShapeError when the images do not fit the basis
+    A whole set centred by the fit's own mean comes back as its read-only
+    stack itself.  Raises ShapeError when the images do not fit the basis
     and InvalidDataset, naming the sample, when a centred image holds NaN or inf.
     """
     _require_shape((len(samples), 4, *samples.shape), basis)
-    images = [s.image.data for s in samples.samples]
-    if samples.centered and samples.mean is basis.mean:
-        X = _stacked(images)
-    else:
-        X = np.stack(images)
-        X -= basis.mean.data - samples.mean.data if samples.centered else basis.mean.data
-    _require_finite(X, samples.samples)
+    X = samples._gather(basis.mean)
+    _require_finite(X, samples)
     return X
 
 
@@ -296,12 +291,11 @@ def score_weightings(train, params, protocol=SelectionConfig()):
         basis = fit(inner_c, params)
         plain = [_project(centered_stack(part, basis), basis.U.data, basis.V.data)
                  for part in (inner_c, val)]
-        inner_labels = inner_c.labels()
         for manner in MANNER_PRECEDENCE:
             left, right = _side_weights(basis, WeightingScheme(manner, protocol.transform))
             gallery, probes = (P * left[:, None] * right for P in plain)
             nearest, _ = _nearest(probes, gallery)
-            hits = sum(inner_labels[i] == s.label for i, s in zip(nearest, val.samples))
+            hits = sum(inner_c.row_labels[i] == label for i, label in zip(nearest, val.row_labels))
             sums[manner] += hits / len(val)
     return {manner: sums[manner] / protocol.repeats for manner in MANNER_PRECEDENCE}
 

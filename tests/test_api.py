@@ -176,3 +176,13 @@ def test_every_file_is_read_by_the_one_reader():
     # dataset._read_file turns an OSError into an IoError naming the path;
     # a read elsewhere would need its own translation, or crash the CLI.
     assert _callers(_reads) == {"dataset._read_file"}
+
+
+def test_only_dataset_sees_a_sample_set_as_per_image_records():
+    # A set is one (N, 4, m, n) stack and an index of its rows; the
+    # per-image Sample records of ``.samples`` are for outside callers, so
+    # in-package code that built or read them would step off the stack.
+    users = {owner for owner, node in owned_nodes()
+             if isinstance(node, ast.Attribute) and node.attr in ("samples", "Sample")
+             or isinstance(node, ast.Name) and node.id == "Sample"}
+    assert {owner.split(".")[0] for owner in users} == {"dataset"}

@@ -21,7 +21,6 @@ from quatpca import (
     FitParams,
     InvalidParameter,
     Manner,
-    QMatrix,
     SelectionConfig,
     Transform,
     WeightingScheme,
@@ -561,9 +560,9 @@ def test_sweep_names_non_finite_image(workspace, capsys, monkeypatch, command, p
     source = split(dataset, (0.75, 0, 0.25), 5)[part].samples[index].source
 
     def poisoned(root):
-        data = np.full((4, 8, 6), np.nan)
-        return replace(dataset, samples=tuple(
-            replace(s, image=QMatrix(data)) if s.source == source else s for s in dataset.samples))
+        stack = np.array(dataset.stack)
+        stack[dataset.row_sources.index(source)] = np.nan
+        return replace(dataset, stack=stack)
 
     monkeypatch.setattr(quatpca.cli, "load_dataset", poisoned)
     assert run(capsys, sweep_argv(command, workspace["cfg"], workspace, 2)) == (

@@ -32,6 +32,8 @@ from quatpca import (
     save_basis,
     split,
 )
+from quatpca.solver import _sample_stack
+from quatpca.weighting import centered_stack
 from conftest import ppm_bytes, random_qmatrix, random_rgb, write_image_tree
 
 
@@ -468,6 +470,26 @@ def test_center_matches_per_sample_formula(tree):
         assert np.array_equal(after.image.data, before.image.data - mean)
         assert after.image.data.flags.c_contiguous
         assert not after.image.data.flags.writeable
+
+
+def test_splits_share_the_loaded_stack_and_the_centred_one_reaches_the_fit_uncopied(tree):
+    root, _ = tree
+    data = load_dataset(root)
+    parts = split(data, (0.5, 0.25, 0.25), seed=4)
+    assert all(np.shares_memory(part.stack, data.stack) for part in parts)
+    ctrain = center(parts[0])
+    assert ctrain.stack.flags.c_contiguous and not ctrain.stack.flags.writeable
+    assert not np.shares_memory(ctrain.stack, data.stack)
+    assert _sample_stack(ctrain)[0] is ctrain.stack
+    assert centered_stack(ctrain, fit(ctrain, FitParams(s=2.0, p=2.0, k1=2, k2=2))) is ctrain.stack
+    # A subset of a subset is what indexing the parent picks.
+    picked = [5, 0, 9, 3, 7, 2]
+    twice = data.subset(picked).subset([4, 1, 3])
+    once = [data.samples[picked[i]] for i in (4, 1, 3)]
+    assert twice.labels() == [s.label for s in once]
+    assert twice.row_sources == tuple(s.source for s in once)
+    assert [F.data.tobytes() for F in twice.images()] == [s.image.data.tobytes() for s in once]
+    assert np.array_equal(_sample_stack(twice)[0], [s.image.data for s in once])
 
 
 def test_center_idempotent(rng):

@@ -216,9 +216,9 @@ def _outcome(call):
 
 def _with_image(samples, index, data):
     """A copy of the set with one image replaced."""
-    images = list(samples.samples)
-    images[index] = replace(images[index], image=QMatrix(data))
-    return replace(samples, samples=tuple(images))
+    stack = np.stack([F.data for F in samples.images()])
+    stack[index] = data
+    return replace(samples, stack=stack, rows=None)
 
 
 def _per_k_accuracies(train, test, basis, scheme, K):

@@ -189,9 +189,9 @@ def test_sweep_ratios_raise_what_the_per_k_loop_raises(raw_set, full_basis, fail
             np.testing.assert_allclose(sweep_ratios(raw_set, basis, 3), weighted, rtol=1e-12)
     else:
         data = np.full((4, 4, 3), np.nan) if broken == "nan image" else np.zeros((4, 4, 3))
-        images = list(raw_set.samples)
-        images[2] = replace(images[2], image=QMatrix(data))
-        raw_set = replace(raw_set, samples=tuple(images))
+        stack = np.array(raw_set.stack)
+        stack[2] = data
+        raw_set = replace(raw_set, stack=stack)
     expected = _outcome(lambda: _per_k_ratios(raw_set, basis, 3))
     got = _outcome(lambda: sweep_ratios(raw_set, basis, 3))
     if isinstance(expected, list):
@@ -256,16 +256,32 @@ def test_sweep_ratios_rebuild_everything_for_a_non_orthonormal_basis(raw_set, fu
                                _per_k_ratios(raw_set, basis, 3), rtol=1e-13)
 
 
-def test_ratios_of_images_whose_squares_underflow():
-    # Entries near 1e-170 have squares below the smallest double, so the
-    # norms of the originals and residuals are rescaled by their largest entry.
+def _scaled_set_and_basis(scale):
+    """8 pure 6 x 5 images and their s = p = 2, k = 3 basis, fitted at scale 1,
+    then the images and the basis mean scaled together."""
     rng = np.random.default_rng(61)
     raw = SampleSet.build([(str(t % 4), random_qmatrix(rng, 6, 5, pure=True)) for t in range(8)])
     basis = fit(center(raw), FitParams(s=2.0, p=2.0, k1=3, k2=3))
-    tiny = SampleSet.build([(x.label, x.image * 1e-170) for x in raw.samples])
-    tiny_basis = replace(basis, mean=basis.mean * 1e-170)
+    scaled = SampleSet.build([(x.label, x.image * scale) for x in raw.samples])
+    return raw, basis, scaled, replace(basis, mean=basis.mean * scale)
+
+
+def test_ratios_of_images_whose_squares_underflow():
+    # Entries near 1e-170 have squares below the smallest double, so the
+    # norms of the originals and residuals are rescaled by their largest entry.
+    raw, basis, tiny, tiny_basis = _scaled_set_and_basis(1e-170)
     want = reconstruction_ratio(raw, reconstruct_samples(raw, basis))
     got = reconstruction_ratio(tiny, reconstruct_samples(tiny, tiny_basis))
     assert got == pytest.approx(want, rel=0, abs=1e-12)
     np.testing.assert_allclose(sweep_ratios(tiny, tiny_basis, 3), sweep_ratios(raw, basis, 3),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170, 1e200])
+def test_sweep_ratios_do_not_depend_on_the_scale_of_the_images(scale):
+    # Squares of entries near 1e170 overflow and near 1e-170 underflow; the
+    # sweep first scales the images and the mean by one power of two, and
+    # a NaN from inf - inf would fail here as an "invalid value" warning.
+    raw, basis, images, scaled_basis = _scaled_set_and_basis(scale)
+    np.testing.assert_allclose(sweep_ratios(images, scaled_basis, 3), _per_k_ratios(raw, basis, 3),
                                rtol=0, atol=1e-12)

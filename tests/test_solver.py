@@ -39,7 +39,7 @@ from quatpca import (
 )
 from quatpca.quaternion import plane_conj_transpose, plane_matmul
 from quatpca.solver import (_deflated_evaluate, _GramObjective, _StackObjective, _gram,
-                            _live_planes, _stacked, _wide)
+                            _live_planes, _wide)
 from conftest import (
     max_principal_angle,
     planted_samples,
@@ -566,13 +566,11 @@ def test_stop_reason_iteration_cap(diag_samples):
 def test_fit_rejects_non_finite_sample(rng, bad):
     mats = [random_qmatrix(rng, 4, 3) for _ in range(4)]
     ss = center(SampleSet.build([(f"c{t}", F) for t, F in enumerate(mats)]))
-    images = [F.data.copy() for F in ss.images()]
-    images[2][1, 3, 0] = bad
-    images[3][0, 0, 0] = bad
-    poisoned = replace(ss, samples=tuple(replace(x, image=QMatrix(d))
-                                         for x, d in zip(ss.samples, images)))
+    stack = np.array(ss.stack)
+    stack[2, 1, 3, 0] = bad
+    stack[3, 0, 0, 0] = bad
     with pytest.raises(InvalidDataset, match=r"sample 2 \(label 'c2'\)"):
-        fit(poisoned, TIGHT)
+        fit(replace(ss, stack=stack), TIGHT)
 
 
 def test_project_rejects_non_finite_probe(diag_samples):
@@ -581,23 +579,6 @@ def test_project_rejects_non_finite_probe(diag_samples):
     data[2, 1, 0] = math.nan
     with pytest.raises(InvalidDataset, match="non-finite"):
         project(QMatrix(data), basis)
-
-
-# -- the sample stack ----------------------------------------------------
-
-
-def test_stacked_views_consecutive_rows_and_copies_anything_else(rng):
-    centred = center(SampleSet.build((str(t), random_qmatrix(rng, 3, 3)) for t in range(5)))
-    rows = [F.data for F in centred.images()]
-    S = _stacked(rows)
-    assert np.shares_memory(S, rows[0]) and not S.flags.writeable
-    assert np.array_equal(S, np.stack(rows))
-    # Out of order, repeated, a prefix, or rows seen through other strides.
-    for picked in ([rows[1], rows[0], *rows[2:]], [rows[0], *rows[:4]], rows[:4],
-                   [F.swapaxes(1, 2) for F in rows]):
-        T = _stacked(picked)
-        assert not np.shares_memory(T, rows[0])
-        assert np.array_equal(T, np.stack(picked))
 
 
 # -- stack kernel against a per-sample real-representation oracle -------
@@ -895,9 +876,7 @@ def _scaled_pure_samples(scale):
     rng = np.random.default_rng(61)
     mats = [random_qmatrix(rng, 6, 5, pure=True) for _ in range(8)]
     base = center(SampleSet.build([(str(t % 4), F) for t, F in enumerate(mats)]))
-    return replace(base, mean=QMatrix(base.mean.data * scale),
-                   samples=tuple(replace(x, image=QMatrix(x.image.data * scale))
-                                 for x in base.samples))
+    return replace(base, mean=QMatrix(base.mean.data * scale), stack=base.stack * scale)
 
 
 @pytest.mark.parametrize("s, p", _SCALE_CASES)
