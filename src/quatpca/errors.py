@@ -62,11 +62,21 @@ class ConfigError(QuatPcaError):
         super().__init__("; ".join(self.messages))
 
 
+def _integer(v):
+    """An int or numpy integer; bool is an Integral too, but never a count or a seed."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _is_count(v):
+    """A positive integer: the test of the count rule, which sizes and sweep lengths share."""
+    return _integer(v) and v >= 1
+
+
 # The legal range of each hyperparameter as (test, rule).  Every check in
 # the package, the CLI's included, reads it here and reports a value that
 # fails as "<name> <rule>, got <value>".  The numbers ABCs admit numpy
 # scalars, which np.random.default_rng and the solver accept too.
-_COUNT = (lambda v: isinstance(v, Integral) and v >= 1, "must be a positive integer")
+_COUNT = (_is_count, "must be a positive integer")
 _RULES = {
     "s": (lambda v: isinstance(v, Real) and 1 <= v < math.inf,
           "must satisfy 1 <= s < inf"),
@@ -77,7 +87,7 @@ _RULES = {
     "tol": (lambda v: isinstance(v, Real) and v > 0, "must be positive"),
     "max_iter": _COUNT,
     "repeats": _COUNT,
-    "seed": (lambda v: isinstance(v, Integral) and v >= 0,
+    "seed": (lambda v: _integer(v) and v >= 0,
              "must be a nonnegative integer"),
 }
 

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import InvalidDataset
 from .quaternion import QMatrix
 from .solver import BasisPair
-from .weighting import (WeightingScheme, _check_sweep, _nearest, _project, _side_weights, _weighted,
-                        centered_stack)
+from .weighting import (WeightingScheme, _check_sweep, _hit_count, _nearest, _project, _side_weights,
+                        _weighted, centered_stack)
 
 __all__ = ["Gallery", "build_gallery", "predict", "evaluate", "sweep_accuracies"]
 
@@ -100,6 +100,5 @@ def sweep_accuracies(train, test, basis, scheme, K):
     accuracies = []
     for k in range(1, K + 1):
         index, _ = _nearest(Q[:, :, :k, :k], G[:, :, :k, :k])
-        hits = sum(train.row_labels[i] == label for i, label in zip(index, test.row_labels))
-        accuracies.append(hits / len(test))
+        accuracies.append(_hit_count(index, train, test) / len(test))
     return accuracies

@@ -29,18 +29,18 @@ real product Wr (Wr^T v) on the stacked layout of v, and the columns of
 Wr span the right-unit images w, w i, w j, w k of every basis vector.
 
 The samples of one side form one tall matrix T = [F_1; ...; F_l], so
-f(w) = ||T w||_s^s.  Only its conjugate transpose H = T^* is ever built.
-Both objectives drop the planes of H that are zero everywhere (the real
-plane of colour images) by one rule, _live_planes.  The Gram matrix
-G = T^* T (n x n on the right, sum_i F_i F_i^* on the left) is one real
-GEMM of the stacked live planes of H with their transpose, 9 of the 16
-block products for colour images.  s = 2 ascents run on G alone, kept
-only as its 4n x 4n real representation R: y = G w is one real
-matrix-vector product and gives both the objective <w, y> and the next
-ascent vector, so the per-iteration cost no longer grows with the sample
-count.  Other s keep H alone, as the (k n, L) real matrix of its k live
-planes, and compute P = T w once per iterate, then take the objective
-and the ascent vector T^* (|P|^(s-2) (.) P) from it.  Each of the two
+f(w) = ||T w||_s^s.  Each side is gathered once, by _wide, as the real
+(k n, L) matrix Hf of the k live planes of its conjugate transpose
+H = T^*: the planes zero everywhere (the real plane of colour images)
+are never copied.  The Gram matrix G = T^* T (n x n on the right,
+sum_i F_i F_i^* on the left) is one real GEMM of Hf with its transpose,
+9 of the 16 block products for colour images.  s = 2 ascents run on G
+alone, kept only as its 4n x 4n real representation R: y = G w is one
+real matrix-vector product and gives both the objective <w, y> and the
+next ascent vector, so the per-iteration cost no longer grows with the
+sample count.  Other s keep Hf alone and compute P = T w once per
+iterate, then take the objective and the ascent vector
+T^* (|P|^(s-2) (.) P) from it.  Each of the two
 products is one 2-D GEMM: the Hamilton table of ``quaternion``, as
 4 x 16 real coefficients, is folded into the iterate before the first
 and applied to the 4 x (k n) result of the second, so nothing is mixed
@@ -68,12 +68,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
 from .errors import (DegenerateDirection, InvalidDataset, InvalidParameter, ShapeError, _check,
-                     _violation)
+                     _is_count, _violation)
 from .quaternion import (_CONJ, QMatrix, QVector, _l2_norm, _moduli_lp_norm, _real_repr, lp_norm,
                          plane_conj_transpose, plane_matmul)
 
@@ -142,9 +141,9 @@ class FitParams:
     def violations(self, m=None, n=None):
         """Collect conflicts with the legal ranges; empty when valid."""
         problems = [_violation(name, getattr(self, name)) for name in ("s", "p", "k1", "k2")]
-        if m is not None and isinstance(self.k1, Integral) and self.k1 > m:
+        if m is not None and _is_count(self.k1) and self.k1 > m:
             problems.append(f"k1 must not exceed the image row count ({self.k1} > {m})")
-        if n is not None and isinstance(self.k2, Integral) and self.k2 > n:
+        if n is not None and _is_count(self.k2) and self.k2 > n:
             problems.append(f"k2 must not exceed the image column count ({self.k2} > {n})")
         if m is not None and n is not None and not _violation("p", self.p):
             p_min = 2.0 * math.log(max(m, n)) / _LN_NORMAL
@@ -241,7 +240,7 @@ class BasisPair:
 
     def truncated(self, k1, k2):
         """Restrict to the leading directions; prefixes are nested by construction."""
-        if not (1 <= k1 <= self.k1 and 1 <= k2 <= self.k2):
+        if not (_is_count(k1) and _is_count(k2) and k1 <= self.k1 and k2 <= self.k2):
             raise InvalidParameter(
                 f"truncation ({k1}, {k2}) exceeds fitted sizes ({self.k1}, {self.k2})")
         return BasisPair(
@@ -319,45 +318,40 @@ def _sample_stack(samples):
 
 
 def _wide(S, side="right"):
-    """H = T^* as one C-contiguous (4, n, L) array.
+    """(Hf, keep): H = T^* of one side as the C-contiguous real (k n, L) matrix of its planes.
 
     T is the tall matrix [F_1; ...; F_l] of the right side, or
     [F_1^*; ...; F_l^*] of the left side, so H is [F_1^*, ..., F_l^*] or
-    [F_1, ..., F_l].
+    [F_1, ..., F_l].  ``keep`` lists the k planes of H from its first to its
+    last live one (not zero everywhere; at least one is kept), and Hf
+    stacks them.  Colour images have a zero real plane, which is never
+    copied, so they keep three.  A zero plane between live ones stays,
+    which costs products but no accuracy.
     """
     l, _, m, n = S.shape
+    live = [c for c in range(4) if S[:, c].any()] or [0]
+    keep = list(range(live[0], live[-1] + 1))
+    planes = S[:, live[0]:live[-1] + 1]
     if side == "left":
-        return np.ascontiguousarray(S.transpose(1, 2, 0, 3).reshape(4, m, l * n))
+        return np.ascontiguousarray(planes.transpose(1, 2, 0, 3)).reshape(-1, l * n), keep
     # Plane c of F_i^* is the sign of plane c times its transpose; one
     # strided pass writes all of them into place.
-    H = np.empty((4, n, l, m))
-    np.multiply(S.transpose(1, 3, 0, 2), _CONJ[:, None, None, None], out=H)
-    return H.reshape(4, n, l * m)
+    H = np.empty((len(keep), n, l, m))
+    np.multiply(planes.transpose(1, 3, 0, 2), _CONJ[keep, None, None, None], out=H)
+    return H.reshape(-1, l * m), keep
 
 
-def _live_planes(H):
-    """(view, indices) of the planes of H from its first to its last live one.
+def _gram(gathered):
+    """Quaternion Gram matrix T^* T = H H^* of the (Hf, keep) of _wide as a (4, n, n) plane array.
 
-    A plane is live when it is not zero everywhere; at least one plane is
-    kept.  Colour images have a zero real plane, so their stacks keep
-    three.  A zero plane between live ones stays, which costs products
-    but no accuracy.
+    One real GEMM of the stacked live planes Hf with its own transpose
+    gives every block H_c H_d^T, and the matching columns of
+    _HAMILTON_CONJ_B combine them; a dropped plane only ever contributed
+    zero blocks.
     """
-    live = [c for c in range(4) if H[c].any()] or [0]
-    return H[live[0]:live[-1] + 1], list(range(live[0], live[-1] + 1))
-
-
-def _gram(H):
-    """Quaternion Gram matrix T^* T = H H^* as a (4, n, n) plane array.
-
-    One real GEMM of the stacked live planes Hf = [H_c; ...] (see
-    _live_planes) with its own transpose gives every block H_c H_d^T, and
-    the matching columns of _HAMILTON_CONJ_B combine them; a dropped
-    plane only ever contributed zero blocks.
-    """
-    Hk, keep = _live_planes(H)
-    k, n = len(keep), H.shape[1]
-    Hf = Hk.reshape(k * n, -1)
+    Hf, keep = gathered
+    k = len(keep)
+    n = len(Hf) // k
     blocks = (Hf @ Hf.T).reshape(k, n, k, n).transpose(0, 2, 1, 3).reshape(k * k, -1)
     cols = [4 * c + d for c in keep for d in keep]
     return (_HAMILTON_CONJ_B[:, cols] @ blocks).reshape(4, n, n)
@@ -379,8 +373,8 @@ class _GramObjective:
     the single real matrix-vector product R [w0; w1; w2; w3].
     """
 
-    def __init__(self, H):
-        self.R = _real_repr(_gram(H))
+    def __init__(self, gathered):
+        self.R = _real_repr(_gram(gathered))
 
     def evaluate(self, w):
         wr = w.reshape(-1)
@@ -391,10 +385,10 @@ class _GramObjective:
 class _StackObjective:
     """General s: f(w) = ||T w||_s^s, ascent vector T^* (|P|^(s-2) (.) P).
 
-    Only H = T^* is stored, as its k live planes (see _live_planes;
-    colour images have a zero real plane, so k = 3), flattened to the
-    (k n, L) real matrix Hf.  The Hamilton table is folded into the small
-    operands, so each pass over the stack is one 2-D GEMM:
+    Only H = T^* is stored, as the (k n, L) real matrix Hf of its k live
+    planes from _wide (colour images have a zero real plane, so k = 3).
+    The Hamilton table is folded into the small operands, so each pass
+    over the stack is one 2-D GEMM:
 
     * P = H^* w is W Hf, where W (4, k n) folds _HAMILTON_CONJ_A into w;
     * T^* Q = H Q is the table applied to B = Q Hf^T (4, k n), with the
@@ -407,12 +401,11 @@ class _StackObjective:
     accepted directions (_deflated_evaluate).
     """
 
-    def __init__(self, H, s):
-        Hk, keep = _live_planes(H)
-        k, n = len(keep), H.shape[1]
+    def __init__(self, gathered, s):
+        self.Hf, keep = gathered
+        k = len(keep)
         cols = [4 * c + d for c in keep for d in range(4)]
-        self.H, self.power = Hk, (s - 2.0) / 2.0
-        self.Hf = Hk.reshape(k * n, -1)
+        self.power = (s - 2.0) / 2.0
         # fold[o, c, d] multiplies w_d H_c into plane o of P; table[o, k e + c]
         # takes plane c of H against plane e of Q.
         self.fold = _HAMILTON_CONJ_A[:, cols].reshape(4, k, 4)
@@ -507,7 +500,7 @@ def hermitian_topk_eig(G, k):
     m, n = G.shape
     if m != n:
         raise ShapeError(f"expected a square matrix, got {m}x{n}")
-    if not 1 <= k <= n:
+    if not (_is_count(k) and k <= n):
         raise InvalidParameter(f"k must satisfy 1 <= k <= {n}, got {k}")
     scale = G.fro_norm()
     if (G - G.H).fro_norm() > HERMITIAN_RTOL * scale:
@@ -556,10 +549,9 @@ def _ascent_terms(samples, w, s):
     _check("s", s)
     S, peak = _sample_stack(samples)
     _require_scale(S, peak, s)
-    H = _wide(S)
-    if w.n != H.shape[1]:
-        raise ShapeError(f"vector length {w.n} does not match sample width {H.shape[1]}")
-    return _StackObjective(H, s).evaluate(w.data)
+    if w.n != S.shape[3]:
+        raise ShapeError(f"vector length {w.n} does not match sample width {S.shape[3]}")
+    return _StackObjective(_wide(S), s).evaluate(w.data)
 
 
 def lp_update(y, p, current=None):
@@ -686,15 +678,16 @@ def _ascend(obj, Wr, w0, params, side, index):
     return v, f_dir, trace
 
 
-def _fit_side(H, count, params, side):
-    """One side's (basis, objectives, traces) from its H = T^*.
+def _fit_side(S, count, params, side):
+    """One side's (basis, objectives, traces) from the (l, 4, m, n) stack S, gathered by _wide.
 
     The eigensolve at s = p = 2, else the ascent on the Gram matrix (s = 2) or on the stack.
     """
+    gathered = _wide(S, side)
     if params.s == 2 and params.p == 2:
-        return _eigen_side(_gram(H), count, side)
-    obj = _GramObjective(H) if params.s == 2 else _StackObjective(H, params.s)
-    n = H.shape[1]
+        return _eigen_side(_gram(gathered), count, side)
+    obj = _GramObjective(gathered) if params.s == 2 else _StackObjective(gathered, params.s)
+    n = S.shape[3 if side == "right" else 2]
     W, values, traces = np.empty((4, n, count)), np.empty(count), []
     w0 = _initial_iterate(n, params.p)
     for t in range(count):
@@ -755,8 +748,8 @@ def fit(samples, params):
     m, n = S.shape[2:]
     params.validate(m, n)
     _require_scale(S, peak, params.s)
-    V, d_right, right_traces = _fit_side(_wide(S), params.k2, params, "right")
-    U, d_left, left_traces = _fit_side(_wide(S, "left"), params.k1, params, "left")
+    V, d_right, right_traces = _fit_side(S, params.k2, params, "right")
+    U, d_left, left_traces = _fit_side(S, params.k1, params, "left")
     report = FitReport(right=right_traces, left=left_traces)
     return BasisPair(U=U, V=V, d_left=d_left, d_right=d_right,
                      params=params, mean=samples.mean, report=report)

@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import center, split
-from .errors import InvalidDataset, InvalidParameter, InvalidWeight, ShapeError, _check
+from .errors import InvalidDataset, InvalidParameter, InvalidWeight, ShapeError, _check, _is_count
 from .quaternion import QMatrix, plane_conj_transpose, plane_matmul
 from .solver import _require_finite, fit
 
@@ -205,10 +205,17 @@ def _nearest(probes, gallery):
     return index, dist
 
 
+def _hit_count(index, gallery, probes):
+    """How many of the probe set's samples share the label of the gallery sample ``index`` names."""
+    return sum(gallery.row_labels[i] == label for i, label in zip(index, probes.row_labels))
+
+
 def _sweep_violation(basis, K):
     """The rule K breaks as a sweep size, k1 = k2 = 1..K within the basis; None when legal."""
     top = min(basis.k1, basis.k2)
-    return None if 1 <= K <= top else f"must satisfy 1 <= sweep <= min(k1, k2) = {top}, got {K}"
+    if _is_count(K) and K <= top:
+        return None
+    return f"must satisfy 1 <= sweep <= min(k1, k2) = {top}, got {K}"
 
 
 def _check_sweep(basis, K):
@@ -295,8 +302,7 @@ def score_weightings(train, params, protocol=SelectionConfig()):
             left, right = _side_weights(basis, WeightingScheme(manner, protocol.transform))
             gallery, probes = (P * left[:, None] * right for P in plain)
             nearest, _ = _nearest(probes, gallery)
-            hits = sum(inner_c.row_labels[i] == label for i, label in zip(nearest, val.row_labels))
-            sums[manner] += hits / len(val)
+            sums[manner] += _hit_count(nearest, inner_c, val) / len(val)
     return {manner: sums[manner] / protocol.repeats for manner in MANNER_PRECEDENCE}
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,16 +18,19 @@ from quatpca import (
     FitParams,
     InvalidDataset,
     InvalidParameter,
+    Manner,
     QMatrix,
     QVector,
     Quaternion,
     SampleSet,
     SelectionConfig,
     ShapeError,
+    WeightingScheme,
     center,
     covariance_baseline,
     deflated_residuals,
     fit,
+    hermitian_topk_eig,
     lp_norm,
     lp_update,
     mgs_orthonormalize,
@@ -36,10 +40,12 @@ from quatpca import (
     real_repr,
     reconstruct_samples,
     reconstruction_ratio,
+    split,
+    sweep_accuracies,
+    sweep_ratios,
 )
 from quatpca.quaternion import plane_conj_transpose, plane_matmul
-from quatpca.solver import (_deflated_evaluate, _GramObjective, _StackObjective, _gram,
-                            _live_planes, _wide)
+from quatpca.solver import _deflated_evaluate, _GramObjective, _StackObjective, _gram, _wide
 from conftest import (
     max_principal_angle,
     planted_samples,
@@ -91,6 +97,41 @@ def test_rules_accept_numpy_scalars_and_name_non_numbers(name):
             "tol": "must be positive", "seed": "must be a nonnegative integer"}.get(
         name, "must be a positive integer")
     assert _rule_problems(name, "x") == [f"{name} {rule}, got x"]
+
+
+def _count_entry_points():
+    """Each public call that takes a count or a seed, as a function of that value."""
+    rng = np.random.default_rng(57)
+    raw = SampleSet.build([(label, random_qmatrix(rng, 3, 3, pure=True)) for label in "aabb"])
+    c = center(raw)
+    basis = fit(c, FitParams(s=2.0, p=2.0, k1=2, k2=2))
+    G = QMatrix(np.eye(3)[None] * np.array([1.0, 0.0, 0.0, 0.0])[:, None, None])
+    unweighted = WeightingScheme(Manner.UNWEIGHTED)
+    return {
+        "k1": lambda v: fit(c, FitParams(s=2.0, p=2.0, k1=v, k2=1)),
+        "k2": lambda v: fit(c, FitParams(s=2.0, p=1.0, k1=1, k2=v)),
+        "max_iter": lambda v: fit(c, FitParams(s=2.0, p=1.0, k1=1, k2=1, max_iter=v)),
+        "covariance_baseline": lambda v: covariance_baseline(c, v),
+        "hermitian_topk_eig": lambda v: hermitian_topk_eig(G, v),
+        "sweep_ratios": lambda v: sweep_ratios(raw, basis, v),
+        "sweep_accuracies": lambda v: sweep_accuracies(raw, raw, basis, unweighted, v),
+        "truncated": lambda v: basis.truncated(v, 1),
+        "repeats": lambda v: SelectionConfig(repeats=v).validate(),
+        "seed": lambda v: split(raw, (0.5, 0.0, 0.5), seed=v),
+        "selection seed": lambda v: SelectionConfig(seed=v).validate(),
+    }
+
+
+@pytest.mark.parametrize("value", [True, 1.5, 0])
+@pytest.mark.parametrize("entry", sorted(_count_entry_points()))
+def test_counts_reject_bools_and_non_integers(entry, value):
+    # bool is an Integral, so only an explicit rule keeps True from
+    # passing as 1; a float count used to reach numpy as a TypeError.  A
+    # seed's range starts at 0, so -1 stands in for 0 there.
+    if "seed" in entry and value == 0:
+        value = -1
+    with pytest.raises(InvalidParameter):
+        _count_entry_points()[entry](value)
 
 
 def test_fit_reads_numpy_scalars_like_python_numbers(diag_samples):
@@ -691,8 +732,9 @@ def test_stack_planes_match_per_sample_oracle(side, s, make, planes):
     # objective fills the dropped planes of the iterate.
     mats = make(41)
     RP = _random_projector(mats[0].n if side == "right" else mats[0].m, 42)
-    obj = _StackObjective(_wide(np.stack([F.data for F in mats]), side), s)
-    assert obj.H.shape[0] == planes
+    Hf, keep = _wide(np.stack([F.data for F in mats]), side)
+    assert len(keep) == planes
+    obj = _StackObjective((Hf, keep), s)
     _assert_stack_matches_oracle(obj, mats, s, side, 43)
     _assert_stack_matches_oracle(obj, _deflated(mats, RP, side), s, side, 44, RP)
 
@@ -715,8 +757,9 @@ def test_stack_evaluation_with_zero_moduli_matches_oracle(side, s, make):
     moduli = [np.sum((R @ w.to_real()).reshape(4, -1) ** 2, axis=0)
               for R in _oracle_matrices(mats, side)]
     assert any(np.any(a == 0.0) for a in moduli) and any(np.any(a > 0.0) for a in moduli)
-    obj = _StackObjective(_wide(np.stack([F.data for F in mats]), side), s)
-    assert obj.H.shape[0] == (3 if make is _pure_with_zero_lines else 4)
+    Hf, keep = _wide(np.stack([F.data for F in mats]), side)
+    assert len(keep) == (3 if make is _pure_with_zero_lines else 4)
+    obj = _StackObjective((Hf, keep), s)
     _assert_stack_matches_oracle(obj, mats, s, side, 47)
     RP = _random_projector(width, 48)
     _assert_stack_matches_oracle(obj, _deflated(mats, RP, side), s, side, 47, RP)
@@ -843,13 +886,19 @@ def test_quadratic_fit_traces_name_the_eigensolve(diag_samples):
     assert np.array_equal(other.U.data, basis.U.data)
 
 
+def _gram_oracle(S, side):
+    """sum_i F_i^* F_i (right) or sum_i F_i F_i^* (left) of the raw stack, by plane_matmul."""
+    Fh = plane_conj_transpose(S)
+    return (plane_matmul(Fh, S) if side == "right" else plane_matmul(S, Fh)).sum(axis=0)
+
+
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_gram_matches_plane_matmul(side):
     rng = np.random.default_rng(38)
     for count, m, n in ((1, 1, 1), (5, 3, 7), (12, 9, 4)):
-        H = _wide(rng.standard_normal((count, 4, m, n)), side)
-        ref = plane_matmul(H, plane_conj_transpose(H))
-        assert np.max(np.abs(_gram(H) - ref)) <= 1e-12 * np.abs(ref).max()
+        S = rng.standard_normal((count, 4, m, n))
+        ref = _gram_oracle(S, side)
+        assert np.max(np.abs(_gram(_wide(S, side)) - ref)) <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -860,10 +909,30 @@ def test_gram_of_zero_planes_matches_plane_matmul(side, mask, planes):
     # out of the block products
     rng = np.random.default_rng(39)
     S = rng.standard_normal((6, 4, 5, 3)) * np.array(mask, dtype=float)[:, None, None]
-    H = _wide(S, side)
-    assert len(_live_planes(H)[1]) == planes
-    ref = plane_matmul(H, plane_conj_transpose(H))
-    assert np.max(np.abs(_gram(H) - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
+    Hf, keep = _wide(S, side)
+    assert len(keep) == planes
+    ref = _gram_oracle(S, side)
+    assert np.max(np.abs(_gram((Hf, keep)) - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+# -- memory ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("s, p", [(2.0, 2.0), (2.0, 1.0), (1.0, 1.5)])
+def test_fit_gathers_each_side_once_without_the_zero_plane(s, p):
+    # Each side's one large copy holds the three live planes of the colour
+    # images, so a fit's traced peak stays below the four-plane stack;
+    # copying the zero real plane, or a side twice, crosses it.
+    rng = np.random.default_rng(71)
+    ss = center(SampleSet.build([(str(t % 10), random_qmatrix(rng, 48, 40, pure=True))
+                                 for t in range(100)]))
+    tracemalloc.start()
+    try:
+        fit(ss, FitParams(s=s, p=p, k1=4, k2=4, max_iter=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ss.stack.nbytes
 
 
 # -- data scale -----------------------------------------------------------
