@@ -32,8 +32,10 @@ The samples of one side form one tall matrix T = [F_1; ...; F_l], so
 f(w) = ||T w||_s^s.  Each side is gathered once, by _wide, as the real
 (k n, L) matrix Hf of the k live planes of its conjugate transpose
 H = T^*: the planes zero everywhere (the real plane of colour images)
-are never copied.  The Gram matrix G = T^* T (n x n on the right,
-sum_i F_i F_i^* on the left) is one real GEMM of Hf with its transpose,
+are never copied.  A fit finds the live planes once, by _live, for both
+sides, and Hf starts on a 64-byte boundary (_aligned).  The Gram matrix
+G = T^* T (n x n on the right, sum_i F_i F_i^* on the left) is one real
+GEMM of Hf with its transpose,
 9 of the 16 block products for colour images.  s = 2 ascents run on G
 alone, kept only as its 4n x 4n real representation R: y = G w is one
 real matrix-vector product and gives both the objective <w, y> and the
@@ -317,26 +319,48 @@ def _sample_stack(samples):
     return S, _require_finite(S, samples)
 
 
-def _wide(S, side="right"):
-    """(Hf, keep): H = T^* of one side as the C-contiguous real (k n, L) matrix of its planes.
+def _aligned(shape):
+    """An uninitialized C-contiguous float64 array of ``shape`` that starts on a 64-byte boundary.
+
+    numpy aligns to 16 bytes only, and the AVX-512 GEMM kernels run
+    slower on an operand that starts elsewhere.  The values computed
+    never depend on where an operand starts.
+    """
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size].reshape(shape)
+
+
+def _live(S):
+    """The planes of the (l, 4, m, n) stack S from its first to its last live one (not zero everywhere).
+
+    At least one plane is kept.  A fit reads them once and hands them to
+    the _wide of both sides.
+    """
+    live = [c for c in range(4) if S[:, c].any()] or [0]
+    return list(range(live[0], live[-1] + 1))
+
+
+def _wide(S, keep, side="right"):
+    """(Hf, keep): H = T^* of one side as the aligned real (k n, L) matrix of its planes.
 
     T is the tall matrix [F_1; ...; F_l] of the right side, or
     [F_1^*; ...; F_l^*] of the left side, so H is [F_1^*, ..., F_l^*] or
-    [F_1, ..., F_l].  ``keep`` lists the k planes of H from its first to its
-    last live one (not zero everywhere; at least one is kept), and Hf
+    [F_1, ..., F_l].  ``keep`` lists the k planes of _live(S), and Hf
     stacks them.  Colour images have a zero real plane, which is never
     copied, so they keep three.  A zero plane between live ones stays,
     which costs products but no accuracy.
     """
     l, _, m, n = S.shape
-    live = [c for c in range(4) if S[:, c].any()] or [0]
-    keep = list(range(live[0], live[-1] + 1))
-    planes = S[:, live[0]:live[-1] + 1]
+    planes = S[:, keep[0]:keep[-1] + 1]
     if side == "left":
-        return np.ascontiguousarray(planes.transpose(1, 2, 0, 3)).reshape(-1, l * n), keep
+        H = _aligned((len(keep), m, l, n))
+        H[...] = planes.transpose(1, 2, 0, 3)
+        return H.reshape(-1, l * n), keep
     # Plane c of F_i^* is the sign of plane c times its transpose; one
     # strided pass writes all of them into place.
-    H = np.empty((len(keep), n, l, m))
+    H = _aligned((len(keep), n, l, m))
     np.multiply(planes.transpose(1, 3, 0, 2), _CONJ[keep, None, None, None], out=H)
     return H.reshape(-1, l * m), keep
 
@@ -399,6 +423,12 @@ class _StackObjective:
     moduli alone.  H never changes: the ascent takes the deflated stack
     T P as f(P w) and P y(P w), with P built from the real images of the
     accepted directions (_deflated_evaluate).
+
+    Hf and the (4, L) product P both start on a 64-byte boundary, so
+    both GEMMs read aligned operands.  P is written into one buffer
+    allocated here, so ``evaluate`` is not re-entrant: one object must
+    not be evaluated from two threads at once.  Its results never share
+    memory with the buffer.
     """
 
     def __init__(self, gathered, s):
@@ -410,9 +440,10 @@ class _StackObjective:
         # takes plane c of H against plane e of Q.
         self.fold = _HAMILTON_CONJ_A[:, cols].reshape(4, k, 4)
         self.table = _HAMILTON[:, cols].reshape(4, k, 4).transpose(0, 2, 1).reshape(4, 4 * k)
+        self.P = _aligned((4, self.Hf.shape[1]))
 
     def evaluate(self, w):
-        P = (self.fold @ w).reshape(4, -1) @ self.Hf
+        P = np.matmul((self.fold @ w).reshape(4, -1), self.Hf, out=self.P)
         sq = np.einsum("ij,ij->j", P, P)
         # Zero guard: a zero modulus (P_i = 0) gets the finite weight of the
         # smallest positive double, so it adds 0 to f and to the product.
@@ -551,7 +582,7 @@ def _ascent_terms(samples, w, s):
     _require_scale(S, peak, s)
     if w.n != S.shape[3]:
         raise ShapeError(f"vector length {w.n} does not match sample width {S.shape[3]}")
-    return _StackObjective(_wide(S), s).evaluate(w.data)
+    return _StackObjective(_wide(S, _live(S)), s).evaluate(w.data)
 
 
 def lp_update(y, p, current=None):
@@ -678,12 +709,12 @@ def _ascend(obj, Wr, w0, params, side, index):
     return v, f_dir, trace
 
 
-def _fit_side(S, count, params, side):
+def _fit_side(S, keep, count, params, side):
     """One side's (basis, objectives, traces) from the (l, 4, m, n) stack S, gathered by _wide.
 
     The eigensolve at s = p = 2, else the ascent on the Gram matrix (s = 2) or on the stack.
     """
-    gathered = _wide(S, side)
+    gathered = _wide(S, keep, side)
     if params.s == 2 and params.p == 2:
         return _eigen_side(_gram(gathered), count, side)
     obj = _GramObjective(gathered) if params.s == 2 else _StackObjective(gathered, params.s)
@@ -748,8 +779,9 @@ def fit(samples, params):
     m, n = S.shape[2:]
     params.validate(m, n)
     _require_scale(S, peak, params.s)
-    V, d_right, right_traces = _fit_side(S, params.k2, params, "right")
-    U, d_left, left_traces = _fit_side(S, params.k1, params, "left")
+    keep = _live(S)
+    V, d_right, right_traces = _fit_side(S, keep, params.k2, params, "right")
+    U, d_left, left_traces = _fit_side(S, keep, params.k1, params, "left")
     report = FitReport(right=right_traces, left=left_traces)
     return BasisPair(U=U, V=V, d_left=d_left, d_right=d_right,
                      params=params, mean=samples.mean, report=report)
@@ -766,7 +798,7 @@ def covariance_baseline(samples, k):
     """
     S, peak = _sample_stack(samples)
     _require_scale(S, peak, 2.0)
-    return _eigenbasis(_gram(_wide(S)) / len(S), k)
+    return _eigenbasis(_gram(_wide(S, _live(S))) / len(S), k)
 
 
 def deflated_residuals(samples, basis):

@@ -45,7 +45,8 @@ from quatpca import (
     sweep_ratios,
 )
 from quatpca.quaternion import plane_conj_transpose, plane_matmul
-from quatpca.solver import _deflated_evaluate, _GramObjective, _StackObjective, _gram, _wide
+from quatpca.solver import (_deflated_evaluate, _GramObjective, _live, _StackObjective, _gram,
+                            _wide)
 from conftest import (
     max_principal_angle,
     planted_samples,
@@ -670,6 +671,11 @@ def test_stack_kernel_matches_per_sample_oracle(side, s):
         assert np.max(np.abs(step.to_real() - y_ref / np.linalg.norm(y_ref))) <= 1e-12
 
 
+def _gathered(S, side="right"):
+    """(Hf, keep) of one side of the (l, 4, m, n) stack S, as fit gathers it."""
+    return _wide(S, _live(S), side)
+
+
 def _random_projector(width, seed):
     """Real representation of I - WW^* for a random W with two orthonormal columns."""
     W = random_orthonormal_columns(np.random.default_rng(seed), width, 2)
@@ -701,7 +707,7 @@ def _assert_stack_matches_oracle(obj, mats, s, side, seed, RP=None):
 def test_stack_deflation_matches_per_sample_oracle(side):
     mats = _samples_with_zero_lines(33)
     RP = _random_projector(mats[0].n if side == "right" else mats[0].m, 34)
-    obj = _StackObjective(_wide(np.stack([F.data for F in mats]), side), 1.0)
+    obj = _StackObjective(_gathered(np.stack([F.data for F in mats]), side), 1.0)
     _assert_stack_matches_oracle(obj, _deflated(mats, RP, side), 1.0, side, 35, RP)
 
 
@@ -732,7 +738,7 @@ def test_stack_planes_match_per_sample_oracle(side, s, make, planes):
     # objective fills the dropped planes of the iterate.
     mats = make(41)
     RP = _random_projector(mats[0].n if side == "right" else mats[0].m, 42)
-    Hf, keep = _wide(np.stack([F.data for F in mats]), side)
+    Hf, keep = _gathered(np.stack([F.data for F in mats]), side)
     assert len(keep) == planes
     obj = _StackObjective((Hf, keep), s)
     _assert_stack_matches_oracle(obj, mats, s, side, 43)
@@ -757,7 +763,7 @@ def test_stack_evaluation_with_zero_moduli_matches_oracle(side, s, make):
     moduli = [np.sum((R @ w.to_real()).reshape(4, -1) ** 2, axis=0)
               for R in _oracle_matrices(mats, side)]
     assert any(np.any(a == 0.0) for a in moduli) and any(np.any(a > 0.0) for a in moduli)
-    Hf, keep = _wide(np.stack([F.data for F in mats]), side)
+    Hf, keep = _gathered(np.stack([F.data for F in mats]), side)
     assert len(keep) == (3 if make is _pure_with_zero_lines else 4)
     obj = _StackObjective((Hf, keep), s)
     _assert_stack_matches_oracle(obj, mats, s, side, 47)
@@ -781,7 +787,7 @@ def test_gram_deflation_matches_oracle():
     mats = _samples_with_zero_lines(35)
     RP = _random_projector(mats[0].n, 36)
     P = RP[:, :mats[0].n].reshape(4, mats[0].n, -1)
-    H = _wide(np.stack([F.data for F in mats]))
+    H = _gathered(np.stack([F.data for F in mats]))
     obj = _GramObjective(H)
     # The deflated ascent vectors of the unit vectors are the columns of P G P.
     deflated = np.column_stack([_deflated_evaluate(obj, RP, e.reshape(4, -1))[1].reshape(-1)
@@ -898,7 +904,7 @@ def test_gram_matches_plane_matmul(side):
     for count, m, n in ((1, 1, 1), (5, 3, 7), (12, 9, 4)):
         S = rng.standard_normal((count, 4, m, n))
         ref = _gram_oracle(S, side)
-        assert np.max(np.abs(_gram(_wide(S, side)) - ref)) <= 1e-12 * np.abs(ref).max()
+        assert np.max(np.abs(_gram(_gathered(S, side)) - ref)) <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -909,10 +915,56 @@ def test_gram_of_zero_planes_matches_plane_matmul(side, mask, planes):
     # out of the block products
     rng = np.random.default_rng(39)
     S = rng.standard_normal((6, 4, 5, 3)) * np.array(mask, dtype=float)[:, None, None]
-    Hf, keep = _wide(S, side)
+    Hf, keep = _gathered(S, side)
     assert len(keep) == planes
     ref = _gram_oracle(S, side)
     assert np.max(np.abs(_gram((Hf, keep)) - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+# -- operand layout -------------------------------------------------------
+
+
+def _at_offset(A, offset):
+    """A C-contiguous copy of A whose data start ``offset`` bytes past a 64-byte boundary."""
+    raw = np.empty(A.size + 8)
+    start = (offset - raw.ctypes.data) % 64 // 8
+    B = raw[start:start + A.size].reshape(A.shape)
+    B[...] = A
+    assert B.ctypes.data % 64 == offset
+    return B
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("pure", [True, False])
+def test_stack_operands_start_on_64_byte_boundaries(side, pure):
+    rng = np.random.default_rng(81)
+    for count, m, n in ((1, 1, 1), (3, 5, 7), (17, 9, 6)):
+        S = np.stack([random_qmatrix(rng, m, n, pure=pure).data for _ in range(count)])
+        Hf, keep = _gathered(S, side)
+        assert len(keep) == (3 if pure else 4)
+        assert Hf.flags.c_contiguous and Hf.ctypes.data % 64 == 0
+        obj = _StackObjective((Hf, keep), 1.5)
+        assert obj.P.flags.c_contiguous and obj.P.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("s", [1.0, 3.0])
+@pytest.mark.parametrize("count", [5, 180])
+def test_stack_evaluation_bytes_do_not_depend_on_alignment(side, s, count):
+    # Alignment may change the speed of the two GEMMs, never their bytes:
+    # 180 samples of 24 x 24 give L = 4 320 columns, above the size where
+    # OpenBLAS leaves its small-matrix kernels.
+    rng = np.random.default_rng(82)
+    S = np.stack([random_qmatrix(rng, 24, 24, pure=True).data for _ in range(count)])
+    Hf, keep = _gathered(S, side)
+    w = rng.standard_normal((4, 24))
+    f, y = _StackObjective((Hf, keep), s).evaluate(w)
+    for offset in (0, 16, 32, 48):
+        obj = _StackObjective((_at_offset(Hf, offset), keep), s)
+        obj.P = _at_offset(obj.P, offset)
+        f_off, y_off = obj.evaluate(w)
+        assert f_off == f and y_off.tobytes() == y.tobytes()
+        assert not np.shares_memory(y_off, obj.P)
 
 
 # -- memory ---------------------------------------------------------------
