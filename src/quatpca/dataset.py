@@ -4,13 +4,13 @@ A dataset is a directory of class subdirectories holding 8-bit RGB
 images (PNG or binary PPM).  A pixel with channels (r, g, b) becomes the
 pure quaternion (r i + g j + b k) / 255, so an h x w image is an h x w
 pure quaternion matrix.  Sample order is deterministic: sorted by label,
-then by file name.  :func:`load_dataset` decodes every file into one
-C-contiguous, read-only (N, 4, m, n) float64 array; :func:`split` and
-``subset`` only index its rows, so splits share it.  Each set function
-gathers its rows once (``SampleSet._gather``); a whole centred set
-reaches the fit as its own array.  Decoding is batched: canonical PPMs
-("P6\n<n> <m>\n255\n" at the first file's size) are read in one call
-each and converted together; any other file takes the per-file decoder.
+then by file name.  :func:`load_dataset` lists the tree in one pass,
+reads every file once, by one sized call, and decodes it by the codec its
+suffix names (``_CODECS``) into one C-contiguous, read-only (N, 4, m, n)
+float64 array; a canonical PPM ("P6\n<n> <m>\n255\n" at the first file's
+size) is kept as read.  :func:`split` and ``subset`` only index its rows,
+so splits share it.  Each set function gathers its rows once
+(``SampleSet._gather``); a whole centred set reaches the fit as its own array.
 
 PNG is read and written by a small zlib codec.  It reads 8-bit,
 non-interlaced gray, RGB, gray+alpha and RGBA images with any of the
@@ -58,8 +58,6 @@ __all__ = [
     "load_basis",
     "export_image",
 ]
-
-_IMAGE_SUFFIXES = (".png", ".ppm")
 
 
 @dataclass(frozen=True)
@@ -235,14 +233,18 @@ def _parse_ppm(path, data):
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
 
 
-def _write_ppm(path, rgb):
-    h, w, _ = rgb.shape
-    header = b"P6\n%d %d\n255\n" % (w, h)
-    _write_file(path, header + rgb.tobytes(), "image")
+def _ppm_header(h, w):
+    """The canonical binary PPM header of an h x w image."""
+    return b"P6\n%d %d\n255\n" % (w, h)
+
+
+def _encode_ppm(rgb):
+    return _ppm_header(*rgb.shape[:2]) + rgb.tobytes()
 
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _PNG_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}  # colour type -> bytes per pixel
+_IHDR = struct.Struct(">IIBBBBB")
 
 
 def _png_chunk(kind, body):
@@ -303,10 +305,9 @@ def _parse_png(path, data):
             idat.append(body)
         elif kind == b"IEND":
             break
-    if header is None or len(header) != 13:
+    if header is None or len(header) != _IHDR.size:
         raise IoError(f"{path}: missing or malformed PNG IHDR chunk")
-    width, height, depth, ctype, compression, filtering, interlace = struct.unpack(
-        ">IIBBBBB", header)
+    width, height, depth, ctype, compression, filtering, interlace = _IHDR.unpack(header)
     if depth != 8:
         raise IoError(f"{path}: only 8-bit PNG supported (bit depth {depth})")
     if not width or not height:
@@ -329,14 +330,16 @@ def _parse_png(path, data):
     return pixels[..., [0, 0, 0]] if bpp < 3 else pixels[..., :3]
 
 
-def _write_png(path, rgb):
+def _encode_png(rgb):
     h, w, _ = rgb.shape
     rows = np.zeros((h, 1 + 3 * w), dtype=np.uint8)  # filter byte 0 on every row
     rows[:, 1:] = rgb.reshape(h, 3 * w)
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    data = _PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr) + _png_chunk(
+    return _PNG_SIGNATURE + _png_chunk(b"IHDR", _IHDR.pack(w, h, 8, 2, 0, 0, 0)) + _png_chunk(
         b"IDAT", zlib.compress(rows.tobytes())) + _png_chunk(b"IEND", b"")
-    _write_file(path, data, "image")
+
+
+# The image codecs, (decoder, encoder), by lower-cased file suffix.
+_CODECS = {".png": (_parse_png, _encode_png), ".ppm": (_parse_ppm, _encode_ppm)}
 
 
 def _suffix(name):
@@ -345,16 +348,10 @@ def _suffix(name):
     return name[dot:].lower() if 0 < dot < len(name) - 1 else ""
 
 
-def _read_image(path, data=None):
-    """Decode one PPM or PNG file to an (h, w, 3) uint8 raster.
-
-    ``data`` is the content of the file when it has been read already.
-    """
-    if data is None:
-        data = _read_file(path, "image")
+def _read_image(path, suffix, data):
+    """Decode the bytes ``data`` of ``path`` by the codec of ``suffix`` to (h, w, 3) uint8."""
     try:
-        parse = _parse_ppm if _suffix(os.path.basename(path)) == ".ppm" else _parse_png
-        return parse(path, data)
+        return _CODECS[suffix][0](path, data)
     except IoError:
         raise
     except Exception as exc:
@@ -362,65 +359,66 @@ def _read_image(path, data=None):
 
 
 def _list(directory, keep):
-    """The sorted names of the entries of ``directory`` that ``keep`` accepts."""
+    """(name, path, keep(entry)) of each entry of ``directory`` that ``keep`` marks, by name."""
     try:
         with os.scandir(directory) as entries:
-            return sorted(entry.name for entry in entries if keep(entry))
+            return sorted((e.name, e.path, mark) for e in entries if (mark := keep(e)))
     except OSError as exc:
         raise IoError(f"{directory}: cannot read directory ({exc})") from exc
+
+
+def _image_suffix(entry):
+    """The codec suffix of an entry that is an image file, else None; the name is tested first."""
+    suffix = _suffix(entry.name)
+    return suffix if suffix in _CODECS and entry.is_file() else None
 
 
 def load_dataset(root):
     """Load every class subdirectory of ``root`` into a SampleSet.
 
-    The files are listed first and then decoded in sample order into one
-    C-contiguous (N, 4, m, n) array with a zero real plane, the set's
-    read-only stack.
-
-    The first file, decoded by the per-file reader, fixes the size m x n
-    and the canonical header ``P6\\n<n> <m>\\n255\\n``.  A later PPM that
-    is exactly that header and an m x n raster is kept as read.  Every
-    other file (a PNG, a commented or otherwise different header, another
-    length) goes through the per-file decoder, a PPM with the bytes
-    already read, so its errors are the per-file ones.
-    The rasters are gathered in one uint8 array and converted by one
-    divide, as each would be on its own.
+    One pass lists every image file with its label and suffix.  One loop
+    then reads each file once, by one call when it is no longer than a
+    canonical PPM, and decodes it in sample order into one C-contiguous
+    (N, 4, m, n) array with a zero real plane, the set's read-only stack.
+    The first file fixes the size m x n and the canonical header
+    ``P6\\n<n> <m>\\n255\\n``.  A later ``.ppm`` file that is exactly that
+    header and an m x n raster is kept as read, and the rasters are
+    converted together by one divide, as each would be on its own.  Every
+    other file goes to the codec its suffix names, with the bytes already
+    read, so its errors are the per-file ones; loading stops at the first
+    bad file.
     """
     rootp = Path(root)
     if not rootp.is_dir():
         raise IoError(f"{rootp}: not a readable directory")
-    labels = _list(rootp, os.DirEntry.is_dir)
-    if not labels:
+    classes = _list(rootp, os.DirEntry.is_dir)
+    if not classes:
         raise InvalidDataset(f"{rootp}: no class subdirectories")
-    listed = []
-    for label in labels:
-        cdir = str(rootp / label)
-        names = _list(cdir, lambda f: _suffix(f.name) in _IMAGE_SUFFIXES and f.is_file())
-        listed.extend((label, os.path.join(cdir, name)) for name in names)
+    # Path() drops the "./" that listing the root "." puts before each class.
+    listed = [(label, path, suffix) for label, cdir, _ in classes
+              for _, path, suffix in _list(Path(cdir), _image_suffix)]
     if not listed:
         raise InvalidDataset(f"{rootp}: no images found")
 
-    first = _read_image(listed[0][1])
-    h, w = first.shape[:2]
-    header, raster = b"P6\n%d %d\n255\n" % (w, h), h * w * 3
-    size = len(header) + raster
-    raw = np.empty((len(listed), h, w, 3), dtype=np.uint8)
-    raw[0] = first
-    flat = memoryview(raw).cast("B")
-    for i, (_, path) in enumerate(listed[1:], start=1):
-        data = None
-        if _suffix(path) == ".ppm":
-            data = _read_file(path, "image", size)
-            if len(data) == size and data.startswith(header):
-                flat[i * raster:(i + 1) * raster] = memoryview(data)[len(header):]
-                continue
-        rgb = _read_image(path, data)
-        if rgb.shape[:2] != (h, w):
+    size = 0  # of a canonical PPM, once the first file has fixed it
+    for i, (_, path, suffix) in enumerate(listed):
+        data = _read_file(path, "image", size)
+        if size and len(data) == size and suffix == ".ppm" and data.startswith(header):
+            flat[i * raster:(i + 1) * raster] = memoryview(data)[len(header):]
+            continue
+        rgb = _read_image(path, suffix, data)
+        if not size:
+            h, w = rgb.shape[:2]
+            header, raster = _ppm_header(h, w), h * w * 3
+            size = len(header) + raster
+            raw = np.empty((len(listed), h, w, 3), dtype=np.uint8)
+            flat = memoryview(raw).cast("B")
+        elif rgb.shape[:2] != (h, w):
             raise InvalidDataset(f"{path}: image dimensions {rgb.shape[:2]} differ from {(h, w)}")
         raw[i] = rgb
     stack = np.zeros((len(listed), 4, h, w))
     np.divide(raw.transpose(0, 3, 1, 2), 255.0, out=stack[:, 1:])
-    labels, sources = zip(*listed)
+    labels, sources, _ = zip(*listed)
     return SampleSet(stack, None, labels, sources, QMatrix.zeros(h, w))
 
 
@@ -431,14 +429,17 @@ def export_image(image, path):
     and scaled back to the 8-bit grid; any real plane is dropped.  The
     format follows the file suffix (.ppm, or .png written as 8-bit RGB).
     Exporting an image loaded from a canonical P6 file reproduces its
-    bytes.
+    bytes.  An image that holds NaN is rejected with InvalidDataset
+    before the file is opened.
     """
-    planes = np.clip(image.data[1:], 0.0, 1.0)
-    rgb = np.rint(planes * 255.0).astype(np.uint8).transpose(1, 2, 0)
     suffix = _suffix(os.path.basename(path))
-    if suffix not in _IMAGE_SUFFIXES:
+    if suffix not in _CODECS:
         raise IoError(f"{Path(path)}: unsupported image suffix {Path(path).suffix!r}")
-    (_write_ppm if suffix == ".ppm" else _write_png)(path, rgb)
+    planes = image.data[1:]
+    if np.isnan(planes).any():
+        raise InvalidDataset(f"{path}: cannot export an image that holds NaN")
+    rgb = np.rint(np.clip(planes, 0.0, 1.0) * 255.0).astype(np.uint8).transpose(1, 2, 0)
+    _write_file(path, _CODECS[suffix][1](rgb), "image")
 
 
 def center(sample_set):
@@ -516,15 +517,13 @@ def split(sample_set, fractions, seed):
 
 _MAGIC = b"BQP1"
 _VERSION = 1
+_BQP1 = struct.Struct("<4sIIIIIdd")
 
 
 def save_basis(basis, path):
     """Write a BasisPair in the binary BQP1 format."""
-    blob = [
-        _MAGIC,
-        struct.pack("<IIIII", _VERSION, basis.m, basis.n, basis.k1, basis.k2),
-        struct.pack("<dd", float(basis.params.s), float(basis.params.p)),
-    ]
+    blob = [_BQP1.pack(_MAGIC, _VERSION, basis.m, basis.n, basis.k1, basis.k2,
+                       float(basis.params.s), float(basis.params.p))]
     for block in (basis.U.data, basis.V.data, basis.d_left, basis.d_right, basis.mean.data):
         blob.append(np.asarray(block, dtype="<f8").tobytes())
     _write_file(path, b"".join(blob), "basis", truncate=True)
@@ -534,25 +533,23 @@ def load_basis(path):
     """Read a BasisPair back; rejects malformed or non-finite payloads with FormatError."""
     data = _read_file(path, "basis")
 
-    header_size = 4 + struct.calcsize("<IIIII") + struct.calcsize("<dd")
-    if len(data) < header_size:
+    if len(data) < _BQP1.size:
         raise FormatError(f"{path}: truncated header")
-    if data[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}")
-    version, m, n, k1, k2 = struct.unpack_from("<IIIII", data, 4)
+    magic, version, m, n, k1, k2, s, p = _BQP1.unpack_from(data)
+    if magic != _MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
-    s, p = struct.unpack_from("<dd", data, 4 + struct.calcsize("<IIIII"))
 
     shapes = {"U": (4, m, k1), "V": (4, n, k2), "d_left": (k1,), "d_right": (k2,),
               "mean": (4, m, n)}
-    expected = header_size + 8 * sum(math.prod(shape) for shape in shapes.values())
+    expected = _BQP1.size + 8 * sum(math.prod(shape) for shape in shapes.values())
     if len(data) < expected:
         raise FormatError(f"{path}: truncated payload ({len(data)} of {expected} bytes)")
     if len(data) > expected:
         raise FormatError(f"{path}: trailing data ({len(data) - expected} extra bytes)")
 
-    pos = header_size
+    pos = _BQP1.size
     blocks = {}
     for name, shape in shapes.items():
         count = math.prod(shape)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, ShapeError, _check
+from .errors import InvalidParameter, ShapeError, _check, _is_count
 
 __all__ = [
     "Quaternion",
@@ -433,7 +433,7 @@ class QMatrix(_Planes):
         return [self.col(j) for j in range(self.n)]
 
     def take_cols(self, k):
-        if not 0 < k <= self.n:
+        if not (_is_count(k) and k <= self.n):
             raise InvalidParameter(f"cannot take {k} columns from an {self.m}x{self.n} matrix")
         return QMatrix(self._data[:, :, :k])
 

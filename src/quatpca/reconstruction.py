@@ -126,10 +126,11 @@ def reconstruction_ratio(originals, reconstructions):
     """Mean of 1 - ||F_i - F_i_rec||_F / ||F_i||_F over all samples.
 
     ``originals`` are the raw (uncentered) images; a perfect
-    reconstruction scores 1.  A centered sample set and zero-norm
-    originals are rejected.
+    reconstruction scores 1.  A centered sample set, zero-norm originals
+    and images that hold NaN or inf are rejected.
     """
-    mats = list(originals.images() if hasattr(originals, "images") else originals)
+    samples = originals if hasattr(originals, "images") else None
+    mats = list(originals if samples is None else samples.images())
     if not mats:
         raise InvalidDataset("need at least one sample to compute a ratio")
     _require_raw(originals)
@@ -139,11 +140,17 @@ def reconstruction_ratio(originals, reconstructions):
     shapes = {F.shape for F in mats} | {R.shape for R in reconstructions}
     if len(shapes) != 1:
         raise ShapeError(f"originals and reconstructions have mixed shapes: {sorted(shapes)}")
-    with np.errstate(over="ignore"):  # _retake_norms redoes a norm whose squares overflowed
-        nf = _retake_norms(np.array([np.linalg.norm(F.data) for F in mats]), lambda i: mats[i].data)
-        err = _retake_norms(
-            np.array([np.linalg.norm(F.data - R.data) for F, R in zip(mats, reconstructions)]),
-            lambda i: mats[i].data - reconstructions[i].data)
+    # A norm that is not finite came from NaN or inf, or from squares that
+    # overflowed, which _retake_norms redoes; only then are the entries read.
+    with np.errstate(over="ignore"):
+        nf = np.array([np.linalg.norm(F.data) for F in mats])
+        if not np.isfinite(nf).all():
+            _require_finite(np.stack([F.data for F in mats]), samples)
+        nf = _retake_norms(nf, lambda i: mats[i].data)
+        err = np.array([np.linalg.norm(F.data - R.data) for F, R in zip(mats, reconstructions)])
+        if not np.isfinite(err).all():
+            _require_finite(np.stack([R.data for R in reconstructions]), what="reconstruction")
+        err = _retake_norms(err, lambda i: mats[i].data - reconstructions[i].data)
     if np.any(nf == 0.0):
         raise InvalidDataset("zero-norm original has no relative error")
     return float(np.mean(1.0 - err / nf))

@@ -258,13 +258,13 @@ class BasisPair:
 # -- stacked-plane helpers --------------------------------------------
 
 
-def _require_finite(S, samples=None):
+def _require_finite(S, samples=None, what="sample"):
     """Raise InvalidDataset when an image of the (l, 4, m, n) stack S holds NaN or inf.
 
-    The error names the first offending sample, by its source or label
-    when ``samples`` (the SampleSet S was gathered from) is given.  Returns
-    the largest magnitude of an entry, from the same pass: a sample's
-    largest magnitude is NaN or inf exactly when the sample holds one.
+    The error names the first offending image as "<what> <index>", with its
+    source or label when ``samples`` (the SampleSet S was gathered from) is
+    given.  Returns the largest magnitude of an entry, from the same pass: a
+    sample's largest magnitude is NaN or inf exactly when the sample holds one.
     """
     flat = S.reshape(len(S), -1)
     peaks = np.maximum(flat.max(axis=1, initial=0.0), -flat.min(axis=1, initial=0.0))
@@ -272,7 +272,7 @@ def _require_finite(S, samples=None):
     if bad.size:
         i = int(bad[0])
         name = f" ({samples.row_sources[i] or f'label {samples.row_labels[i]!r}'})" if samples else ""
-        raise InvalidDataset(f"sample {i}{name} holds a non-finite value (NaN or inf)")
+        raise InvalidDataset(f"{what} {i}{name} holds a non-finite value (NaN or inf)")
     return float(peaks.max(initial=0.0))
 
 
@@ -533,6 +533,8 @@ def hermitian_topk_eig(G, k):
         raise ShapeError(f"expected a square matrix, got {m}x{n}")
     if not (_is_count(k) and k <= n):
         raise InvalidParameter(f"k must satisfy 1 <= k <= {n}, got {k}")
+    if not np.isfinite(G.data).all():
+        raise InvalidParameter("matrix holds a non-finite value (NaN or inf)")
     scale = G.fro_norm()
     if (G - G.H).fro_norm() > HERMITIAN_RTOL * scale:
         raise InvalidParameter("matrix is not Hermitian within tolerance")

@@ -50,6 +50,12 @@ def tree(tmp_path, rng):
 # -- loading ------------------------------------------------------------
 
 
+def _read_image(path):
+    """The per-file decode of ``path``: the codec its suffix names, on all its bytes."""
+    data = quatpca.dataset._read_file(path, "image")
+    return quatpca.dataset._read_image(path, Path(path).suffix.lower(), data)
+
+
 def test_load_dataset_pixels_and_labels(tree):
     root, arrays = tree
     ss = load_dataset(root)
@@ -133,7 +139,7 @@ def test_loaded_pixels_match_per_file_decode(tmp_path, rng):
     ss = load_dataset(tmp_path)
     assert [s.source.split("/")[-1] for s in ss.samples] == ["a.ppm", "b.ppm", "c.png"]
     for sample in ss.samples:
-        rgb = quatpca.dataset._read_image(sample.source)
+        rgb = _read_image(sample.source)
         assert not np.any(sample.image.data[0])
         assert np.array_equal(sample.image.data[1:],
                               rgb.astype(np.float64).transpose(2, 0, 1) / 255.0)
@@ -165,7 +171,7 @@ def test_load_stops_at_the_failing_file(tmp_path, rng, monkeypatch, bad, error):
 
 
 def _per_file_decode(path):
-    return quatpca.dataset._read_image(path).astype(np.float64).transpose(2, 0, 1) / 255.0
+    return _read_image(path).astype(np.float64).transpose(2, 0, 1) / 255.0
 
 
 @pytest.mark.parametrize("first", ["canonical", "commented", "png"])
@@ -263,6 +269,34 @@ def test_batch_load_keeps_the_per_file_error_text(tmp_path, rng, payload, error,
     failing.write_bytes(payload)
     with pytest.raises(error, match=f"^{re.escape(f'{failing}: {text}')}$"):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("name, payload, text", [
+    ("b.png", ppm_bytes(np.zeros((3, 4, 3), dtype=np.uint8)), "not a PNG file (bad signature)"),
+    ("b.ppm", quatpca.dataset._encode_png(np.zeros((3, 4, 3), dtype=np.uint8)),
+     "not a binary PPM (P6) file"),
+], ids=["ppm-bytes-in-png", "png-bytes-in-ppm"])
+def test_batch_load_decodes_by_the_suffix_not_the_bytes(tmp_path, rng, name, payload, text):
+    # The first file fixes the canonical header, so a later file of that
+    # size and header would take the fast path if the suffix were not asked.
+    d = tmp_path / "c"
+    d.mkdir()
+    (d / "a.ppm").write_bytes(ppm_bytes(random_rgb(rng, 3, 4)))
+    (d / name).write_bytes(payload)
+    with pytest.raises(IoError, match=f"^{re.escape(f'{d / name}: {text}')}$"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("root, prefix", [
+    (None, None), ("tree", "tree/"), ("./tree", "tree/"), ("tree/", "tree/"), (".", ""),
+    ("./", ""),
+], ids=["absolute", "relative", "dot-slash", "trailing-slash", "dot", "dot-slash-only"])
+def test_row_sources_join_the_root_as_pathlib_reads_it(tmp_path, rng, monkeypatch, root, prefix):
+    write_image_tree(tmp_path / "tree", {"a": [random_rgb(rng, 2, 2)], "b": [random_rgb(rng, 2, 2)]})
+    monkeypatch.chdir(tmp_path / "tree" if root in (".", "./") else tmp_path)
+    if root is None:
+        root, prefix = str(tmp_path / "tree"), f"{tmp_path}/tree/"
+    assert load_dataset(root).row_sources == (f"{prefix}a/img00.ppm", f"{prefix}b/img00.ppm")
 
 
 @settings(max_examples=25, deadline=None)
@@ -374,6 +408,7 @@ _GOOD_PNG = png_file(2, 2, 2, bytes(14))
     pytest.param(png_file(2, 2, 2, bytes(14), interlace=1), id="interlaced"),
     pytest.param(png_file(2, 2, 2, bytes(13)), id="short-image-data"),
     pytest.param(png_file(2, 2, 2, b"\x05" + bytes(13)), id="unknown-filter"),
+    pytest.param(b"", id="empty"),
 ])
 def test_png_malformed_files(tmp_path, payload):
     d = tmp_path / "c"
@@ -402,6 +437,7 @@ def test_ppm_header_comments(tmp_path):
     b"P6\n2 2\n255\n" + bytes(5),             # truncated raster
     b"P6\n2 two\n255\n" + bytes(12),          # malformed header token
     b"P6\n2 2 255",                           # header ends early
+    pytest.param(b"", id="empty"),
 ])
 def test_ppm_malformed_files(tmp_path, payload):
     d = tmp_path / "c"
@@ -443,6 +479,19 @@ def test_export_clips_out_of_range(tmp_path):
 def test_export_rejects_unknown_suffix(tmp_path):
     with pytest.raises(IoError):
         export_image(QMatrix.zeros(1, 1), tmp_path / "x.bmp")
+
+
+def test_export_rejects_nan_and_clips_inf(tmp_path):
+    out = tmp_path / "x.ppm"
+    out.write_bytes(b"old bytes")
+    data = np.zeros((4, 1, 2))
+    data[1, 0, 1] = math.nan
+    with pytest.raises(InvalidDataset, match=f"^{re.escape(str(out))}: .*NaN"):
+        export_image(QMatrix(data), out)
+    assert out.read_bytes() == b"old bytes"
+    data[1, 0, 1], data[2, 0, 0] = math.inf, -math.inf
+    export_image(QMatrix(data), out)
+    assert out.read_bytes() == b"P6\n2 1\n255\n" + bytes([0, 0, 0, 255, 0, 0])
 
 
 # -- centering ----------------------------------------------------------

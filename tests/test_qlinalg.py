@@ -1,6 +1,7 @@
 """Orthonormalization and Hermitian eigenextraction against numpy oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +249,15 @@ def test_eig_rejects_non_hermitian(rng):
     A = random_qmatrix(rng, 4, 4)
     with pytest.raises(InvalidParameter):
         hermitian_topk_eig(A, 1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_eig_rejects_non_finite_entries(value):
+    # NaN reached eigh as "Eigenvalues did not converge"; inf warned in the Hermitian check.
+    G = np.zeros((4, 2, 2))
+    G[0] = [[1.0, value], [value, 1.0]]
+    with pytest.raises(InvalidParameter, match=re.escape("non-finite value (NaN or inf)")):
+        hermitian_topk_eig(QMatrix(G), 1)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e200])

@@ -1,5 +1,6 @@
 """Reconstruction from features and the quality ratio."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -118,6 +119,29 @@ def test_ratio_matches_per_sample_loop(raw_set, full_basis, rng):
     loop = np.mean([1.0 - (F - R).fro_norm() / F.fro_norm() for F, R in zip(originals, recs)])
     assert abs(reconstruction_ratio(raw_set, recs) - loop) <= 1e-12
     assert abs(reconstruction_ratio(originals, recs) - loop) <= 1e-12
+
+
+@pytest.mark.parametrize("where, value, text", [
+    ("original", np.nan, "sample 0 (label '0') holds a non-finite value (NaN or inf)"),
+    ("reconstruction", np.inf, "reconstruction 0 holds a non-finite value (NaN or inf)"),
+])
+def test_ratio_rejects_non_finite_images(rng, where, value, text):
+    # sweep_ratios rejects the same originals, with the same text.
+    raw = SampleSet.build([(str(t), random_qmatrix(rng, 3, 3, pure=True)) for t in range(6)])
+    basis = fit(center(raw), FitParams(s=2.0, p=2.0, k1=2, k2=2))
+    recs = reconstruct_samples(raw, basis)
+    if where == "original":
+        stack = np.array(raw.stack)
+        stack[0, 1, 0, 0] = value
+        raw = replace(raw, stack=stack)
+        with pytest.raises(InvalidDataset, match=f"^{re.escape(text)}$"):
+            sweep_ratios(raw, basis, 2)
+    else:
+        data = np.array(recs[0].data)
+        data[1, 0, 0] = value
+        recs[0] = QMatrix(data)
+    with pytest.raises(InvalidDataset, match=f"^{re.escape(text)}$"):
+        reconstruction_ratio(raw, recs)
 
 
 def test_ratio_rejects_mixed_shapes(raw_set, full_basis):

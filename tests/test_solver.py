@@ -117,6 +117,7 @@ def _count_entry_points():
         "sweep_ratios": lambda v: sweep_ratios(raw, basis, v),
         "sweep_accuracies": lambda v: sweep_accuracies(raw, raw, basis, unweighted, v),
         "truncated": lambda v: basis.truncated(v, 1),
+        "take_cols": lambda v: G.take_cols(v),
         "repeats": lambda v: SelectionConfig(repeats=v).validate(),
         "seed": lambda v: split(raw, (0.5, 0.0, 0.5), seed=v),
         "selection seed": lambda v: SelectionConfig(seed=v).validate(),
