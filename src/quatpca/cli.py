@@ -37,12 +37,12 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .dataset import (_read_file, _split_fractions, _suffix, _write_file, center, export_image,
+from .dataset import (_export_stack, _read_file, _split_fractions, _suffix, _write_file, center,
                       load_basis, load_dataset, save_basis, split)
 from .errors import (_RULES, ConfigError, InvalidDataset, InvalidParameter, InvalidWeight, IoError,
                      QuatPcaError, ShapeError)
 from .recognition import build_gallery, predict, sweep_accuracies
-from .reconstruction import reconstruct_samples, reconstruction_ratio, sweep_ratios
+from .reconstruction import _ratio, _rebuilt, sweep_ratios
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, FitParams, fit
 from .weighting import (
     Manner,
@@ -315,8 +315,10 @@ def cmd_reconstruct(args, out):
         _emit_csv(args.csv, "sweep", ["k1", "k2", "ratio"], rows, out)
         return 0
 
-    recs = reconstruct_samples(train, basis)
-    ratio = reconstruction_ratio(train, recs)
+    # One rebuilt stack is scored and exported block by block: the training
+    # split is raw, nonempty and of the basis's size, as the ratio requires.
+    rebuilt = _rebuilt(train, basis)
+    ratio = _ratio(train, rebuilt)
     print(f"reconstruct: manner={cfg.manner.value} transform={cfg.transform.value} "
           f"k1={basis.k1} k2={basis.k2}", file=out)
     print(f"ratio: {ratio:.6f} over {len(train)} training samples", file=out)
@@ -329,10 +331,10 @@ def cmd_reconstruct(args, out):
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise IoError(f"{outdir}: cannot write export directory ({exc})") from exc
-        for idx, (label, source, rec) in enumerate(zip(train.row_labels, train.row_sources, recs)):
-            suffix = _suffix(os.path.basename(source))
-            export_image(rec, os.path.join(outdir, f"{label}_{idx:04d}{suffix}"))
-        print(f"export: {len(recs)} images written to {outdir}", file=out)
+        paths = [os.path.join(outdir, f"{label}_{idx:04d}{_suffix(os.path.basename(source))}")
+                 for idx, (label, source) in enumerate(zip(train.row_labels, train.row_sources))]
+        _export_stack(rebuilt, paths)
+        print(f"export: {len(rebuilt)} images written to {outdir}", file=out)
     return 0
 
 

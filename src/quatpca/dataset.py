@@ -17,6 +17,10 @@ non-interlaced gray, RGB, gray+alpha and RGBA images with any of the
 five row filters; gray is replicated to three channels and alpha is
 ignored.  Palette, 16-bit and interlaced files are rejected with
 IoError.  Exported PNGs are 8-bit RGB with every row unfiltered.
+:func:`export_image` is the one-image case of ``_export_stack``, which
+converts a stack of images to 8 bits one block at a time and writes each
+file by the codec of its suffix, stopping at the first image it cannot
+write, as a loop over export_image would.
 
 Every file the package reads (images, bases, the command line's config)
 goes through one reader, ``_read_file``, and every file it writes (also
@@ -45,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvalidDataset, InvalidParameter, IoError, _check
-from .quaternion import QMatrix
+from .quaternion import _CHUNK_ENTRIES, QMatrix
 from .solver import BasisPair, FitParams
 
 __all__ = [
@@ -394,9 +398,10 @@ def load_dataset(root):
     classes = _list(rootp, os.DirEntry.is_dir)
     if not classes:
         raise InvalidDataset(f"{rootp}: no class subdirectories")
-    # Path() drops the "./" that listing the root "." puts before each class.
+    # Listing the root "." puts "./" before each class; its name is the path without it.
+    here = rootp == Path(".")
     listed = [(label, path, suffix) for label, cdir, _ in classes
-              for _, path, suffix in _list(Path(cdir), _image_suffix)]
+              for _, path, suffix in _list(label if here else cdir, _image_suffix)]
     if not listed:
         raise InvalidDataset(f"{rootp}: no images found")
 
@@ -422,6 +427,38 @@ def load_dataset(root):
     return SampleSet(stack, None, labels, sources, QMatrix.zeros(h, w))
 
 
+def _export_stack(images, paths):
+    """Write image i of the (N, 4, m, n) stack ``images`` to ``paths[i]`` as export_image does.
+
+    The channels are clipped, scaled, rounded and cast one block of at
+    most _CHUNK_ENTRIES entries at a time, and the files are written in
+    path order.  Writing stops at the first path whose suffix names no
+    codec (IoError) or image that holds NaN (InvalidDataset), before its
+    file is opened; only the images before it are cast.
+    """
+    step = max(1, _CHUNK_ENTRIES // max(1, 3 * images.shape[-2] * images.shape[-1]))
+    for a in range(0, len(images), step):
+        block, names = images[a:a + step, 1:], paths[a:a + step]
+        encoders = []
+        for path, nan in zip(names, np.isnan(block).any(axis=(1, 2, 3))):
+            codec = _CODECS.get(_suffix(os.path.basename(path)))
+            if codec is None or nan:
+                break
+            encoders.append(codec[1])
+        # Clipping writes the channels last, so each image's bytes are one run.
+        rgb = np.empty((len(encoders), *block.shape[2:], 3))
+        np.clip(block[:len(encoders)].transpose(0, 2, 3, 1), 0.0, 1.0, out=rgb)
+        rgb *= 255.0
+        rgb = np.rint(rgb, out=rgb).astype(np.uint8)
+        for path, encode, image in zip(names, encoders, rgb):
+            _write_file(path, encode(image), "image")
+        if len(encoders) < len(block):
+            path = names[len(encoders)]
+            if _suffix(os.path.basename(path)) not in _CODECS:
+                raise IoError(f"{Path(path)}: unsupported image suffix {Path(path).suffix!r}")
+            raise InvalidDataset(f"{path}: cannot export an image that holds NaN")
+
+
 def export_image(image, path):
     """Write a quaternion matrix as an 8-bit RGB image.
 
@@ -432,14 +469,7 @@ def export_image(image, path):
     bytes.  An image that holds NaN is rejected with InvalidDataset
     before the file is opened.
     """
-    suffix = _suffix(os.path.basename(path))
-    if suffix not in _CODECS:
-        raise IoError(f"{Path(path)}: unsupported image suffix {Path(path).suffix!r}")
-    planes = image.data[1:]
-    if np.isnan(planes).any():
-        raise InvalidDataset(f"{path}: cannot export an image that holds NaN")
-    rgb = np.rint(np.clip(planes, 0.0, 1.0) * 255.0).astype(np.uint8).transpose(1, 2, 0)
-    _write_file(path, _CODECS[suffix][1](rgb), "image")
+    _export_stack(image.data[None], [path])
 
 
 def center(sample_set):

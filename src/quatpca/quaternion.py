@@ -46,6 +46,11 @@ __all__ = [
     "real_repr",
 ]
 
+# Largest temporary of a block-wise loop (the nearest-neighbour screen, the
+# ratio norms, the export), in float64 entries: 512 KiB, so a block and its
+# temporaries stay in cache.
+_CHUNK_ENTRIES = 1 << 16
+
 # Component signs of the conjugate: (a0, a1, a2, a3)^* = (a0, -a1, -a2, -a3).
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 

@@ -12,6 +12,13 @@ Because the weights cancel, the set functions :func:`reconstruct_samples`
 and :func:`sweep_ratios` take no scheme: they project unweighted and
 rebuild with the plain U and V.
 
+A set is rebuilt as one read-only (N, 4, m, n) stack (``_rebuilt``),
+which :func:`reconstruct_samples` views image by image.  The ratio core
+``_ratio`` reads that stack, and the set's rows of its loaded stack, in
+blocks of rows; one batched ddot takes each block's norms, the ddot that
+``np.linalg.norm`` takes of each image.  The command line scores and
+exports the rebuilt stack itself, with no per-image object.
+
 Because that bi-projection is an orthogonal projector, the residual of
 a centered image X is ||X||^2 - ||U^* X V||^2 (Pythagoras), so
 :func:`sweep_ratios` reads its curve from feature norms and rebuilds an
@@ -27,7 +34,7 @@ import sys
 import numpy as np
 
 from .errors import InvalidDataset, InvalidWeight, ShapeError
-from .quaternion import QMatrix, _l2_norm, plane_conj_transpose, plane_matmul
+from .quaternion import _CHUNK_ENTRIES, QMatrix, _l2_norm, plane_conj_transpose, plane_matmul
 from .solver import _ROOT_NORMAL, _require_finite
 from .weighting import (Manner, WeightingScheme, _check_sweep, _gamma, _project, _require_shape,
                         _side_weights, centered_stack)
@@ -109,6 +116,14 @@ def reconstruct(P, basis, scheme=WeightingScheme(Manner.UNWEIGHTED)):
                             basis.mean)[0])
 
 
+def _rebuilt(samples, basis):
+    """The read-only (N, 4, m, n) stack U U^* X_i V V^* + mean of a nonempty set's images X_i."""
+    P = _project(centered_stack(samples, basis), basis.U.data, basis.V.data)
+    R = _rebuild(P, basis.U.data, basis.V.data, basis.mean)
+    R.flags.writeable = False
+    return R
+
+
 def reconstruct_samples(samples, basis):
     """Project and rebuild every sample of a raw (uncentered) set, as U U^* X V V^* + mean.
 
@@ -116,10 +131,63 @@ def reconstruct_samples(samples, basis):
     """
     if len(samples) == 0:
         return []
-    P = _project(centered_stack(samples, basis), basis.U.data, basis.V.data)
-    R = _rebuild(P, basis.U.data, basis.V.data, basis.mean)
-    R.flags.writeable = False
-    return [QMatrix._view(image) for image in R]
+    return [QMatrix._view(image) for image in _rebuilt(samples, basis)]
+
+
+def _squared_norms(B):
+    """||B_i||^2 of each image of a C-contiguous (b, 4, m, n) block, by one batched ddot.
+
+    ``np.matmul`` of the (b, 1, D) rows with their (b, D, 1) transpose takes
+    the ddot that ``np.linalg.norm`` takes of each image, so it keeps its bits.
+    """
+    rows = B.reshape(len(B), 1, -1)
+    return np.matmul(rows, rows.transpose(0, 2, 1))[:, 0, 0]
+
+
+def _blocks(count, entries):
+    """Slices that cover ``count`` rows of ``entries`` entries each in blocks of consecutive rows.
+
+    A block holds at most _CHUNK_ENTRIES entries, and at least one row.
+    """
+    step = max(1, _CHUNK_ENTRIES // max(1, entries))
+    return [slice(a, a + step) for a in range(0, count, step)]
+
+
+def _raw_rows(samples):
+    """i -> the images i (an index, slice or index array) of a set, read from its stack."""
+    F, rows = samples.stack, samples.rows
+    return F.__getitem__ if rows is None else (lambda i: F[rows[i]])
+
+
+def _ratio(originals, R):
+    """Mean of 1 - ||F_i - R_i||_F / ||F_i||_F over raw originals F_i and the (N, 4, m, n) stack R.
+
+    ``originals`` is a raw SampleSet, whose rows are read from its stack,
+    or an (N, 4, m, n) array.  Both are read in blocks of at most
+    _CHUNK_ENTRIES entries, so no temporary outgrows a block.  Errors are
+    those of :func:`reconstruction_ratio`.
+    """
+    samples = originals if hasattr(originals, "images") else None
+    original = originals.__getitem__ if samples is None else _raw_rows(samples)
+    nf, err = np.empty(len(R)), np.empty(len(R))
+    # A norm that is not finite came from NaN or inf, or from squares that
+    # overflowed, which _retake_norms redoes; only then are the entries read.
+    # inf - inf is NaN only in an original that holds inf, which is rejected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _blocks(len(R), R[0].size):
+            block = original(rows)
+            nf[rows] = _squared_norms(block)
+            err[rows] = _squared_norms(block - R[rows])
+        nf, err = np.sqrt(nf), np.sqrt(err)
+        if not np.isfinite(nf).all():
+            _require_finite(original(slice(None)), samples)
+        nf = _retake_norms(nf, original)
+        if not np.isfinite(err).all():
+            _require_finite(R, what="reconstruction")
+        err = _retake_norms(err, lambda i: original(i) - R[i])
+    if np.any(nf == 0.0):
+        raise InvalidDataset("zero-norm original has no relative error")
+    return float(np.mean(1.0 - err / nf))
 
 
 def reconstruction_ratio(originals, reconstructions):
@@ -130,30 +198,21 @@ def reconstruction_ratio(originals, reconstructions):
     and images that hold NaN or inf are rejected.
     """
     samples = originals if hasattr(originals, "images") else None
-    mats = list(originals if samples is None else samples.images())
-    if not mats:
+    if samples is None:
+        originals = list(originals)
+    if not len(originals):
         raise InvalidDataset("need at least one sample to compute a ratio")
     _require_raw(originals)
-    if len(mats) != len(reconstructions):
-        raise InvalidDataset(
-            f"sample counts differ: {len(mats)} originals, {len(reconstructions)} reconstructions")
-    shapes = {F.shape for F in mats} | {R.shape for R in reconstructions}
+    if len(originals) != len(reconstructions):
+        raise InvalidDataset(f"sample counts differ: {len(originals)} originals, "
+                             f"{len(reconstructions)} reconstructions")
+    shapes = {F.shape for F in originals} if samples is None else {samples.shape}
+    shapes |= {R.shape for R in reconstructions}
     if len(shapes) != 1:
         raise ShapeError(f"originals and reconstructions have mixed shapes: {sorted(shapes)}")
-    # A norm that is not finite came from NaN or inf, or from squares that
-    # overflowed, which _retake_norms redoes; only then are the entries read.
-    with np.errstate(over="ignore"):
-        nf = np.array([np.linalg.norm(F.data) for F in mats])
-        if not np.isfinite(nf).all():
-            _require_finite(np.stack([F.data for F in mats]), samples)
-        nf = _retake_norms(nf, lambda i: mats[i].data)
-        err = np.array([np.linalg.norm(F.data - R.data) for F, R in zip(mats, reconstructions)])
-        if not np.isfinite(err).all():
-            _require_finite(np.stack([R.data for R in reconstructions]), what="reconstruction")
-        err = _retake_norms(err, lambda i: mats[i].data - reconstructions[i].data)
-    if np.any(nf == 0.0):
-        raise InvalidDataset("zero-norm original has no relative error")
-    return float(np.mean(1.0 - err / nf))
+    if samples is None:
+        originals = np.stack([F.data for F in originals])
+    return _ratio(originals, np.stack([R.data for R in reconstructions]))
 
 
 def sweep_ratios(samples, basis, K):
@@ -177,14 +236,20 @@ def sweep_ratios(samples, basis, K):
     if len(samples) == 0:
         raise InvalidDataset("need at least one sample to compute a ratio")
     _require_shape((len(samples), 4, *samples.shape), basis)
-    F, mean = samples._gather(), basis.mean
-    X = F - mean.data
+    X, mean = samples._gather(basis.mean), basis.mean
     peak = _require_finite(X, samples)
     _require_raw(samples)
+    # The raw images are read from the set's stack, a block or a guarded few at a time.
+    raw = unscaled = _raw_rows(samples)
     if peak and not _ROOT_NORMAL <= peak <= math.sqrt(sys.float_info.max / X[0].size):
         e = -math.frexp(peak)[1]
-        F, X, mean = np.ldexp(F, e), np.ldexp(X, e), QMatrix(np.ldexp(mean.data, e))
-    nf = _retake_norms(np.sqrt(np.einsum("iakl,iakl->i", F, F)), F.__getitem__)
+        raw = lambda i: np.ldexp(unscaled(i), e)
+        X, mean = np.ldexp(X, e), QMatrix(np.ldexp(mean.data, e))
+    nf = np.empty(len(X))
+    for rows in _blocks(len(X), X[0].size):
+        F = raw(rows)
+        nf[rows] = np.einsum("iakl,iakl->i", F, F)
+    nf = _retake_norms(np.sqrt(nf), raw)
     if np.any(nf == 0.0):
         raise InvalidDataset("zero-norm original has no relative error")
     U, V = basis.U.data, basis.V.data
@@ -198,6 +263,6 @@ def sweep_ratios(samples, basis, K):
     for k in np.flatnonzero(guarded.any(axis=0)) + 1:
         i = np.flatnonzero(guarded[:, k - 1])
         R = _rebuild(P[i, :, :k, :k], U[..., :k], V[..., :k], mean)
-        R -= F[i]
+        R -= raw(i)
         err[i, k - 1] = _retake_norms(np.sqrt(np.einsum("iakl,iakl->i", R, R)), R.__getitem__)
     return [float(np.mean(1.0 - e / nf)) for e in err.T]

@@ -39,7 +39,7 @@ import numpy as np
 
 from .dataset import center, split
 from .errors import InvalidDataset, InvalidParameter, InvalidWeight, ShapeError, _check, _is_count
-from .quaternion import QMatrix, plane_conj_transpose, plane_matmul
+from .quaternion import _CHUNK_ENTRIES, QMatrix, plane_conj_transpose, plane_matmul
 from .solver import _require_finite, fit
 
 __all__ = [
@@ -54,11 +54,6 @@ __all__ = [
     "best_manner",
     "select_weighting",
 ]
-
-# Largest rows x N block of screened squared distances, in float64 entries
-# (512 KiB, so the block and its temporaries stay in cache).
-_CHUNK_ENTRIES = 1 << 16
-
 
 
 class Manner(Enum):

@@ -824,13 +824,16 @@ for argv in (["fit", "--config", cfg, "--basis", basis],
              ["recognize", "--config", cfg, "--basis", basis, "--sweep", "4",
               "--csv", work + "/recognize.csv"],
              ["reconstruct", "--config", cfg, "--basis", basis, "--sweep", "4",
-              "--csv", work + "/reconstruct.csv"]):
+              "--csv", work + "/reconstruct.csv"],
+             ["reconstruct", "--config", cfg, "--basis", basis, "--csv", work + "/ratio.csv",
+              "--export", work + "/export"]):
     assert main(argv) == 0, argv
 """
 
 
 @pytest.mark.parametrize("s, p", _THREAD_GRID)
 def test_sweep_csv_bytes_independent_of_blas_threads(tmp_path, rng, s, p):
+    # Also the ratio CSV and the exported images of reconstruct without a sweep.
     root = tmp_path / "data"
     write_image_tree(root, {f"c{c}": [random_rgb(rng, 12, 10) for _ in range(8)]
                             for c in range(5)})
@@ -849,9 +852,14 @@ weighting.transform = inverse-log
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=src)
-        subprocess.run([sys.executable, "-c", _SWEEP_SCRIPT, str(cfg), str(tmp_path)],
+        # A directory per run, so a file the second run fails to write cannot pass.
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        subprocess.run([sys.executable, "-c", _SWEEP_SCRIPT, str(cfg), str(work)],
                        env=env, capture_output=True, text=True, check=True)
-        runs.append(tuple((tmp_path / name).read_bytes()
-                          for name in ("fitted.bqp", "recognize.csv", "reconstruct.csv")))
+        runs.append(tuple((work / name).read_bytes()
+                          for name in ("fitted.bqp", "recognize.csv", "reconstruct.csv", "ratio.csv"))
+                    + tuple((f.name, f.read_bytes()) for f in sorted((work / "export").iterdir())))
     assert len(runs[0][1].splitlines()) == len(runs[0][2].splitlines()) == 5
+    assert len(runs[0][3].splitlines()) == 2 and len(runs[0]) == 4 + 20
     assert runs[0] == runs[1]

@@ -494,6 +494,50 @@ def test_export_rejects_nan_and_clips_inf(tmp_path):
     assert out.read_bytes() == b"P6\n2 1\n255\n" + bytes([0, 0, 0, 255, 0, 0])
 
 
+def test_export_of_an_image_without_pixels_writes_its_header(tmp_path):
+    export_image(QMatrix.zeros(0, 3), tmp_path / "x.ppm")
+    assert (tmp_path / "x.ppm").read_bytes() == b"P6\n3 0\n255\n"
+    quatpca.dataset._export_stack(np.zeros((0, 4, 2, 2)), [])
+
+
+@pytest.mark.parametrize("fault, at", [(None, None), ("nan", 0), ("nan", 4), ("nan", 6),
+                                       ("suffix", 5), ("suffix", 9), ("both", 7)])
+def test_export_stack_fails_where_the_per_image_loop_failed(tmp_path, rng, monkeypatch, fault, at):
+    # Blocks of three images: each file before the faulty one holds the bytes
+    # export_image writes for it alone, that one and those after it are not
+    # written, and the error is export_image's.  A path with no codec fails
+    # before an image that holds NaN, as export_image checks the suffix first.
+    monkeypatch.setattr(quatpca.dataset, "_CHUNK_ENTRIES", 3 * 3 * 4 * 5)
+    images = rng.uniform(-0.2, 1.2, (11, 4, 4, 5))
+    images[2, 3, 1, 1], images[3, 1, 0, 0] = math.inf, -math.inf
+    paths = [tmp_path / "out" / f"{i:02d}{('.png', '.ppm', '.PPM')[i % 3]}" for i in range(11)]
+    if fault in ("nan", "both"):
+        images[at, 2, 3, 4] = math.nan
+        images[at + 1:, 1, 0, 0] = math.nan
+    if fault in ("suffix", "both"):
+        paths[at] = paths[at].with_suffix(".bmp")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "alone").mkdir()
+    failed = None
+    for image, path in zip(images, paths):  # the per-image loop
+        try:
+            export_image(QMatrix(image), tmp_path / "alone" / path.name)
+        except (IoError, InvalidDataset) as exc:
+            failed = exc
+            break
+    done = 11 if at is None else at
+    if failed is None:
+        quatpca.dataset._export_stack(images, paths)
+    else:
+        with pytest.raises(type(failed)) as err:
+            quatpca.dataset._export_stack(images, paths)
+        assert str(err.value) == str(failed).replace(str(tmp_path / "alone"), str(tmp_path / "out"))
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [p.name for p in paths[:done]]
+    for path in paths[:done]:
+        assert path.read_bytes() == (tmp_path / "alone" / path.name).read_bytes()
+    assert {p.read_bytes()[:2] for p in paths[:done]} <= {b"P6", b"\x89P"}
+
+
 # -- centering ----------------------------------------------------------
 
 

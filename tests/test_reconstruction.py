@@ -28,6 +28,9 @@ from quatpca import (
     sweep_accuracies,
     sweep_ratios,
 )
+from quatpca import reconstruction
+from quatpca.quaternion import _l2_norm
+from quatpca.solver import _ROOT_NORMAL
 from conftest import random_qmatrix
 
 
@@ -119,6 +122,39 @@ def test_ratio_matches_per_sample_loop(raw_set, full_basis, rng):
     loop = np.mean([1.0 - (F - R).fro_norm() / F.fro_norm() for F, R in zip(originals, recs)])
     assert abs(reconstruction_ratio(raw_set, recs) - loop) <= 1e-12
     assert abs(reconstruction_ratio(originals, recs) - loop) <= 1e-12
+
+
+def _norm(x):
+    """np.linalg.norm, retaken by the rescaling norm where the squares left the normal range."""
+    with np.errstate(over="ignore"):
+        v = np.linalg.norm(x)
+    return v if _ROOT_NORMAL < v < np.inf else _l2_norm(x)
+
+
+@pytest.mark.parametrize("block_rows", [None, 7], ids=["default-blocks", "seven-row-blocks"])
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170])
+@pytest.mark.parametrize("m, n, count", [(5, 3, 40), (17, 9, 230)])
+def test_ratio_keeps_the_bits_of_the_per_image_norms(monkeypatch, block_rows, scale, m, n, count):
+    # The ratio norms run in row blocks (the 172-row subset of 17 x 9 images
+    # spans two default blocks); each must equal its per-image np.linalg.norm.
+    if block_rows:
+        monkeypatch.setattr(reconstruction, "_CHUNK_ENTRIES", block_rows * 4 * m * n)
+    rng = np.random.default_rng(m * count)
+    raw = SampleSet.build([(str(t % 3), random_qmatrix(rng, m, n, pure=True) * scale)
+                           for t in range(count)])
+    subset = raw.subset(rng.permutation(count)[: count * 3 // 4])
+    originals = subset.images()
+    recs = [QMatrix(F.data + rng.standard_normal(F.data.shape) * (0.1 * (t % 5) * scale))
+            for t, F in enumerate(originals)]
+    loop = np.mean([1.0 - _norm(F.data - R.data) / _norm(F.data) for F, R in zip(originals, recs)])
+    assert reconstruction_ratio(subset, recs) == loop
+    assert reconstruction_ratio(originals, recs) == loop
+
+
+def test_ratio_of_images_without_pixels_has_no_relative_error():
+    empty = [QMatrix.zeros(0, 3)] * 2
+    with pytest.raises(InvalidDataset, match="^zero-norm original has no relative error$"):
+        reconstruction_ratio(empty, empty)
 
 
 @pytest.mark.parametrize("where, value, text", [
