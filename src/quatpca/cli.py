@@ -90,6 +90,12 @@ def _parse_float(raw):
     return value
 
 
+def _parse_root(raw):
+    if not raw:
+        raise ValueError("expected a directory, got ''")
+    return raw
+
+
 def _parse_split(raw):
     if not (raw.startswith("[") and raw.endswith("]")):
         raise ValueError(f"expected [train, val, test], got {raw!r}")
@@ -108,7 +114,7 @@ def _parse_choice(kind, raw):
 # field with a range rule in the table of ``errors`` is then checked against
 # that rule, so the CLI and the library report the same text.
 _KEY_PARSERS = {
-    "dataset.root": ("root", str),
+    "dataset.root": ("root", _parse_root),
     "dataset.split": ("split", _parse_split),
     "dataset.seed": ("seed", _parse_int),
     "model.s": ("s", _parse_float),

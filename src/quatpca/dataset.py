@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvalidDataset, InvalidParameter, IoError, _check
-from .quaternion import _CHUNK_ENTRIES, QMatrix
+from .quaternion import QMatrix, _blocks
 from .solver import BasisPair, FitParams
 
 __all__ = [
@@ -430,15 +430,13 @@ def load_dataset(root):
 def _export_stack(images, paths):
     """Write image i of the (N, 4, m, n) stack ``images`` to ``paths[i]`` as export_image does.
 
-    The channels are clipped, scaled, rounded and cast one block of at
-    most _CHUNK_ENTRIES entries at a time, and the files are written in
-    path order.  Writing stops at the first path whose suffix names no
-    codec (IoError) or image that holds NaN (InvalidDataset), before its
-    file is opened; only the images before it are cast.
+    The channels are clipped, scaled, rounded and cast a block of _blocks
+    at a time, and the files are written in path order.  Writing stops at
+    the first path whose suffix names no codec (IoError) or image that holds
+    NaN (InvalidDataset), before its file is opened; only earlier images are cast.
     """
-    step = max(1, _CHUNK_ENTRIES // max(1, 3 * images.shape[-2] * images.shape[-1]))
-    for a in range(0, len(images), step):
-        block, names = images[a:a + step, 1:], paths[a:a + step]
+    for rows in _blocks(len(images), 3 * images.shape[-2] * images.shape[-1]):
+        block, names = images[rows, 1:], paths[rows]
         encoders = []
         for path, nan in zip(names, np.isnan(block).any(axis=(1, 2, 3))):
             codec = _CODECS.get(_suffix(os.path.basename(path)))

@@ -84,7 +84,8 @@ _RULES = {
           "must satisfy p > 0 or p = inf"),
     "k1": _COUNT,
     "k2": _COUNT,
-    "tol": (lambda v: isinstance(v, Real) and v > 0, "must be positive"),
+    "tol": (lambda v: isinstance(v, Real) and 0 < v < math.inf,
+            "must satisfy 0 < tol < inf"),
     "max_iter": _COUNT,
     "repeats": _COUNT,
     "seed": (lambda v: _integer(v) and v >= 0,

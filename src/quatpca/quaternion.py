@@ -23,6 +23,9 @@ the package goes through it: :func:`plane_matmul` expands its left
 operand to the real representation and makes one real GEMM with the
 stacked planes of its right operand, so callers put the small operand
 (a basis) on the left.
+
+Every block-wise pass over a stack takes its row blocks from _blocks and
+each row's sum of squares from _squared_rows, which calls no BLAS.
 """
 
 from __future__ import annotations
@@ -48,8 +51,26 @@ __all__ = [
 
 # Largest temporary of a block-wise loop (the nearest-neighbour screen, the
 # ratio norms, the export), in float64 entries: 512 KiB, so a block and its
-# temporaries stay in cache.
+# temporaries stay in cache.  Only _blocks reads it.
 _CHUNK_ENTRIES = 1 << 16
+
+
+def _blocks(count, entries):
+    """Slices that cover ``count`` rows of ``entries`` entries each in blocks of consecutive rows.
+
+    A block holds at most _CHUNK_ENTRIES entries, and at least one row.
+    """
+    step = max(1, _CHUNK_ENTRIES // max(1, entries))
+    return [slice(a, a + step) for a in range(0, count, step)]
+
+
+def _squared_rows(X):
+    """The sum of squares of each row of X, flattened to 2-D, by einsum and not a BLAS dot.
+
+    Its summation order, and so its bits, depend on X's shape and not on the thread count."""
+    X = X.reshape(len(X), -1)
+    return np.einsum("ij,ij->i", X, X)
+
 
 # Component signs of the conjugate: (a0, a1, a2, a3)^* = (a0, -a1, -a2, -a3).
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])

@@ -15,9 +15,9 @@ rebuild with the plain U and V.
 A set is rebuilt as one read-only (N, 4, m, n) stack (``_rebuilt``),
 which :func:`reconstruct_samples` views image by image.  The ratio core
 ``_ratio`` reads that stack, and the set's rows of its loaded stack, in
-blocks of rows; one batched ddot takes each block's norms, the ddot that
-``np.linalg.norm`` takes of each image.  The command line scores and
-exports the rebuilt stack itself, with no per-image object.
+the row blocks of ``_blocks``; the BLAS-free ``_squared_rows`` takes their
+norms.  The command line scores and exports the rebuilt stack itself,
+with no per-image object.
 
 Because that bi-projection is an orthogonal projector, the residual of
 a centered image X is ||X||^2 - ||U^* X V||^2 (Pythagoras), so
@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from .errors import InvalidDataset, InvalidWeight, ShapeError
-from .quaternion import _CHUNK_ENTRIES, QMatrix, _l2_norm, plane_conj_transpose, plane_matmul
+from .quaternion import QMatrix, _blocks, _l2_norm, _squared_rows, plane_conj_transpose, plane_matmul
 from .solver import _ROOT_NORMAL, _require_finite
 from .weighting import (Manner, WeightingScheme, _check_sweep, _gamma, _project, _require_shape,
                         _side_weights, centered_stack)
@@ -134,25 +134,6 @@ def reconstruct_samples(samples, basis):
     return [QMatrix._view(image) for image in _rebuilt(samples, basis)]
 
 
-def _squared_norms(B):
-    """||B_i||^2 of each image of a C-contiguous (b, 4, m, n) block, by one batched ddot.
-
-    ``np.matmul`` of the (b, 1, D) rows with their (b, D, 1) transpose takes
-    the ddot that ``np.linalg.norm`` takes of each image, so it keeps its bits.
-    """
-    rows = B.reshape(len(B), 1, -1)
-    return np.matmul(rows, rows.transpose(0, 2, 1))[:, 0, 0]
-
-
-def _blocks(count, entries):
-    """Slices that cover ``count`` rows of ``entries`` entries each in blocks of consecutive rows.
-
-    A block holds at most _CHUNK_ENTRIES entries, and at least one row.
-    """
-    step = max(1, _CHUNK_ENTRIES // max(1, entries))
-    return [slice(a, a + step) for a in range(0, count, step)]
-
-
 def _raw_rows(samples):
     """i -> the images i (an index, slice or index array) of a set, read from its stack."""
     F, rows = samples.stack, samples.rows
@@ -163,9 +144,8 @@ def _ratio(originals, R):
     """Mean of 1 - ||F_i - R_i||_F / ||F_i||_F over raw originals F_i and the (N, 4, m, n) stack R.
 
     ``originals`` is a raw SampleSet, whose rows are read from its stack,
-    or an (N, 4, m, n) array.  Both are read in blocks of at most
-    _CHUNK_ENTRIES entries, so no temporary outgrows a block.  Errors are
-    those of :func:`reconstruction_ratio`.
+    or an (N, 4, m, n) array; both are read in the blocks of _blocks, so no
+    temporary outgrows a block.  Errors are those of reconstruction_ratio.
     """
     samples = originals if hasattr(originals, "images") else None
     original = originals.__getitem__ if samples is None else _raw_rows(samples)
@@ -176,8 +156,8 @@ def _ratio(originals, R):
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _blocks(len(R), R[0].size):
             block = original(rows)
-            nf[rows] = _squared_norms(block)
-            err[rows] = _squared_norms(block - R[rows])
+            nf[rows] = _squared_rows(block)
+            err[rows] = _squared_rows(block - R[rows])
         nf, err = np.sqrt(nf), np.sqrt(err)
         if not np.isfinite(nf).all():
             _require_finite(original(slice(None)), samples)
@@ -245,16 +225,13 @@ def sweep_ratios(samples, basis, K):
         e = -math.frexp(peak)[1]
         raw = lambda i: np.ldexp(unscaled(i), e)
         X, mean = np.ldexp(X, e), QMatrix(np.ldexp(mean.data, e))
-    nf = np.empty(len(X))
-    for rows in _blocks(len(X), X[0].size):
-        F = raw(rows)
-        nf[rows] = np.einsum("iakl,iakl->i", F, F)
+    nf = np.concatenate([_squared_rows(raw(rows)) for rows in _blocks(len(X), X[0].size)])
     nf = _retake_norms(np.sqrt(nf), raw)
     if np.any(nf == 0.0):
         raise InvalidDataset("zero-norm original has no relative error")
     U, V = basis.U.data, basis.V.data
     P = _project(X, U[..., :K], V[..., :K])
-    x2 = np.einsum("iakl,iakl->i", X, X)
+    x2 = _squared_rows(X)
     # ||P_i[:k, :k]||^2 for every k: the diagonal of the 2-D prefix sums.
     p2 = np.einsum("iakl,iakl->ikl", P, P).cumsum(1).cumsum(2).diagonal(axis1=1, axis2=2)
     err2 = np.maximum(x2[:, None] - p2, 0.0)
@@ -264,5 +241,5 @@ def sweep_ratios(samples, basis, K):
         i = np.flatnonzero(guarded[:, k - 1])
         R = _rebuild(P[i, :, :k, :k], U[..., :k], V[..., :k], mean)
         R -= raw(i)
-        err[i, k - 1] = _retake_norms(np.sqrt(np.einsum("iakl,iakl->i", R, R)), R.__getitem__)
+        err[i, k - 1] = _retake_norms(np.sqrt(_squared_rows(R)), R.__getitem__)
     return [float(np.mean(1.0 - e / nf)) for e in err.T]

@@ -39,7 +39,7 @@ import numpy as np
 
 from .dataset import center, split
 from .errors import InvalidDataset, InvalidParameter, InvalidWeight, ShapeError, _check, _is_count
-from .quaternion import _CHUNK_ENTRIES, QMatrix, plane_conj_transpose, plane_matmul
+from .quaternion import QMatrix, _blocks, _squared_rows, plane_conj_transpose, plane_matmul
 from .solver import _require_finite, fit
 
 __all__ = [
@@ -169,15 +169,11 @@ def _nearest(probes, gallery):
     # term covers gradual underflow (under 2^-1075 per product).
     tau = 12.0 * _gamma(D + 2)
     floor = (D + 2) * np.finfo(np.float64).tiny
-    rows = max(1, _CHUNK_ENTRIES // n)
-    index = np.empty(len(Q), dtype=np.intp)
-    dist = np.empty(len(Q))
+    index, dist = np.empty(len(Q), dtype=np.intp), np.empty(len(Q))
     # Overflow makes a screen row non-finite; such rows are searched in full below.
     with np.errstate(over="ignore", invalid="ignore"):
-        g2 = np.einsum("ij,ij->i", G, G)
-        q2 = np.einsum("ij,ij->i", Q, Q)
-    for start in range(0, len(Q), rows):
-        block = slice(start, start + rows)
+        g2, q2 = _squared_rows(G), _squared_rows(Q)
+    for block in _blocks(len(Q), n):
         r = np.arange(len(Q[block]))
         with np.errstate(over="ignore", invalid="ignore"):
             norms = q2[block, None] + g2
@@ -187,13 +183,13 @@ def _nearest(probes, gallery):
             candidate = screen <= (screen[r, m] + margin[r, m] + floor)[:, None] + margin
             candidate[r, m] = True
             i, j = np.nonzero(candidate)
-            d = np.sqrt(np.square(G[j] - Q[start + i]).sum(-1))
+            d = np.sqrt(np.square(G[j] - Q[block.start + i]).sum(-1))
         # Per row, the smallest exact distance, then the smallest index.
         order = np.lexsort((j, d, i))
         first = order[np.searchsorted(i[order], r)]
         index[block], dist[block] = j[first], d[first]
         unscreened = ~(np.isfinite(screen).all(axis=1) & np.isfinite(dist[block]))
-        for p in start + np.flatnonzero(unscreened):
+        for p in block.start + np.flatnonzero(unscreened):
             d = np.sqrt(np.square(G - Q[p]).sum(-1))
             index[p] = np.argmin(d)
             dist[p] = d[index[p]]

@@ -219,7 +219,7 @@ def test_split_must_sum_to_one(tmp_path):
 # Every key with a range rule, and an illegal value for it.
 _RANGE_KEYS = [("model.s", "0.5"), ("model.p", "-1"), ("model.k1", "0"), ("model.k2", "-2"),
                ("model.tol", "0"), ("model.max_iter", "0"), ("selection.repeats", "0"),
-               ("dataset.seed", "-1")]
+               ("model.tol", "inf"), ("dataset.seed", "-1")]
 
 
 def library_message(key, value, root):
@@ -254,6 +254,7 @@ _VALUE_ERRORS = [
     ("model.k1", "4.0", "expected an integer, got '4.0'"),
     ("model.s", "abc", "expected a number, got 'abc'"),
     ("model.tol", "nan", "NaN is not a valid value"),
+    ("dataset.root", "", "expected a directory, got ''"),
     ("dataset.split", "0.8, 0.1, 0.1", "expected [train, val, test], got '0.8, 0.1, 0.1'"),
     ("weighting.manner", "heavy",
      "must be one of unweighted, weighted-left, weighted-right, weighted-both, got 'heavy'"),
@@ -263,7 +264,8 @@ _VALUE_ERRORS = [
 @pytest.mark.parametrize("key, raw, text", _VALUE_ERRORS)
 def test_config_value_errors_name_key_and_value(workspace, capsys, key, raw, text):
     cfg = workspace["tmp"] / "value.cfg"
-    cfg.write_text(f"dataset.root = {workspace['root']}\n{key} = {raw}\n")
+    root = "" if key == "dataset.root" else f"dataset.root = {workspace['root']}\n"
+    cfg.write_text(f"{root}{key} = {raw}\n")
     assert run(capsys, ["fit", "--config", str(cfg), "--basis", str(workspace["basis"])]) == (
         2, "", f"error: {key}: {text}\n")
 

@@ -507,7 +507,7 @@ def test_export_stack_fails_where_the_per_image_loop_failed(tmp_path, rng, monke
     # export_image writes for it alone, that one and those after it are not
     # written, and the error is export_image's.  A path with no codec fails
     # before an image that holds NaN, as export_image checks the suffix first.
-    monkeypatch.setattr(quatpca.dataset, "_CHUNK_ENTRIES", 3 * 3 * 4 * 5)
+    monkeypatch.setattr(quatpca.quaternion, "_CHUNK_ENTRIES", 3 * 3 * 4 * 5)
     images = rng.uniform(-0.2, 1.2, (11, 4, 4, 5))
     images[2, 3, 1, 1], images[3, 1, 0, 0] = math.inf, -math.inf
     paths = [tmp_path / "out" / f"{i:02d}{('.png', '.ppm', '.PPM')[i % 3]}" for i in range(11)]

@@ -161,7 +161,7 @@ def test_predict_matches_per_probe_oracle(rng, data, manner):
 
 
 def test_predict_independent_of_chunk_size(rng, monkeypatch):
-    import quatpca.weighting as weighting
+    import quatpca.quaternion as quaternion
 
     ss = _random_classes(rng)
     train, _, test = split(ss, (0.5, 0.0, 0.5), seed=3)
@@ -171,7 +171,7 @@ def test_predict_independent_of_chunk_size(rng, monkeypatch):
     oracle = _oracle_predict(test, gallery)
     entries = len(gallery) * 4 * 3 * 3
     for chunk in (1, entries, 5 * entries, 7 * entries - 1):
-        monkeypatch.setattr(weighting, "_CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(quaternion, "_CHUNK_ENTRIES", chunk)
         assert predict(test, gallery) == oracle
 
 

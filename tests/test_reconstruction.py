@@ -1,7 +1,11 @@
 """Reconstruction from features and the quality ratio."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from quatpca import (
     sweep_accuracies,
     sweep_ratios,
 )
-from quatpca import reconstruction
+from quatpca import quaternion
 from quatpca.quaternion import _l2_norm
 from quatpca.solver import _ROOT_NORMAL
 from conftest import random_qmatrix
@@ -136,9 +140,10 @@ def _norm(x):
 @pytest.mark.parametrize("m, n, count", [(5, 3, 40), (17, 9, 230)])
 def test_ratio_keeps_the_bits_of_the_per_image_norms(monkeypatch, block_rows, scale, m, n, count):
     # The ratio norms run in row blocks (the 172-row subset of 17 x 9 images
-    # spans two default blocks); each must equal its per-image np.linalg.norm.
+    # spans two default blocks); the mean must equal that of the per-image
+    # np.linalg.norm loop, whose ddot may differ from a norm in its last bit.
     if block_rows:
-        monkeypatch.setattr(reconstruction, "_CHUNK_ENTRIES", block_rows * 4 * m * n)
+        monkeypatch.setattr(quaternion, "_CHUNK_ENTRIES", block_rows * 4 * m * n)
     rng = np.random.default_rng(m * count)
     raw = SampleSet.build([(str(t % 3), random_qmatrix(rng, m, n, pure=True) * scale)
                            for t in range(count)])
@@ -149,6 +154,35 @@ def test_ratio_keeps_the_bits_of_the_per_image_norms(monkeypatch, block_rows, sc
     loop = np.mean([1.0 - _norm(F.data - R.data) / _norm(F.data) for F, R in zip(originals, recs)])
     assert reconstruction_ratio(subset, recs) == loop
     assert reconstruction_ratio(originals, recs) == loop
+
+
+_THREAD_RATIO_SCRIPT = """
+import numpy as np
+from quatpca import QMatrix, reconstruction_ratio
+rng = np.random.default_rng(64)
+F = rng.standard_normal((40, 4, 64, 64))
+F[:, 0] = 0.0
+R = F + 0.9 * rng.standard_normal(F.shape)
+originals, recs = [QMatrix(f) for f in F], [QMatrix(r) for r in R]
+for size in (4, 2):
+    for a in range(0, 40, size):
+        print(repr(reconstruction_ratio(originals[a:a + size], recs[a:a + size])))
+"""
+
+
+def test_ratio_bits_independent_of_blas_threads_at_64x64():
+    # ||F - R|| is close to ||F||, so a one-ulp difference in either norm
+    # survives the mean; a BLAS dot's sum order follows the thread count.
+    src = str(Path(quaternion.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _THREAD_RATIO_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        runs.append(out.stdout.split())
+    assert len(runs[0]) == 30
+    assert runs[0] == runs[1]
 
 
 def test_ratio_of_images_without_pixels_has_no_relative_error():

@@ -95,7 +95,7 @@ def _rule_problems(name, value):
 def test_rules_accept_numpy_scalars_and_name_non_numbers(name):
     assert _rule_problems(name, _NUMPY_LEGAL[name]) == []
     rule = {"s": "must satisfy 1 <= s < inf", "p": "must satisfy p > 0 or p = inf",
-            "tol": "must be positive", "seed": "must be a nonnegative integer"}.get(
+            "tol": "must satisfy 0 < tol < inf", "seed": "must be a nonnegative integer"}.get(
         name, "must be a positive integer")
     assert _rule_problems(name, "x") == [f"{name} {rule}, got x"]
 
