@@ -324,7 +324,7 @@ def cmd_reconstruct(args, out):
     # One rebuilt stack is scored and exported block by block: the training
     # split is raw, nonempty and of the basis's size, as the ratio requires.
     rebuilt = _rebuilt(train, basis)
-    ratio = _ratio(train, rebuilt)
+    ratio = _ratio(train._read, rebuilt, train)
     print(f"reconstruct: manner={cfg.manner.value} transform={cfg.transform.value} "
           f"k1={basis.k1} k2={basis.k2}", file=out)
     print(f"ratio: {ratio:.6f} over {len(train)} training samples", file=out)

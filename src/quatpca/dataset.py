@@ -81,7 +81,8 @@ class SampleSet:
     (N, 4, m, n) array ``stack``; ``row_labels`` and ``row_sources`` are
     in set order.  ``centered`` marks that ``mean`` has been subtracted
     from every image.  Loaded images are pure quaternions and stay pure
-    under centering because the mean of pure matrices is pure.
+    under centering because the mean of pure matrices is pure.  Other
+    modules read the images as arrays only through ``_gather`` and ``_read``.
     """
 
     stack: np.ndarray
@@ -125,6 +126,10 @@ class SampleSet:
         if not own:
             X -= mean.data - self.mean.data if self.centered else mean.data
         return X
+
+    def _read(self, i):
+        """The images i (an index, slice or index array of set positions) as rows of the stack."""
+        return self.stack[i] if self.rows is None else self.stack[self.rows[i]]
 
     def images(self):
         rows = self.stack if self.rows is None else (self.stack[r] for r in self.rows)

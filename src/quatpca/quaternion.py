@@ -25,7 +25,7 @@ stacked planes of its right operand, so callers put the small operand
 (a basis) on the left.
 
 Every block-wise pass over a stack takes its row blocks from _blocks and
-each row's sum of squares from _squared_rows, which calls no BLAS.
+each row's sum of squares or norm from _squared_rows or _row_norms (no BLAS).
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ __all__ = [
 # temporaries stay in cache.  Only _blocks reads it.
 _CHUNK_ENTRIES = 1 << 16
 
+# Moduli and norms from this one up have normal squares.
+_ROOT_NORMAL = math.sqrt(sys.float_info.min)
+
 
 def _blocks(count, entries):
     """Slices that cover ``count`` rows of ``entries`` entries each in blocks of consecutive rows.
@@ -70,6 +73,23 @@ def _squared_rows(X):
     Its summation order, and so its bits, depend on X's shape and not on the thread count."""
     X = X.reshape(len(X), -1)
     return np.einsum("ij,ij->i", X, X)
+
+
+def _row_norms(X):
+    """The L2 norm of each row of X, flattened to 2-D: the root of _squared_rows, with no BLAS call.
+
+    As in Blue's scaled norm, a row whose squares left the normal range
+    (a norm outside (_ROOT_NORMAL, inf)) is first scaled by the power of two
+    that brings its largest magnitude into [0.5, 1), so 2^k X has exactly
+    2^k times the norms of X.  NaN and inf rows give NaN and inf."""
+    X = X.reshape(len(X), -1)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(_squared_rows(X))
+        out = np.flatnonzero(~((norms > _ROOT_NORMAL) & (norms < math.inf)))
+        if out.size:  # frexp gives 0, inf and NaN an exponent of 0, so they stay as they are
+            e = np.frexp(np.abs(X[out]).max(axis=1, initial=0.0))[1]
+            norms[out] = np.ldexp(np.sqrt(_squared_rows(np.ldexp(X[out], -e[:, None]))), e)
+    return norms
 
 
 # Component signs of the conjugate: (a0, a1, a2, a3)^* = (a0, -a1, -a2, -a3).

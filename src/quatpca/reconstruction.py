@@ -14,10 +14,10 @@ rebuild with the plain U and V.
 
 A set is rebuilt as one read-only (N, 4, m, n) stack (``_rebuilt``),
 which :func:`reconstruct_samples` views image by image.  The ratio core
-``_ratio`` reads that stack, and the set's rows of its loaded stack, in
-the row blocks of ``_blocks``; the BLAS-free ``_squared_rows`` takes their
-norms.  The command line scores and exports the rebuilt stack itself,
-with no per-image object.
+``_ratio`` reads that stack, and the originals through a row reader such
+as ``SampleSet._read``, in the row blocks of ``_blocks``; every norm of a
+ratio comes from the range-safe, BLAS-free ``_row_norms``.  The command
+line scores and exports the rebuilt stack itself, with no per-image object.
 
 Because that bi-projection is an orthogonal projector, the residual of
 a centered image X is ||X||^2 - ||U^* X V||^2 (Pythagoras), so
@@ -34,8 +34,9 @@ import sys
 import numpy as np
 
 from .errors import InvalidDataset, InvalidWeight, ShapeError
-from .quaternion import QMatrix, _blocks, _l2_norm, _squared_rows, plane_conj_transpose, plane_matmul
-from .solver import _ROOT_NORMAL, _require_finite
+from .quaternion import (_ROOT_NORMAL, QMatrix, _blocks, _row_norms, _squared_rows,
+                         plane_conj_transpose, plane_matmul)
+from .solver import _require_finite
 from .weighting import (Manner, WeightingScheme, _check_sweep, _gamma, _project, _require_shape,
                         _side_weights, centered_stack)
 
@@ -53,16 +54,6 @@ def _rebuild(P, A, B, mean):
     R = plane_matmul(A, plane_conj_transpose(plane_matmul(B, plane_conj_transpose(P))))
     R += mean.data
     return R
-
-
-def _retake_norms(norms, row):
-    """``norms`` with each entry whose squared sum left the normal range retaken as _l2_norm(row(i)).
-
-    A norm above _ROOT_NORMAL and finite had a normal squared sum, so it stays as it is.
-    """
-    for i in np.flatnonzero(~((norms > _ROOT_NORMAL) & (norms < math.inf))):
-        norms[i] = _l2_norm(row(i))
-    return norms
 
 
 def _require_raw(samples):
@@ -134,37 +125,23 @@ def reconstruct_samples(samples, basis):
     return [QMatrix._view(image) for image in _rebuilt(samples, basis)]
 
 
-def _raw_rows(samples):
-    """i -> the images i (an index, slice or index array) of a set, read from its stack."""
-    F, rows = samples.stack, samples.rows
-    return F.__getitem__ if rows is None else (lambda i: F[rows[i]])
-
-
-def _ratio(originals, R):
+def _ratio(read, R, samples=None):
     """Mean of 1 - ||F_i - R_i||_F / ||F_i||_F over raw originals F_i and the (N, 4, m, n) stack R.
 
-    ``originals`` is a raw SampleSet, whose rows are read from its stack,
-    or an (N, 4, m, n) array; both are read in the blocks of _blocks, so no
-    temporary outgrows a block.  Errors are those of reconstruction_ratio.
+    ``read(i)`` is the originals i (a slice; of the set ``samples``, if any) as an array, read a
+    block of _blocks at a time so that no temporary outgrows one.  Errors are reconstruction_ratio's.
     """
-    samples = originals if hasattr(originals, "images") else None
-    original = originals.__getitem__ if samples is None else _raw_rows(samples)
     nf, err = np.empty(len(R)), np.empty(len(R))
-    # A norm that is not finite came from NaN or inf, or from squares that
-    # overflowed, which _retake_norms redoes; only then are the entries read.
-    # inf - inf is NaN only in an original that holds inf, which is rejected.
+    # Entries are checked only where a norm is not finite: NaN, inf, or inf - inf in an original.
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _blocks(len(R), R[0].size):
-            block = original(rows)
-            nf[rows] = _squared_rows(block)
-            err[rows] = _squared_rows(block - R[rows])
-        nf, err = np.sqrt(nf), np.sqrt(err)
-        if not np.isfinite(nf).all():
-            _require_finite(original(slice(None)), samples)
-        nf = _retake_norms(nf, original)
-        if not np.isfinite(err).all():
-            _require_finite(R, what="reconstruction")
-        err = _retake_norms(err, lambda i: original(i) - R[i])
+            block = read(rows)
+            nf[rows] = _row_norms(block)
+            err[rows] = _row_norms(block - R[rows])
+    if not np.isfinite(nf).all():
+        _require_finite(read(slice(None)), samples)
+    if not np.isfinite(err).all():
+        _require_finite(R, what="reconstruction")
     if np.any(nf == 0.0):
         raise InvalidDataset("zero-norm original has no relative error")
     return float(np.mean(1.0 - err / nf))
@@ -173,13 +150,14 @@ def _ratio(originals, R):
 def reconstruction_ratio(originals, reconstructions):
     """Mean of 1 - ||F_i - F_i_rec||_F / ||F_i||_F over all samples.
 
-    ``originals`` are the raw (uncentered) images; a perfect
-    reconstruction scores 1.  A centered sample set, zero-norm originals
-    and images that hold NaN or inf are rejected.
+    ``originals`` are the raw (uncentered) images, a SampleSet or QMatrix
+    iterable like ``reconstructions``; a perfect reconstruction scores 1.  A
+    centered set, zero-norm originals and NaN or inf entries are rejected.
     """
     samples = originals if hasattr(originals, "images") else None
     if samples is None:
         originals = list(originals)
+    reconstructions = list(reconstructions)
     if not len(originals):
         raise InvalidDataset("need at least one sample to compute a ratio")
     _require_raw(originals)
@@ -190,9 +168,8 @@ def reconstruction_ratio(originals, reconstructions):
     shapes |= {R.shape for R in reconstructions}
     if len(shapes) != 1:
         raise ShapeError(f"originals and reconstructions have mixed shapes: {sorted(shapes)}")
-    if samples is None:
-        originals = np.stack([F.data for F in originals])
-    return _ratio(originals, np.stack([R.data for R in reconstructions]))
+    read = np.stack([F.data for F in originals]).__getitem__ if samples is None else samples._read
+    return _ratio(read, np.stack([R.data for R in reconstructions]), samples)
 
 
 def sweep_ratios(samples, basis, K):
@@ -206,11 +183,12 @@ def sweep_ratios(samples, basis, K):
         ||F_i - F_i_rec||^2 = ||X_i||^2 - ||P_i[:k, :k]||^2   (X_i = F_i - mean),
 
     with P the unweighted features at K.  Where round-off could swamp that
-    difference (see ``_RESOLUTION``), the image's residual at that k comes
-    from its rebuilt reconstruction instead.  When the squares of X would
-    leave the normal range, F, X and the mean are first scaled together by
-    an exact power of two, which changes no ratio.  The errors are the ones
-    the per-k calls would raise, in the same order; the set must be raw.
+    difference (see ``_RESOLUTION``), or at every k where ||X_i||^2 is below
+    min normal / eps and squares that underflowed can move it, the residual
+    comes from the rebuilt reconstruction instead.  When the squares of X
+    would leave the normal range, F, X and the mean are first scaled together
+    by an exact power of two, which changes no ratio.  The errors are the
+    ones the per-k calls would raise, in the same order; the set must be raw.
     """
     _check_sweep(basis, K)
     if len(samples) == 0:
@@ -219,14 +197,12 @@ def sweep_ratios(samples, basis, K):
     X, mean = samples._gather(basis.mean), basis.mean
     peak = _require_finite(X, samples)
     _require_raw(samples)
-    # The raw images are read from the set's stack, a block or a guarded few at a time.
-    raw = unscaled = _raw_rows(samples)
+    raw = samples._read  # a block or a guarded few images at a time
     if peak and not _ROOT_NORMAL <= peak <= math.sqrt(sys.float_info.max / X[0].size):
         e = -math.frexp(peak)[1]
-        raw = lambda i: np.ldexp(unscaled(i), e)
+        raw = lambda i: np.ldexp(samples._read(i), e)
         X, mean = np.ldexp(X, e), QMatrix(np.ldexp(mean.data, e))
-    nf = np.concatenate([_squared_rows(raw(rows)) for rows in _blocks(len(X), X[0].size)])
-    nf = _retake_norms(np.sqrt(nf), raw)
+    nf = np.concatenate([_row_norms(raw(rows)) for rows in _blocks(len(X), X[0].size)])
     if np.any(nf == 0.0):
         raise InvalidDataset("zero-norm original has no relative error")
     U, V = basis.U.data, basis.V.data
@@ -237,9 +213,10 @@ def sweep_ratios(samples, basis, K):
     err2 = np.maximum(x2[:, None] - p2, 0.0)
     err = np.sqrt(err2)
     guarded = err2 <= _pythagoras_round_off(basis, K) / _RESOLUTION * x2[:, None]
+    guarded |= (x2 < sys.float_info.min / np.finfo(np.float64).eps)[:, None]
     for k in np.flatnonzero(guarded.any(axis=0)) + 1:
         i = np.flatnonzero(guarded[:, k - 1])
         R = _rebuild(P[i, :, :k, :k], U[..., :k], V[..., :k], mean)
         R -= raw(i)
-        err[i, k - 1] = _retake_norms(np.sqrt(_squared_rows(R)), R.__getitem__)
+        err[i, k - 1] = _row_norms(R)
     return [float(np.mean(1.0 - e / nf)) for e in err.T]

@@ -75,8 +75,8 @@ import numpy as np
 
 from .errors import (DegenerateDirection, InvalidDataset, InvalidParameter, ShapeError, _check,
                      _is_count, _violation)
-from .quaternion import (_CONJ, QMatrix, QVector, _l2_norm, _moduli_lp_norm, _real_repr, lp_norm,
-                         plane_conj_transpose, plane_matmul)
+from .quaternion import (_CONJ, _ROOT_NORMAL, QMatrix, QVector, _l2_norm, _moduli_lp_norm,
+                         _real_repr, lp_norm, plane_conj_transpose, plane_matmul)
 
 __all__ = [
     "FitParams",
@@ -106,8 +106,6 @@ _DUPLICATE_TOL = 1e-5
 # The smallest positive double: it guards the relative-change denominator
 # when the objective is zero and gives a zero modulus a finite weight.
 _TINY = math.ulp(0.0)
-# Moduli from this one up have normal squares.
-_ROOT_NORMAL = math.sqrt(sys.float_info.min)
 # -ln of the smallest normal double.  A unit-Lp vector of length w has an
 # entry of modulus at least w^(-1/p), whose square is normal while
 # p >= 2 ln(w) / _LN_NORMAL.

@@ -20,7 +20,8 @@ from quatpca import (
     vabs,
     vsign,
 )
-from quatpca.quaternion import plane_conj_transpose, plane_matmul
+from quatpca.quaternion import (_l2_norm, _row_norms, _squared_rows, plane_conj_transpose,
+                                plane_matmul)
 from conftest import random_qmatrix, random_qvector
 
 components = st.floats(min_value=-10.0, max_value=10.0,
@@ -499,3 +500,40 @@ def test_modulus_survives_squares_out_of_range(scale):
     a = Quaternion(0.0, 0.0, 3.0 * scale, 4.0 * scale)
     assert abs(a) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
     assert abs(a.sign()) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+
+# -- the BLAS-free row norms --------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [1, 9])
+def test_row_norms_in_range_are_the_root_of_the_squared_rows(rows, rng):
+    X = rng.standard_normal((rows, 4, 6, 5))
+    assert np.array_equal(_row_norms(X), np.sqrt(_squared_rows(X)))
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e170, 1e200])
+@pytest.mark.parametrize("rows", [1, 9])
+def test_row_norms_out_of_range_are_the_rescaled_norm(scale, rows, rng):
+    # The squares of these entries under- or overflow.  Each row is brought
+    # into range by an exact power of two, so scaling rows by 2^k scales
+    # their norms by 2^k bit for bit; and they agree with _l2_norm, which
+    # sums the same squares in another order, to the round-off of that sum.
+    X = rng.standard_normal((rows, 4, 6, 5))
+    k = round(math.log2(scale))
+    assert np.array_equal(_row_norms(np.ldexp(X, k)), np.ldexp(_row_norms(X), k))
+    want = [_l2_norm(x) for x in X * scale]
+    np.testing.assert_allclose(_row_norms(X * scale), want, rtol=X[0].size * np.finfo(float).eps,
+                               atol=0.0)
+
+
+@pytest.mark.parametrize("value, norm", [(0.0, 0.0), (np.nan, np.nan), (-np.inf, np.inf)],
+                         ids=["zero", "nan", "inf"])
+@pytest.mark.parametrize("rows", [1, 9])
+def test_row_norms_of_zero_nan_and_inf_rows(value, norm, rows, rng):
+    # The last row is all zero, or holds one NaN or one inf; the others keep their norms.
+    X = rng.standard_normal((rows, 4, 6, 5))
+    X[-1] = 0.0
+    X[-1, 2, 3, 1] = value
+    norms = _row_norms(X)
+    np.testing.assert_equal(norms[-1], norm)
+    assert np.array_equal(norms[:-1], np.sqrt(_squared_rows(X))[:-1])

@@ -33,8 +33,7 @@ from quatpca import (
     sweep_ratios,
 )
 from quatpca import quaternion
-from quatpca.quaternion import _l2_norm
-from quatpca.solver import _ROOT_NORMAL
+from quatpca.quaternion import _ROOT_NORMAL, _l2_norm
 from conftest import random_qmatrix
 
 
@@ -104,6 +103,15 @@ def test_ratio_validation(raw_set, full_basis):
         reconstruction_ratio(zero, [QMatrix.zeros(4, 3)])
 
 
+def test_ratio_reads_both_arguments_from_any_iterable(raw_set, full_basis):
+    recs = reconstruct_samples(raw_set, full_basis.truncated(2, 2))
+    want = reconstruction_ratio(raw_set, recs)
+    assert reconstruction_ratio(raw_set, iter(recs)) == want
+    assert reconstruction_ratio(iter(raw_set.images()), (R for R in recs)) == want
+    with pytest.raises(InvalidDataset, match="sample counts differ"):
+        reconstruction_ratio(raw_set, (R for R in recs[1:]))
+
+
 @pytest.mark.parametrize("manner", list(MANNER_PRECEDENCE))
 def test_reconstruct_samples_matches_per_sample_oracle(raw_set, full_basis, manner):
     # The oracle projects with the scheme's weights and undoes them; the set
@@ -170,18 +178,44 @@ for size in (4, 2):
 """
 
 
-def test_ratio_bits_independent_of_blas_threads_at_64x64():
-    # ||F - R|| is close to ||F||, so a one-ulp difference in either norm
-    # survives the mean; a BLAS dot's sum order follows the thread count.
+# The same recipe on two-image subsets of a set of 96 x 96 images whose
+# squares overflow (x 1e170) or underflow (x 1e-170), so that every norm is
+# a rescaled one.
+_EXTREME_THREAD_RATIO_SCRIPT = """
+import numpy as np
+from quatpca import QMatrix, SampleSet, reconstruction_ratio
+for scale in (1e170, 1e-170):
+    rng = np.random.default_rng(96)
+    F = rng.standard_normal((24, 4, 96, 96)) * scale
+    F[:, 0] = 0.0
+    R = F + 0.9 * scale * rng.standard_normal(F.shape)
+    images = SampleSet.build([(str(t), QMatrix(f)) for t, f in enumerate(F)])
+    recs = [QMatrix(r) for r in R]
+    for a in range(0, 24, 2):
+        print(repr(reconstruction_ratio(images.subset(range(a, a + 2)), recs[a:a + 2])))
+"""
+
+
+def _ratio_reprs_by_thread_count(script):
     src = str(Path(quaternion.__file__).resolve().parents[1])
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", _THREAD_RATIO_SCRIPT], env=env,
+        out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
         runs.append(out.stdout.split())
+    return runs
+
+
+def test_ratio_bits_independent_of_blas_threads_at_64x64():
+    # ||F - R|| is close to ||F||, so a one-ulp difference in either norm
+    # survives the mean; a BLAS dot's sum order follows the thread count.
+    runs = _ratio_reprs_by_thread_count(_THREAD_RATIO_SCRIPT)
     assert len(runs[0]) == 30
+    assert runs[0] == runs[1]
+    runs = _ratio_reprs_by_thread_count(_EXTREME_THREAD_RATIO_SCRIPT)
+    assert len(runs[0]) == 24
     assert runs[0] == runs[1]
 
 
@@ -368,6 +402,18 @@ def test_ratios_of_images_whose_squares_underflow():
     got = reconstruction_ratio(tiny, reconstruct_samples(tiny, tiny_basis))
     assert got == pytest.approx(want, rel=0, abs=1e-12)
     np.testing.assert_allclose(sweep_ratios(tiny, tiny_basis, 3), sweep_ratios(raw, basis, 3),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e158, 1e160])
+def test_sweep_ratios_with_one_huge_image(scale):
+    # Scaling the set to the huge image pushes the others' ||X_i||^2 below
+    # the smallest normal double, where the Pythagoras difference loses
+    # digits; those images are rebuilt at every k.
+    raw, basis, _, _ = _scaled_set_and_basis(1.0)
+    images = [x.image * scale if t == 0 else x.image for t, x in enumerate(raw.samples)]
+    mixed = SampleSet.build(zip(raw.labels(), images))
+    np.testing.assert_allclose(sweep_ratios(mixed, basis, 3), _per_k_ratios(mixed, basis, 3),
                                rtol=0, atol=1e-12)
 
 
