@@ -438,28 +438,23 @@ def _export_stack(images, paths):
     The channels are clipped, scaled, rounded and cast a block of _blocks
     at a time, and the files are written in path order.  Writing stops at
     the first path whose suffix names no codec (IoError) or image that holds
-    NaN (InvalidDataset), before its file is opened; only earlier images are cast.
+    NaN (InvalidDataset), before its file is opened; only earlier images are written.
     """
     for rows in _blocks(len(images), 3 * images.shape[-2] * images.shape[-1]):
-        block, names = images[rows, 1:], paths[rows]
-        encoders = []
-        for path, nan in zip(names, np.isnan(block).any(axis=(1, 2, 3))):
-            codec = _CODECS.get(_suffix(os.path.basename(path)))
-            if codec is None or nan:
-                break
-            encoders.append(codec[1])
+        block = images[rows, 1:]
         # Clipping writes the channels last, so each image's bytes are one run.
-        rgb = np.empty((len(encoders), *block.shape[2:], 3))
-        np.clip(block[:len(encoders)].transpose(0, 2, 3, 1), 0.0, 1.0, out=rgb)
+        rgb = np.empty((len(block), *block.shape[2:], 3))
+        np.clip(block.transpose(0, 2, 3, 1), 0.0, 1.0, out=rgb)
         rgb *= 255.0
-        rgb = np.rint(rgb, out=rgb).astype(np.uint8)
-        for path, encode, image in zip(names, encoders, rgb):
-            _write_file(path, encode(image), "image")
-        if len(encoders) < len(block):
-            path = names[len(encoders)]
-            if _suffix(os.path.basename(path)) not in _CODECS:
+        with np.errstate(invalid="ignore"):  # an image that holds NaN is cast, never written
+            rgb = np.rint(rgb, out=rgb).astype(np.uint8)
+        for path, image, nan in zip(paths[rows], rgb, np.isnan(block).any(axis=(1, 2, 3))):
+            codec = _CODECS.get(_suffix(os.path.basename(path)))
+            if codec is None:
                 raise IoError(f"{Path(path)}: unsupported image suffix {Path(path).suffix!r}")
-            raise InvalidDataset(f"{path}: cannot export an image that holds NaN")
+            if nan:
+                raise InvalidDataset(f"{path}: cannot export an image that holds NaN")
+            _write_file(path, codec[1](image), "image")
 
 
 def export_image(image, path):

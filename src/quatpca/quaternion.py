@@ -26,6 +26,7 @@ stacked planes of its right operand, so callers put the small operand
 
 Every block-wise pass over a stack takes its row blocks from _blocks and
 each row's sum of squares or norm from _squared_rows or _row_norms (no BLAS).
+Only _row_norms rescues a norm or modulus whose squares leave the normal range.
 """
 
 from __future__ import annotations
@@ -190,8 +191,7 @@ class Quaternion:
         sq = self.w0 * self.w0 + self.w1 * self.w1 + self.w2 * self.w2 + self.w3 * self.w3
         if sys.float_info.min <= sq < math.inf:
             return math.sqrt(sq)
-        # The squares under- or overflowed; hypot scales them away.
-        return math.hypot(self.w0, self.w1, self.w2, self.w3)
+        return float(_row_norms(self.components[None])[0])
 
     def sign(self):
         """a / |a|, or zero when a is zero."""
@@ -213,18 +213,14 @@ def _as_quaternion(x):
 
 
 def _l2_norm(x):
-    """L2 norm of the entries of the array x, safe where their squares under- or overflow."""
+    """L2 norm of the entries of x; by _row_norms where the squares leave the normal range."""
     # Memory order, as np.linalg.norm sums, so in-range values match it bit for bit.
     x = x.ravel(order="K")
     with np.errstate(over="ignore"):
         total = x.dot(x)
-    if not sys.float_info.min <= total < math.inf:
-        # The squares under- or overflowed; scale by the largest entry.
-        big = np.abs(x).max(initial=0.0)
-        if 0.0 < big < math.inf:
-            y = x / big
-            return float(big * np.sqrt(y.dot(y)))
-    return float(np.sqrt(total))
+    if sys.float_info.min <= total < math.inf:
+        return float(np.sqrt(total))
+    return float(_row_norms(x[None])[0])
 
 
 class _Planes:
@@ -351,15 +347,13 @@ class QVector(_Planes):
         return Quaternion.from_components(plane_matmul(row, other._data[:, :, None])[:, 0, 0])
 
     def abs(self):
-        """Entrywise moduli as a real (n,) array, with the rule of ``abs(Quaternion)``."""
+        """Entrywise moduli as a real (n,) array; out of the normal range, by _row_norms."""
         with np.errstate(over="ignore"):
             sq = np.sum(self._data * self._data, axis=0)
         mods = np.sqrt(sq)
-        # Where the squares under- or overflowed, hypot scales them away.
         out = ~((sys.float_info.min <= sq) & (sq < math.inf))
         if out.any():
-            a0, a1, a2, a3 = self._data[:, out]
-            mods[out] = np.hypot(np.hypot(a0, a1), np.hypot(a2, a3))
+            mods[out] = _row_norms(self._data[:, out].T)
         return mods
 
     def sign(self):

@@ -186,3 +186,12 @@ def test_only_dataset_sees_a_sample_set_as_per_image_records():
              if isinstance(node, ast.Attribute) and node.attr in ("samples", "Sample")
              or isinstance(node, ast.Name) and node.id == "Sample"}
     assert {owner.split(".")[0] for owner in users} == {"dataset"}
+
+
+def test_only_dataset_reads_a_sample_sets_stack_and_rows():
+    # Other modules take a set's rows through its _gather and _read, so the
+    # layout of its stack and row index can change inside dataset.py alone.
+    users = {owner for owner, node in owned_nodes()
+             if isinstance(node, ast.Attribute) and node.attr in ("stack", "rows")
+             and not (isinstance(node.value, ast.Name) and node.value.id == "np")}
+    assert {owner.split(".")[0] for owner in users} == {"dataset"}

@@ -1,8 +1,12 @@
 """Quaternion scalar/vector/matrix algebra and the real representation."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from quatpca import (
     vabs,
     vsign,
 )
+from quatpca import quaternion
 from quatpca.quaternion import (_l2_norm, _row_norms, _squared_rows, plane_conj_transpose,
                                 plane_matmul)
 from conftest import random_qmatrix, random_qvector
@@ -537,3 +542,59 @@ def test_row_norms_of_zero_nan_and_inf_rows(value, norm, rows, rng):
     norms = _row_norms(X)
     np.testing.assert_equal(norms[-1], norm)
     assert np.array_equal(norms[:-1], np.sqrt(_squared_rows(X))[:-1])
+
+
+# Five random quaternion matrices of each size, scaled so that their squares
+# underflow (x 1e-170) or overflow (x 1e170): every norm is a rescued one.
+def _extreme_matrices():
+    rng = np.random.default_rng(170)
+    for m in (64, 96):
+        for scale in (1e-170, 1e170):
+            for _ in range(5):
+                yield rng.standard_normal((4, m, m)) * scale
+
+
+_THREAD_NORM_SCRIPT = """
+from quatpca import QMatrix, QVector
+from test_quaternion import _extreme_matrices
+for A in _extreme_matrices():
+    print(repr(QMatrix(A).fro_norm()), repr(QVector(A.reshape(4, -1)).norm()))
+"""
+
+
+def test_rescued_norms_independent_of_blas_threads():
+    # A BLAS dot's sum order follows the thread count; _row_norms' does not.
+    src = str(Path(quaternion.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
+        out = subprocess.run([sys.executable, "-c", _THREAD_NORM_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        runs.append(out.stdout.split())
+    assert len(runs[0]) == 2 * 20
+    assert runs[0] == runs[1]
+
+
+def test_rescued_norms_and_moduli_are_the_row_norms():
+    for A in _extreme_matrices():
+        x = A.ravel()
+        got = _l2_norm(x)
+        assert got == _row_norms(x[None])[0]
+        # An independent reference: the exact sum of the squares of the
+        # entries brought into range by one power of two.
+        e = math.frexp(np.abs(x).max())[1]
+        want = math.ldexp(math.sqrt(math.fsum(np.ldexp(x, -e) ** 2)), e)
+        assert got == pytest.approx(want, rel=x.size * np.finfo(float).eps, abs=0.0)
+        # The moduli of entries whose squares leave the normal range.
+        entries = A[:, 0]
+        mods = QVector(entries).abs()
+        assert np.array_equal(mods, _row_norms(entries.T))
+        assert [abs(Quaternion.from_components(q)) for q in entries.T] == list(mods)
+
+
+def test_modulus_of_an_entry_with_inf_and_nan_is_nan():
+    q = Quaternion(math.inf, 0.0, math.nan, 1.0)
+    assert math.isnan(abs(q))
+    mods = QVector(np.array([q.components, [0.0, 3.0, 4.0, 0.0]]).T).abs()
+    assert math.isnan(mods[0]) and mods[1] == 5.0

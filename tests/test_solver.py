@@ -1118,3 +1118,43 @@ def test_fit_bytes_independent_of_blas_threads_pure_quaternion():
     # that plane of its stack.
     one, two = _thread_digests("0.5", "pure")
     assert one == two
+
+
+# The s = p = 2 eigensolve at 64 x 64, order 4n = 256, where OpenBLAS's
+# eigh may split its sums by the thread count: the basis is printed as hex
+# bytes, then the two sweeps as the CLI writes them.
+_FACE_SIZE_SCRIPT = """
+import numpy as np
+from quatpca import (FitParams, Manner, QMatrix, SampleSet, WeightingScheme, center, fit,
+                     split, sweep_accuracies, sweep_ratios)
+rng = np.random.default_rng(64)
+images = rng.uniform(0.0, 1.0, (400, 4, 64, 64))
+images[:, 0] = 0.0
+data = SampleSet.build([(str(t % 20), QMatrix(F)) for t, F in enumerate(images)])
+train, _, test = split(data, (0.5, 0.0, 0.5), 7)
+basis = fit(center(train), FitParams(s=2.0, p=2.0, k1=8, k2=8))
+print(basis.U.data.tobytes().hex(), basis.V.data.tobytes().hex())
+print(*(f"{r:.6f}" for r in sweep_ratios(train, basis, 8)))
+scheme = WeightingScheme(Manner.UNWEIGHTED)
+print(*(f"{a:.6f}" for a in sweep_accuracies(train, test, basis, scheme, 8)))
+"""
+
+
+def test_face_size_eigensolve_and_sweeps_agree_across_blas_threads():
+    # The bases may differ in their last bits; the sweeps, at the CLI's six
+    # decimals, may not.
+    src = str(Path(quatpca.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _FACE_SIZE_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        runs.append(out.stdout.splitlines())
+    (bases, ratios, accuracies), other = runs
+    assert len(ratios.split()) == len(accuracies.split()) == 8
+    assert [ratios, accuracies] == other[1:]
+    for one, two in zip(bases.split(), other[0].split()):
+        one, two = (np.frombuffer(bytes.fromhex(h)) for h in (one, two))
+        assert one.size == 4 * 64 * 8
+        assert np.max(np.abs(one - two)) <= 1e-12
